@@ -15,6 +15,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__
 from .cohort import feasible_baseline, simulate_cohort
 from .data import DatasetSchema, load_csv
@@ -67,8 +69,7 @@ def _load_pipeline_inputs(args):
 
 
 def _off_target_rows(forest, dataset, target):
-    return [i for i in range(dataset.num_rows)
-            if forest.predict(dataset.X[i])[0] != target]
+    return np.flatnonzero(forest.predict_batch(dataset.X) != target).tolist()
 
 
 def _cmd_train(args, argv, started) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import BINARY, Forest
-from .probability import PerturbationSpec, perturb_value
+from .probability import PerturbationSpec, _perturb_samples
 
 
 @dataclass
@@ -86,12 +86,27 @@ def _check_cohort(cohort) -> None:
         raise ValueError("empty cohort")
 
 
+def _stream(seed: int, x0, *tag: int) -> np.random.Generator:
+    """The RNG stream of one individual, keyed by its feature values, not its position."""
+    words = np.array(x0, dtype=np.float64).view(np.uint32)
+    return np.random.default_rng(np.random.SeedSequence([seed, *words, *tag]))
+
+
+def _hit_percentages(forest: Forest, blocks, target_class: int, n_reps: int) -> list[float]:
+    """Per-individual % of the (n_reps, d) replication blocks predicted as the target."""
+    predicted = forest.predict_batch(np.concatenate(blocks))
+    hits = (predicted == target_class).reshape(len(blocks), n_reps).sum(axis=1)
+    return [100.0 * int(h) / n_reps for h in hits]
+
+
 def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
                     spec: PerturbationSpec, n_reps: int = 100, seed: int = 0) -> SimulationResult:
     """Perturb every perturbable feature (effort on the given set), then re-predict.
 
-    One RNG stream per (individual, replication). Returns the mean percentage
-    of replications landing in the target class, averaged over individuals.
+    One RNG stream per individual, keyed by (seed, its feature values), draws
+    all n_reps replications of each feature in turn. Returns the mean
+    percentage of replications landing in the target class, averaged over
+    individuals.
     """
     _check_cohort(cohort)
     effort_set = set(effort_features)
@@ -101,18 +116,15 @@ def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
     if immutable_with_effort:
         raise ValueError(f"effort on non-effort-perturbable features {immutable_with_effort}")
     metas = forest.feature_metas
-    per_individual = []
-    for i, x0 in enumerate(cohort):
-        hits = 0
-        for rep in range(n_reps):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i, rep]))
-            x = [
-                perturb_value(float(x0[j]), metas[j], spec, 1 if j in effort_set else 0, rng)
-                for j in range(forest.num_features)
-            ]
-            if forest.predict(x)[0] == target_class:
-                hits += 1
-        per_individual.append(100.0 * hits / n_reps)
+    efforts = [1 if j in effort_set else 0 for j in range(forest.num_features)]
+    blocks = []
+    for x0 in cohort:
+        rng = _stream(seed, x0)
+        blocks.append(np.column_stack([
+            _perturb_samples(float(x0[j]), metas[j], spec, efforts[j], rng, n_reps)
+            for j in range(forest.num_features)
+        ]))
+    per_individual = _hit_percentages(forest, blocks, target_class, n_reps)
     return SimulationResult(float(np.mean(per_individual)), per_individual, n_reps, seed)
 
 
@@ -123,30 +135,27 @@ def feasible_baseline(forest: Forest, cohort, target_class: int,
     Continuous effort-perturbable features move deterministically by
      1.5 sigma (the full effort-draw support) in their beneficial direction;
     binary ones keep the stochastic effort flip; everything else gets its
-    plain no-effort perturbation.
+    plain no-effort perturbation. Streams are keyed like simulate_cohort's,
+    with a tag of their own.
     """
     _check_cohort(cohort)
     metas = forest.feature_metas
-    per_individual = []
-    for i, x0 in enumerate(cohort):
-        hits = 0
-        for rep in range(n_reps):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i, rep, 0xBA5E]))
-            x = []
-            for j in range(forest.num_features):
-                meta, fp = metas[j], spec.features[j]
-                value = float(x0[j])
-                if fp.effort_perturbable and meta.kind != BINARY:
-                    delta = spec.scale_for(1) * fp.sigma
-                    shifted = value + (delta if meta.beneficial == "increase" else -delta)
-                    x.append(min(max(shifted, meta.lo), meta.hi))
-                elif fp.effort_perturbable:
-                    x.append(perturb_value(value, meta, spec, 1, rng))
-                else:
-                    x.append(perturb_value(value, meta, spec, 0, rng))
-            if forest.predict(x)[0] == target_class:
-                hits += 1
-        per_individual.append(100.0 * hits / n_reps)
+    blocks = []
+    for x0 in cohort:
+        rng = _stream(seed, x0, 0xBA5E)
+        columns = []
+        for j in range(forest.num_features):
+            meta, fp = metas[j], spec.features[j]
+            value = float(x0[j])
+            if fp.effort_perturbable and meta.kind != BINARY:
+                delta = spec.scale_for(1) * fp.sigma
+                shifted = value + (delta if meta.beneficial == "increase" else -delta)
+                columns.append(np.full(n_reps, min(max(shifted, meta.lo), meta.hi)))
+            else:
+                effort = 1 if fp.effort_perturbable else 0
+                columns.append(_perturb_samples(value, meta, spec, effort, rng, n_reps))
+        blocks.append(np.column_stack(columns))
+    per_individual = _hit_percentages(forest, blocks, target_class, n_reps)
     return SimulationResult(float(np.mean(per_individual)), per_individual, n_reps, seed)
 
 

@@ -8,7 +8,11 @@ realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 DEFAULT_EPSILON = 1e-6
 
@@ -145,7 +149,6 @@ class Forest:
         self.trees = list(trees)
         self.feature_metas = list(feature_metas)
         self.num_features = len(feature_metas)
-        counts = [0] * self.num_features
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
                 if not 0 <= node.feature < self.num_features:
@@ -155,8 +158,6 @@ class Forest:
                     raise ForestFormatError(
                         f"node {node.id} in tree {t}: threshold {node.threshold} outside domain"
                     )
-                counts[node.feature] += 1
-        self.feature_occurrence_counts = counts
 
     @property
     def num_trees(self) -> int:
@@ -181,8 +182,66 @@ class Forest:
         w0 = sum(t.weight for t, v in zip(self.trees, votes) if v == 0)
         return (1 if w1 > w0 else 0), votes
 
+    @cached_property
+    def _flat(self) -> _FlatTrees:
+        feature, threshold, left, right, leaf_class, roots = [], [], [], [], [], []
+        for tree in self.trees:
+            ids = list(tree.nodes) + list(tree.leaves)
+            pos = {ident: len(feature) + k for k, ident in enumerate(ids)}
+            roots.append(pos[tree.root])
+            for node in tree.nodes.values():
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                left.append(pos[node.left])
+                right.append(pos[node.right])
+                leaf_class.append(0)
+            for leaf in tree.leaves.values():
+                # a leaf routes to itself, so extra routing steps leave it in place
+                feature.append(0)
+                threshold.append(0.0)
+                left.append(pos[leaf.id])
+                right.append(pos[leaf.id])
+                leaf_class.append(leaf.predicted_class)
+        return _FlatTrees(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+                          np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                          np.array(leaf_class, dtype=np.intp), roots)
+
+    def predict_batch(self, X) -> np.ndarray:
+        """Classes of the rows of X, exactly as :meth:`predict` gives them one at a time.
+
+        Each tree routes all rows together, one level per step; tree weights
+        are summed in tree order and ties go to class 0.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.num_features:
+            raise ValueError(f"X has shape {X.shape}, forest expects (n, {self.num_features})")
+        flat = self._flat
+        rows = np.arange(len(X))
+        w1 = np.zeros(len(X))
+        w0 = np.zeros(len(X))
+        for tree, root in zip(self.trees, flat.roots):
+            idx = np.full(len(X), root, dtype=np.intp)
+            for _ in range(tree.depth):
+                go_right = X[rows, flat.feature[idx]] >= flat.threshold[idx]
+                idx = np.where(go_right, flat.right[idx], flat.left[idx])
+            votes = flat.leaf_class[idx]
+            w1 += np.where(votes == 1, tree.weight, 0.0)
+            w0 += np.where(votes == 0, tree.weight, 0.0)
+        return (w1 > w0).astype(int)
+
     def leaf_box(self, tree_index: int, leaf_id: int, epsilon: float = DEFAULT_EPSILON):
         return leaf_box(self.trees[tree_index], leaf_id, self.domains, epsilon)
+
+
+class _FlatTrees(NamedTuple):
+    """All trees' nodes and leaves in flat arrays; child and root entries index them."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
+    roots: list[int]
 
 
 def leaf_of(tree: Tree, x) -> int:

@@ -89,32 +89,16 @@ class PerturbationSpec:
 def perturb_value(value: float, meta: FeatureMeta, spec: PerturbationSpec,
                   effort: int, rng: np.random.Generator) -> float:
     """Draw one perturbed future value for a single feature."""
+    return float(_perturb_samples(value, meta, spec, effort, rng, 1)[0])
+
+
+def _perturb_samples(value, meta, spec, effort, rng, n):
+    """Draw n perturbed future values for a single feature (the change model)."""
     fp = spec.features[meta.index]
     if effort < 0:
         raise ValueError("effort must be nonnegative")
     if effort > 0 and not fp.effort_perturbable:
         raise ValueError(f"feature {meta.name} cannot take effort")
-    if effort == 0 and not fp.no_effort_perturbable:
-        return value
-    if meta.kind == CONTINUOUS:
-        if effort == 0:
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            delta = rng.uniform(0.0, fp.sigma)
-        else:
-            sign = 1.0 if meta.beneficial == "increase" else -1.0
-            delta = rng.uniform(0.0, spec.scale_for(effort) * fp.sigma)
-        return float(min(max(value + sign * delta, meta.lo), meta.hi))
-    if effort == 0:
-        return float(1.0 - value) if rng.random() < 1.0 - fp.p_majority else float(value)
-    beneficial = meta.beneficial_value
-    if value == beneficial:
-        return float(value)
-    return beneficial if rng.random() < spec.flip_probability(meta.index, effort) else float(value)
-
-
-def _perturb_samples(value, meta, spec, effort, rng, n):
-    """Vectorized draw of n perturbed values (same model as perturb_value)."""
-    fp = spec.features[meta.index]
     if effort == 0 and not fp.no_effort_perturbable:
         return np.full(n, value)
     if meta.kind == CONTINUOUS:
@@ -206,31 +190,32 @@ def estimate_node_probabilities(forest: Forest, x0, spec: PerturbationSpec,
     """Monte-Carlo right-branch probabilities for one individual.
 
     One stream per (seed, individual, feature, effort level); the same n_s
-    draws are shared by every node of that feature. Features whose effort
+    draws are shared by every node of that feature, and each node's estimate
+    is the share of them at or above its threshold. Features whose effort
     perturbation is not allowed reuse their no-effort row, so effort never
     changes an immutable feature's probabilities.
     """
     if len(x0) != forest.num_features:
         raise ValueError("x0 has the wrong dimension")
-    used = sorted({n.feature for tree in forest.trees for n in tree.nodes.values()})
-    samples: dict[tuple[int, int], np.ndarray] = {}
-    for j in used:
-        meta = forest.feature_metas[j]
-        fp = spec.features[j]
-        for e in range(E + 1):
-            if e > 0 and not fp.effort_perturbable:
-                samples[(j, e)] = samples[(j, 0)]
-                continue
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, individual, j, e]))
-            samples[(j, e)] = _perturb_samples(float(x0[j]), meta, spec, e, rng, spec.num_samples)
-    probs = {}
+    nodes_of: dict[int, list[tuple[int, int, float]]] = {}
     for t, tree in enumerate(forest.trees):
         for node in tree.nodes.values():
-            row = tuple(
-                float(np.mean(samples[(node.feature, e)] >= node.threshold))
-                for e in range(E + 1)
-            )
-            probs[(t, node.id)] = row
+            nodes_of.setdefault(node.feature, []).append((t, node.id, node.threshold))
+    n = spec.num_samples
+    probs: dict[tuple[int, int], tuple[float, ...]] = {}
+    for j, nodes in nodes_of.items():
+        meta = forest.feature_metas[j]
+        thresholds = np.array([threshold for _, _, threshold in nodes])
+        shares = []
+        for e in range(E + 1):
+            if e > 0 and not spec.features[j].effort_perturbable:
+                shares.append(shares[0])
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, individual, j, e]))
+            draws = np.sort(_perturb_samples(float(x0[j]), meta, spec, e, rng, n))
+            shares.append((n - np.searchsorted(draws, thresholds)) / n)
+        for k, (t, node_id, _) in enumerate(nodes):
+            probs[(t, node_id)] = tuple(float(share[k]) for share in shares)
     return NodeProbabilityTable(individual=individual, E=E, probs=probs)
 
 

@@ -119,9 +119,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Forest:
 
 
 def accuracy(forest: Forest, dataset: Dataset) -> float:
-    hits = sum(
-        forest.predict(dataset.X[i])[0] == dataset.y[i] for i in range(dataset.num_rows)
-    )
+    hits = int(np.sum(forest.predict_batch(dataset.X) == dataset.y))
     return hits / dataset.num_rows
 
 

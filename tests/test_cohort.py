@@ -55,11 +55,14 @@ def test_simulate_empty_cohort_rejected():
 def test_simulate_order_invariant():
     forest = _boundary_forest()
     spec = _spec_for(forest)
-    cohort = [(0.1,), (0.3,), (0.45,)]
+    # the last two rows duplicate the second and third
+    cohort = [(0.1,), (0.3,), (0.45,), (0.3,), (0.45,)]
     fwd = simulate_cohort(forest, cohort, 0, {0}, spec, n_reps=40, seed=5)
     rev = simulate_cohort(forest, list(reversed(cohort)), 0, {0}, spec, n_reps=40, seed=5)
     assert fwd.percent == pytest.approx(rev.percent)
     assert sorted(fwd.per_individual) == sorted(rev.per_individual)
+    assert fwd.per_individual[1] == fwd.per_individual[3]
+    assert fwd.per_individual[2] == fwd.per_individual[4]
 
 
 def test_baseline_crosses_reachable_threshold():

@@ -7,7 +7,7 @@ from treeshift import (DegenerateBoxError, FeatureMeta, Forest, ForestFormatErro
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
 
-from helpers import make_random_instance
+from helpers import make_random_instance, make_weighted_distance_case
 
 UNIT = [(0.0, 1.0), (0.0, 1.0)]
 
@@ -55,6 +55,55 @@ def test_predict_dimension_mismatch():
     forest = firefighter_forest()
     with pytest.raises(ValueError):
         forest.predict((0.5,))
+
+
+def _assert_batch_matches_predict(forest, X):
+    expected = [forest.predict(x)[0] for x in X]
+    assert forest.predict_batch(X).tolist() == expected
+
+
+def test_predict_batch_matches_predict_on_fixture():
+    # the grid includes every threshold (0.6, 0.7, 0.8) in both coordinates
+    grid = [i / 10 for i in range(11)]
+    _assert_batch_matches_predict(firefighter_forest(), [(a, b) for a in grid for b in grid])
+
+
+def test_predict_batch_matches_predict_on_random_forests():
+    for seed in range(40):
+        forests = [make_random_instance(seed).forest, make_weighted_distance_case(seed)[0]]
+        rng = np.random.default_rng(seed + 200)
+        for forest in forests:
+            d = forest.num_features
+            # thresholds sit on the 0.01 grid, so grid points land exactly on them
+            on_grid = rng.integers(0, 101, size=(150, d)) / 100
+            _assert_batch_matches_predict(forest, np.vstack([on_grid, rng.random((50, d))]))
+
+
+def test_predict_batch_single_leaf_tree():
+    for cls in (0, 1):
+        forest = Forest([Tree(0, [], [Leaf(0, cls)])],
+                        [FeatureMeta(0, "x0", mutable=True, beneficial="increase")])
+        assert forest.predict_batch([[0.42], [0.0], [1.0]]).tolist() == [cls] * 3
+
+
+def test_predict_batch_weighted_tie_goes_to_class_zero():
+    trees = [
+        Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 1), Leaf(2, 0)], weight=2.0),
+        Tree(0, [], [Leaf(0, 1)], weight=0.5),
+        Tree(0, [], [Leaf(0, 1)], weight=1.5),
+    ]
+    forest = Forest(trees, [FeatureMeta(0, "x0", mutable=True, beneficial="increase")])
+    # x >= 0.5: 2.0 for class 0 against 0.5 + 1.5 for class 1
+    X = [[0.2], [0.5], [0.9]]
+    assert forest.predict_batch(X).tolist() == [1, 0, 0]
+    _assert_batch_matches_predict(forest, X)
+
+
+def test_predict_batch_wrong_shape_rejected():
+    forest = firefighter_forest()
+    for X in ([0.5, 0.5], [[0.5]], [[0.5, 0.5, 0.5]], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            forest.predict_batch(X)
 
 
 def test_leaf_of_both_splits_strictly_below():

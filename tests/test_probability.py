@@ -8,6 +8,7 @@ from treeshift import (FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
                        Tree, estimate_node_probabilities, perturb_value,
                        load_table, save_table)
 from treeshift.fixtures import firefighter_forest, firefighter_table
+from treeshift.probability import _perturb_samples
 
 from helpers import make_random_instance
 
@@ -115,6 +116,39 @@ def test_estimates_deterministic_given_seed():
     t1 = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=1, individual=4)
     t2 = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=1, individual=4)
     assert t1.probs == t2.probs
+
+
+def test_estimates_equal_direct_recount():
+    # one mean per node over the (seed, individual, feature, effort) stream's draws
+    for seed in range(4):
+        case = make_random_instance(seed)
+        forest = case.forest
+        metas = forest.feature_metas
+        # immutable features stay put, on a threshold where they have one: all draws tie it
+        spec = PerturbationSpec(
+            [FeaturePerturbation(sigma=0.2, effort_perturbable=m.mutable,
+                                 no_effort_perturbable=m.mutable) for m in metas],
+            metas, seed=seed)
+        x0 = list(case.instance.x0)
+        for tree in forest.trees:
+            for node in tree.nodes.values():
+                if not metas[node.feature].mutable:
+                    x0[node.feature] = node.threshold
+        E = 2
+        table = estimate_node_probabilities(forest, x0, spec, E=E, individual=7)
+        expected = {}
+        for t, tree in enumerate(forest.trees):
+            for node in tree.nodes.values():
+                j = node.feature
+                row = []
+                for e in range(E + 1):
+                    stream_e = e if metas[j].mutable else 0
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, 7, j, stream_e]))
+                    draws = _perturb_samples(x0[j], metas[j], spec, stream_e, rng,
+                                             spec.num_samples)
+                    row.append(float(np.mean(draws >= node.threshold)))
+                expected[(t, node.id)] = tuple(row)
+        assert table.probs == expected
 
 
 def test_estimate_monotone_in_threshold():
