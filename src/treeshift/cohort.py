@@ -81,9 +81,11 @@ def build_report(raw: dict[tuple[str, int], float], baseline: float) -> SimRepor
     return SimReport(raw=dict(raw), baseline=baseline, etas=etas, methods=methods)
 
 
-def _check_cohort(cohort) -> None:
+def _check_cohort(cohort, n_reps: int) -> None:
     if len(cohort) == 0:
         raise ValueError("empty cohort")
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
 
 
 def _stream(seed: int, x0, *tag: int) -> np.random.Generator:
@@ -108,8 +110,11 @@ def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
     percentage of replications landing in the target class, averaged over
     individuals.
     """
-    _check_cohort(cohort)
+    _check_cohort(cohort, n_reps)
     effort_set = set(effort_features)
+    out_of_range = sorted(j for j in effort_set if not 0 <= j < forest.num_features)
+    if out_of_range:
+        raise ValueError(f"effort features {out_of_range} outside 0..{forest.num_features - 1}")
     immutable_with_effort = [
         j for j in effort_set if not spec.features[j].effort_perturbable
     ]
@@ -138,7 +143,7 @@ def feasible_baseline(forest: Forest, cohort, target_class: int,
     plain no-effort perturbation. Streams are keyed like simulate_cohort's,
     with a tag of their own.
     """
-    _check_cohort(cohort)
+    _check_cohort(cohort, n_reps)
     metas = forest.feature_metas
     blocks = []
     for x0 in cohort:

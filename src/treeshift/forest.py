@@ -8,6 +8,7 @@ realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -149,6 +150,7 @@ class Forest:
         self.trees = list(trees)
         self.feature_metas = list(feature_metas)
         self.num_features = len(feature_metas)
+        self._leaf_boxes: dict[float, tuple[dict[int, tuple], ...]] = {}
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
                 if not 0 <= node.feature < self.num_features:
@@ -232,6 +234,22 @@ class Forest:
     def leaf_box(self, tree_index: int, leaf_id: int, epsilon: float = DEFAULT_EPSILON):
         return leaf_box(self.trees[tree_index], leaf_id, self.domains, epsilon)
 
+    def leaf_boxes(self, epsilon: float = DEFAULT_EPSILON) -> tuple[dict[int, tuple], ...]:
+        """Per tree, ``{leaf_id: box}`` for every leaf, built once per epsilon.
+
+        The table is shared by every caller, so each box is a tuple of
+        ``(lo, hi)`` pairs; treat the dicts as read-only too.
+        """
+        boxes = self._leaf_boxes.get(epsilon)
+        if boxes is None:
+            domains = self.domains
+            boxes = tuple(
+                {leaf_id: tuple(leaf_box(tree, leaf_id, domains, epsilon)) for leaf_id in tree.leaves}
+                for tree in self.trees
+            )
+            self._leaf_boxes[epsilon] = boxes
+        return boxes
+
 
 class _FlatTrees(NamedTuple):
     """All trees' nodes and leaves in flat arrays; child and root entries index them."""
@@ -278,18 +296,27 @@ def leaf_box(tree: Tree, leaf_id: int, domains, epsilon: float = DEFAULT_EPSILON
     return [(lo, hi) for lo, hi in box]
 
 
+def _intersect(box, other):
+    """Coordinate-wise intersection of two boxes; None if empty."""
+    out = []
+    for (alo, ahi), (blo, bhi) in zip(box, other):
+        lo = alo if alo >= blo else blo
+        hi = ahi if ahi <= bhi else bhi
+        if lo > hi:
+            return None
+        out.append((lo, hi))
+    return out
+
+
 def boxes_intersect(boxes):
     """Coordinate-wise intersection of per-feature interval boxes; None if empty."""
     if not boxes:
         raise ValueError("no boxes given")
-    d = len(boxes[0])
-    out = []
-    for j in range(d):
-        lo = max(b[j][0] for b in boxes)
-        hi = min(b[j][1] for b in boxes)
-        if lo > hi:
+    out = [(-math.inf, math.inf)] * len(boxes[0])
+    for box in boxes:
+        out = _intersect(out, box)
+        if out is None:
             return None
-        out.append((lo, hi))
     return out
 
 

@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field, asdict
 
-from .forest import DEFAULT_EPSILON, Forest, boxes_intersect, leaf_box, leaf_of
+from .forest import DEFAULT_EPSILON, Forest, _intersect, boxes_intersect, leaf_box, leaf_of
 from .probability import NodeProbabilityTable
 
 MAX_PATH = "max_path"
@@ -64,8 +64,6 @@ class SolverConfig:
     kappa: int = 1
     kappa_fraction: float | None = None   # per-tree kappa = ceil(fraction * leaf count)
     mu: float = 1e-6
-    mu_direction: str = "at_least"        # \"at_most\" flips the threshold constraint
-    mu_all_trees: bool = False            # strict mode: every tree must pass the mu test
     positive_leaves_only: bool = False    # sort only target-class leaves for the order statistic
     distance: str = "l1"                  # l1 | l2 | linf
     distance_weights: tuple[float, ...] | None = None
@@ -78,14 +76,18 @@ class SolverConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
+        if self.kappa_fraction is not None and not 0.0 < self.kappa_fraction <= 1.0:
+            raise ValueError("kappa_fraction must be in (0, 1]")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("mu must be in [0, 1)")
         if self.distance not in ("l1", "l2", "linf"):
             raise ValueError(f"unknown distance {self.distance!r}")
         if self.point_rule not in ("project_x0", "box_center"):
             raise ValueError(f"unknown point rule {self.point_rule!r}")
-        if self.mu_direction not in ("at_least", "at_most"):
-            raise ValueError(f"unknown mu direction {self.mu_direction!r}")
+        if self.distance_weights is not None and any(
+            not (math.isfinite(w) and w >= 0.0) for w in self.distance_weights
+        ):
+            raise ValueError("distance_weights must be finite and nonnegative")
 
 
 @dataclass
@@ -182,6 +184,26 @@ def _resolve_kappa(config: SolverConfig, n_leaves: int) -> int:
     return config.kappa
 
 
+def _tree_value(positive_probs, n_leaves: int, config: SolverConfig) -> tuple[float | None, bool]:
+    """One tree's (value, mu-eligible) from its target leaves' path probabilities.
+
+    The other ``n_leaves - len(positive_probs)`` leaves carry the 1.0 cap in
+    the theta vector; path probabilities never exceed 1, so appending the caps
+    to the sorted target probabilities gives the sorted theta vector.
+    """
+    if not positive_probs:
+        return None, False
+    if config.objective == MIN_PATH:
+        return min(positive_probs), True
+    if config.objective != KAPPA_PATH:  # max_path and min_distance: optimistic per-tree bound
+        return max(positive_probs), True
+    values = sorted(positive_probs)
+    if not config.positive_leaves_only:
+        values += [1.0] * (n_leaves - len(values))
+    idx = min(_resolve_kappa(config, n_leaves), len(values))
+    return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
+
+
 def tree_value_profile(forest: Forest, tree_index: int, table: NodeProbabilityTable,
                        effort, target: int, config: SolverConfig) -> TreeValueProfile:
     """Leaf thetas, their ascending order, and the per-tree robust value."""
@@ -194,23 +216,9 @@ def tree_value_profile(forest: Forest, tree_index: int, table: NodeProbabilityTa
             theta[leaf_id] = p
         else:
             theta[leaf_id] = 1.0
-    sorted_theta = tuple(sorted(theta.values()))
-    if not positive:
-        return TreeValueProfile(tree_index, theta, positive, sorted_theta, None, False)
-
-    obj = config.objective
-    eligible = True
-    if obj == MIN_PATH:
-        robust = min(positive.values())
-    elif obj == KAPPA_PATH:
-        values = tuple(sorted(positive.values())) if config.positive_leaves_only else sorted_theta
-        idx = min(_resolve_kappa(config, len(tree.leaves)), len(values))
-        robust = values[idx - 1]
-        cum = math.fsum(values[: idx - 1])
-        eligible = cum >= config.mu if config.mu_direction == "at_least" else cum <= config.mu
-    else:  # max_path and min_distance: optimistic per-tree bound
-        robust = max(positive.values())
-    return TreeValueProfile(tree_index, theta, positive, sorted_theta, robust, eligible)
+    robust, eligible = _tree_value(positive.values(), len(tree.leaves), config)
+    return TreeValueProfile(tree_index, theta, positive, tuple(sorted(theta.values())),
+                            robust, eligible)
 
 
 def _log(v: float) -> float:
@@ -282,11 +290,7 @@ class _ProbabilisticSearch:
         self.table = table
         self.config = config
         self.m = majority_threshold(forest.num_trees)
-        self.boxes = [
-            {leaf_id: leaf_box(tree, leaf_id, forest.domains, instance.epsilon)
-             for leaf_id in tree.leaves}
-            for tree in forest.trees
-        ]
+        self.boxes = forest.leaf_boxes(instance.epsilon)
         # bind table rows once; per-allocation evaluation then avoids dict lookups
         self.compiled = []
         for t, tree in enumerate(forest.trees):
@@ -313,42 +317,23 @@ class _ProbabilisticSearch:
         return out
 
     def _candidates(self, effort):
-        """Per-tree candidate (value, leaf) lists for one allocation, or None."""
-        obj = self.config.objective
+        """Per-tree candidate (value, leaf) lists for one allocation (None: tree unusable)."""
         config = self.config
         per_tree = []
         for t, tree in enumerate(self.forest.trees):
-            probs = self._leaf_probs(t, effort)
-            positive = {l: p for l, (pos, p) in probs.items() if pos}
-            if obj == KAPPA_PATH and positive:
-                theta_sorted = sorted(p if pos else 1.0 for pos, p in probs.values())
-                values = sorted(positive.values()) if config.positive_leaves_only else theta_sorted
-                idx = min(_resolve_kappa(config, len(tree.leaves)), len(values))
-                cum = math.fsum(values[: idx - 1])
-                eligible = cum >= config.mu if config.mu_direction == "at_least" else cum <= config.mu
-                if config.mu_all_trees and not eligible:
-                    return None  # strict mode: the whole allocation is out
-            else:
-                eligible = True
-            if not positive or not eligible:
+            positive = {l: p for l, (pos, p) in self._leaf_probs(t, effort).items() if pos}
+            value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
+            if not eligible:
                 per_tree.append(None)
-                continue
-            if obj == MAX_PATH:
-                cands = sorted(((p, l) for l, p in positive.items()),
-                               key=lambda c: (-c[0], c[1]))
+            elif config.objective == MAX_PATH:
+                per_tree.append(sorted(((p, l) for l, p in positive.items()),
+                                       key=lambda c: (-c[0], c[1])))
             else:
-                if obj == MIN_PATH:
-                    value = min(positive.values())
-                else:
-                    value = values[idx - 1]
-                cands = [(value, l) for l in sorted(positive)]
-            per_tree.append(cands)
+                per_tree.append([(value, l) for l in sorted(positive)])
         return per_tree
 
     def _search_allocation(self, effort, clock):
         per_tree = self._candidates(effort)
-        if per_tree is None:
-            return
         cand_trees = [t for t, c in enumerate(per_tree) if c]
         if len(cand_trees) < self.m:
             return
@@ -452,17 +437,6 @@ class _ProbabilisticSearch:
         )
 
 
-def _intersect(box, other):
-    out = []
-    for (alo, ahi), (blo, bhi) in zip(box, other):
-        lo = alo if alo >= blo else blo
-        hi = ahi if ahi <= bhi else bhi
-        if lo > hi:
-            return None
-        out.append((lo, hi))
-    return out
-
-
 def solve_max_path(forest, instance, table, config=None) -> Solution:
     config = _with_objective(config, MAX_PATH)
     return _ProbabilisticSearch(forest, instance, table, config).run()
@@ -526,11 +500,7 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     if len(weights) != forest.num_features:
         raise ValueError("distance_weights length must equal the feature count")
     x0, target = instance.x0, instance.target_class
-    boxes = [
-        {leaf_id: leaf_box(tree, leaf_id, forest.domains, instance.epsilon)
-         for leaf_id in tree.leaves}
-        for tree in forest.trees
-    ]
+    boxes = forest.leaf_boxes(instance.epsilon)
     R = forest.num_trees
     suffix_weight = [0.0] * (R + 1)
     for t in range(R - 1, -1, -1):
@@ -625,11 +595,7 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
 
     m = majority_threshold(forest.num_trees)
     target = instance.target_class
-    boxes = [
-        {leaf_id: leaf_box(tree, leaf_id, forest.domains, instance.epsilon)
-         for leaf_id in tree.leaves}
-        for tree in forest.trees
-    ]
+    boxes = _oracle_boxes(forest, instance.epsilon)
     best = {"log": _NEG_INF, "payload": None}
 
     for effort in allocations:
@@ -656,17 +622,11 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
                 values = sorted(pos.values()) if config.positive_leaves_only else theta
                 idx = min(_resolve_kappa(config, len(tree.leaves)), len(values))
                 cum = math.fsum(values[: idx - 1])
-                ok = cum >= config.mu if config.mu_direction == "at_least" else cum <= config.mu
                 tree_value.append(values[idx - 1])
-                tree_eligible.append(ok)
+                tree_eligible.append(cum >= config.mu)
             else:
                 tree_value.append(None)  # max_path uses the chosen leaf's probability
                 tree_eligible.append(True)
-        if config.mu_all_trees and config.objective == KAPPA_PATH and any(
-            tree_value[t] is not None and not tree_eligible[t]
-            for t in range(forest.num_trees)
-        ):
-            continue
 
         def walk(t, box, combo):
             if t == forest.num_trees:
@@ -719,13 +679,17 @@ def _oracle_score(forest, target, m, config, effort, leafprob,
         best["payload"] = (effort, list(combo), [t for _, t in top], [v for v, _ in top], box)
 
 
-def _oracle_min_distance(forest, instance, config) -> Solution:
-    weights = config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
-    boxes = [
-        {leaf_id: leaf_box(tree, leaf_id, forest.domains, instance.epsilon)
-         for leaf_id in tree.leaves}
+def _oracle_boxes(forest, epsilon):
+    """The oracle's own leaf-box table, built from the definition, not the forest's cache."""
+    return [
+        {leaf_id: leaf_box(tree, leaf_id, forest.domains, epsilon) for leaf_id in tree.leaves}
         for tree in forest.trees
     ]
+
+
+def _oracle_min_distance(forest, instance, config) -> Solution:
+    weights = config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
+    boxes = _oracle_boxes(forest, instance.epsilon)
     best = {"dist": math.inf, "payload": None}
 
     def walk(t, box, combo):
@@ -801,9 +765,10 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
     essential = solution.essential_trees or ()
     box_trees = essential if config.objective != MIN_DISTANCE else tuple(range(forest.num_trees))
     tol = 1e-12
+    boxes = forest.leaf_boxes(instance.epsilon)
     member_boxes = []
     for t in box_trees:
-        box = leaf_box(forest.trees[t], leaves[t], forest.domains, instance.epsilon)
+        box = boxes[t][leaves[t]]
         member_boxes.append(box)
         if any(not lo - tol <= x[j] <= hi + tol for j, (lo, hi) in enumerate(box)):
             failures.append(f"box intersection (tree {t})")
@@ -843,11 +808,6 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
             if config.objective == KAPPA_PATH and not profile.eligible:
                 failures.append(f"mu eligibility (tree {t})")
             logs.append(_log(value))
-        if config.mu_all_trees and config.objective == KAPPA_PATH:
-            for t in range(forest.num_trees):
-                profile = tree_value_profile(forest, t, table, effort, instance.target_class, config)
-                if profile.positive_probs and not profile.eligible:
-                    failures.append(f"mu eligibility (tree {t})")
         recomputed_log = math.fsum(logs)
         recomputed = math.exp(recomputed_log) if recomputed_log > _NEG_INF else 0.0
         if not objectives_close(recomputed, solution.objective):

@@ -52,6 +52,30 @@ def test_simulate_empty_cohort_rejected():
         simulate_cohort(forest, [], 0, {0}, _spec_for(forest))
 
 
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_simulate_nonpositive_reps_rejected(n_reps):
+    forest = _boundary_forest()
+    with pytest.raises(ValueError):
+        simulate_cohort(forest, [(0.4,)], 0, {0}, _spec_for(forest), n_reps=n_reps)
+
+
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_baseline_nonpositive_reps_rejected(n_reps):
+    forest = _boundary_forest()
+    with pytest.raises(ValueError):
+        feasible_baseline(forest, [(0.4,)], 0, _spec_for(forest), n_reps=n_reps)
+
+
+@pytest.mark.parametrize("feature", [2, 5, -1])
+def test_simulate_effort_feature_out_of_range_rejected(feature):
+    tree = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 1), Leaf(2, 0)])
+    metas = [FeatureMeta(0, "h", mutable=True, beneficial="increase"),
+             FeatureMeta(1, "g", mutable=True, beneficial="increase")]
+    forest = Forest([tree], metas)
+    with pytest.raises(ValueError):
+        simulate_cohort(forest, [(0.4, 0.4)], 0, {0, feature}, _spec_for(forest), n_reps=5)
+
+
 def test_simulate_order_invariant():
     forest = _boundary_forest()
     spec = _spec_for(forest)

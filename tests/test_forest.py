@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from treeshift import (DegenerateBoxError, FeatureMeta, Forest, ForestFormatError,
-                       Leaf, Node, Tree, boxes_intersect, forest_from_dict,
-                       forest_to_dict, leaf_box, leaf_of)
+from treeshift import (MAX_PATH, MIN_DISTANCE, DegenerateBoxError, FeatureMeta, Forest,
+                       ForestFormatError, Leaf, Node, ProblemInstance, SolverConfig, Tree,
+                       boxes_intersect, forest_from_dict, forest_to_dict, leaf_box,
+                       leaf_of, solve)
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
 
@@ -167,6 +170,37 @@ def test_boxes_intersect_identity_with_full_domain():
     forest = firefighter_forest()
     box = forest.leaf_box(0, LEAF_YES_LEFT)
     assert boxes_intersect([box, UNIT]) == box
+
+
+def test_leaf_boxes_table_matches_leaf_box():
+    for seed in range(12):
+        forest = make_random_instance(seed).forest
+        for eps in (1e-6, 1e-3):
+            table = forest.leaf_boxes(eps)
+            assert forest.leaf_boxes(eps) is table   # built once per epsilon
+            assert len(table) == forest.num_trees
+            for t, tree in enumerate(forest.trees):
+                assert set(table[t]) == set(tree.leaves)
+                for leaf_id in tree.leaves:
+                    assert table[t][leaf_id] == tuple(leaf_box(tree, leaf_id, forest.domains, eps))
+
+
+def test_solve_ignores_boxes_cached_at_another_epsilon():
+    differs = False
+    for seed in range(12):
+        case = make_random_instance(seed)
+        coarse = ProblemInstance(case.instance.x0, case.instance.target_class,
+                                 case.instance.eta, case.instance.E, epsilon=1e-3)
+        case.forest.leaf_boxes(1e-6)
+        fresh = Forest(case.forest.trees, case.forest.feature_metas)
+        for objective in (MAX_PATH, MIN_DISTANCE):
+            config = SolverConfig(objective=objective)
+            fine = solve(case.forest, case.instance, case.table, config)
+            cached = solve(case.forest, coarse, case.table, config)
+            expected = solve(fresh, coarse, case.table, config)
+            assert replace(cached, wall_time=0.0) == replace(expected, wall_time=0.0)
+            differs |= cached.x != fine.x
+    assert differs   # the epsilon reaches the answer, so a stale table would show
 
 
 def test_serialization_round_trip():

@@ -32,6 +32,26 @@ def test_kappa_path_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("by_fraction", [False, True])
+def test_kappa_positive_leaves_only_matches_oracle(seed, by_fraction):
+    case = make_random_instance(seed)
+    kw = {"kappa_fraction": 0.5} if by_fraction else {"kappa": case.kappa}
+    assert_matches_oracle(case, KAPPA_PATH, mu=case.mu, positive_leaves_only=True, **kw)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kappa_fraction_matches_oracle(seed):
+    # the desk-scale acceptance configuration: half the leaves, default mu
+    assert_matches_oracle(make_random_instance(seed), KAPPA_PATH, kappa_fraction=0.5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH])
+def test_box_center_point_rule_matches_oracle(seed, objective):
+    assert_matches_oracle(make_random_instance(seed), objective, point_rule="box_center")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_min_distance_matches_oracle(seed):
     assert_matches_oracle(make_random_instance(seed), MIN_DISTANCE)
 

@@ -17,6 +17,37 @@ def _cfg(objective, **kw):
     return SolverConfig(objective=objective, **kw)
 
 
+# --- SolverConfig validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+def test_config_rejects_kappa_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError):
+        _cfg(KAPPA_PATH, kappa_fraction=fraction)
+
+
+def test_config_accepts_kappa_fraction_one():
+    assert _cfg(KAPPA_PATH, kappa_fraction=1.0).kappa_fraction == 1.0
+
+
+@pytest.mark.parametrize("weights", [(-1.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0)])
+def test_config_rejects_bad_distance_weights(weights):
+    with pytest.raises(ValueError):
+        _cfg(MIN_DISTANCE, distance_weights=weights)
+
+
+def test_zero_distance_weight_is_accepted(firefighter):
+    # a zero weight makes moving that feature free; the distance stays nonnegative
+    forest, _ = firefighter
+    instance = ProblemInstance(x0=(0.65, 0.5), target_class=1, eta=0, E=0)
+    config = _cfg(MIN_DISTANCE, distance_weights=(1.0, 0.0))
+    sol = solve_min_distance(forest, instance, config)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.0, abs=TOL)
+    assert sol.x == pytest.approx((0.65, 0.8), abs=TOL)
+    assert verify_solution(forest, instance, None, sol, config).passed
+
+
 # --- enumerate_effort_allocations ------------------------------------------------
 
 
