@@ -2,12 +2,14 @@
 
 Every subcommand writes a ``<output>.manifest.json`` sidecar recording the
 exact argv, seeds, input digests and tool version; ``treeshift replay`` re-runs
-a manifest and reproduces the primary outputs byte for byte.
+a manifest and reproduces the primary outputs byte for byte, except the
+``wall_time`` timing in a ``shift`` solution.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cohort import feasible_baseline, simulate_cohort
 from .data import DatasetSchema, load_csv
-from .forest import forest_from_dict, forest_to_dict, load_forest, save_forest
+from .forest import load_forest, save_forest
 from .probability import (PerturbationSpec, estimate_node_probabilities,
                           load_table, save_table)
 from .ranking import effort_ranking, load_ranking_csv, rfr_ranking, rsr_ranking
@@ -94,11 +96,8 @@ def _cmd_train(args, argv, started) -> int:
     return EXIT_OK
 
 
-def _estimate_one(payload):
-    forest_doc, row, x0, spec_args, E = payload
-    forest = forest_from_dict(forest_doc)
-    spec = PerturbationSpec(**spec_args)
-    return row, estimate_node_probabilities(forest, x0, spec, E, individual=row)
+def _estimate_row(forest, spec, E, x0, row):
+    return estimate_node_probabilities(forest, x0, spec, E, individual=row)
 
 
 def _cmd_probs(args, argv, started) -> int:
@@ -109,24 +108,15 @@ def _cmd_probs(args, argv, started) -> int:
     else:
         rows = [int(args.individual)]
     os.makedirs(args.output, exist_ok=True)
-    threads = args.threads or int(os.environ.get("TREESHIFT_THREADS", "1"))
-    if threads > 1 and len(rows) > 1:
-        spec_args = {
-            "features": spec.features, "feature_metas": spec.feature_metas,
-            "num_samples": spec.num_samples, "effort_scale": spec.effort_scale,
-            "effort_floor": spec.effort_floor, "seed": spec.seed,
-        }
-        doc = forest_to_dict(forest)
-        payloads = [(doc, row, tuple(dataset.X[row]), spec_args, args.E) for row in rows]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            tables = dict(pool.map(_estimate_one, payloads))
+    estimate = functools.partial(_estimate_row, forest, spec, args.E)
+    x0s = [dataset.X[row] for row in rows]
+    if args.threads > 1 and len(rows) > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            tables = list(pool.map(estimate, x0s, rows))
     else:
-        tables = {
-            row: estimate_node_probabilities(forest, dataset.X[row], spec, args.E, individual=row)
-            for row in rows
-        }
-    for row in rows:
-        save_table(tables[row], os.path.join(args.output, f"individual_{row}.json"))
+        tables = list(map(estimate, x0s, rows))
+    for row, table in zip(rows, tables):
+        save_table(table, os.path.join(args.output, f"individual_{row}.json"))
     print(f"estimated tables for {len(rows)} individual(s) in {args.output}")
     _write_manifest(args.output.rstrip("/"), argv, [args.forest, args.data, args.schema],
                     {"seed": args.seed}, started)
@@ -312,8 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=int, default=1)
     p.add_argument("--n-samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (default: TREESHIFT_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_probs)
 

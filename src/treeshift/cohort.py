@@ -1,7 +1,6 @@
 """Cohort simulation: how often do perturbed individuals reach the target class?"""
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ class SimReport:
 
     raw: dict[tuple[str, int], float]
     baseline: float
-    etas: list[int]
-    methods: list[str]
     normalized: dict[tuple[str, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -39,46 +36,9 @@ class SimReport:
             warnings.warn("baseline is 0%; normalized table omitted")
             self.normalized = {}
 
-    def _rows(self, table):
-        etas = sorted(self.etas, reverse=True)  # paper orientation: eta = 4..1
-        rows = []
-        for method in self.methods:
-            cells = [table.get((method, eta)) for eta in etas]
-            best = [
-                eta for eta in etas
-                if table.get((method, eta)) is not None
-                and table[(method, eta)] == max(
-                    table.get((m, eta), float("-inf")) for m in self.methods
-                )
-            ]
-            rows.append((method, etas, cells, best))
-        return rows
-
-    def _write(self, path, table):
-        etas = sorted(self.etas, reverse=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method"] + [f"eta={e}" for e in etas] + ["best_for_eta"])
-            for method, _, cells, best in self._rows(table):
-                writer.writerow(
-                    [method]
-                    + [("" if c is None else f"{c:.2f}") for c in cells]
-                    + [";".join(str(e) for e in best)]
-                )
-
-    def write_raw_csv(self, path) -> None:
-        self._write(path, self.raw)
-
-    def write_normalized_csv(self, path) -> None:
-        if not self.normalized:
-            raise ValueError("baseline is 0%; no normalized table")
-        self._write(path, self.normalized)
-
 
 def build_report(raw: dict[tuple[str, int], float], baseline: float) -> SimReport:
-    methods = sorted({m for m, _ in raw})
-    etas = sorted({e for _, e in raw})
-    return SimReport(raw=dict(raw), baseline=baseline, etas=etas, methods=methods)
+    return SimReport(raw=dict(raw), baseline=baseline)
 
 
 def _check_cohort(cohort, n_reps: int) -> None:

@@ -291,29 +291,29 @@ class _ProbabilisticSearch:
         self.config = config
         self.m = majority_threshold(forest.num_trees)
         self.boxes = forest.leaf_boxes(instance.epsilon)
-        # bind table rows once; per-allocation evaluation then avoids dict lookups
+        # bind table rows once, for target-class leaves only: the other leaves
+        # enter the per-tree values as 1.0 caps, never through a path product
         self.compiled = []
         for t, tree in enumerate(forest.trees):
-            entries = []
-            for leaf_id, leaf in tree.leaves.items():
-                steps = tuple(
-                    (table.probs[(t, node_id)], tree.nodes[node_id].feature, went_right)
-                    for node_id, went_right in tree.paths[leaf_id]
-                )
-                entries.append((leaf_id, leaf.predicted_class == instance.target_class, steps))
-            self.compiled.append(entries)
+            self.compiled.append([
+                (leaf_id, tuple((table.probs[(t, node_id)], tree.nodes[node_id].feature, right)
+                                for node_id, right in tree.paths[leaf_id]))
+                for leaf_id, leaf in tree.leaves.items()
+                if leaf.predicted_class == instance.target_class
+            ])
         self.nodes_explored = 0
         self.best_log = _NEG_INF
         self.best = None  # (effort, [(tree, leaf, value)], box)
 
     def _leaf_probs(self, t, effort):
+        """Path probabilities of tree t's target-class leaves, multiplied root to leaf."""
         out = {}
-        for leaf_id, positive, steps in self.compiled[t]:
+        for leaf_id, steps in self.compiled[t]:
             prob = 1.0
             for row, feature, went_right in steps:
                 p = row[effort[feature]]
                 prob *= p if went_right else 1.0 - p
-            out[leaf_id] = (positive, prob)
+            out[leaf_id] = prob
         return out
 
     def _candidates(self, effort):
@@ -321,7 +321,7 @@ class _ProbabilisticSearch:
         config = self.config
         per_tree = []
         for t, tree in enumerate(self.forest.trees):
-            positive = {l: p for l, (pos, p) in self._leaf_probs(t, effort).items() if pos}
+            positive = self._leaf_probs(t, effort)
             value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
             if not eligible:
                 per_tree.append(None)
@@ -386,27 +386,18 @@ class _ProbabilisticSearch:
 
         dfs(0, 0, [tuple(dom) for dom in domains], 0.0)
 
-    def run(self) -> Solution:
+    def run(self, allocations=None) -> Solution:
+        """Best solution over the given effort vectors (default: every allocation)."""
+        if allocations is None:
+            mask = [m.mutable for m in self.forest.feature_metas]
+            allocations = enumerate_effort_allocations(
+                self.forest.num_features, self.instance.E, self.instance.eta, mask)
         clock = _Clock(self.config.time_limit)
-        mask = [m.mutable for m in self.forest.feature_metas]
         timed_out = False
         try:
-            for effort in enumerate_effort_allocations(
-                self.forest.num_features, self.instance.E, self.instance.eta, mask
-            ):
+            for effort in allocations:
                 clock.check()
                 self._search_allocation(effort, clock)
-        except _Timeout:
-            timed_out = True
-        return self._finalize(timed_out, clock)
-
-    def evaluate_allocation(self, effort) -> Solution:
-        """Best solution restricted to one fixed allocation (fresh incumbent)."""
-        clock = _Clock(self.config.time_limit)
-        self.best, self.best_log = None, _NEG_INF
-        try:
-            self._search_allocation(tuple(effort), clock)
-            timed_out = False
         except _Timeout:
             timed_out = True
         return self._finalize(timed_out, clock)
@@ -454,7 +445,7 @@ def solve_kappa_path(forest, instance, table, config=None) -> Solution:
 
 def evaluate_allocation(forest, instance, table, config, effort) -> Solution:
     """Solve with the effort vector pinned (diagnostics and golden tests)."""
-    return _ProbabilisticSearch(forest, instance, table, config).evaluate_allocation(effort)
+    return _ProbabilisticSearch(forest, instance, table, config).run([tuple(effort)])
 
 
 def _with_objective(config, objective):
@@ -477,11 +468,15 @@ def solve(forest, instance, table=None, config=None) -> Solution:
 # --- min-distance -----------------------------------------------------------
 
 
+def _target_wins(w_target, w_other, target) -> bool:
+    """The weighted vote's outcome: ties classify to 0, so target 1 needs a strict majority."""
+    return w_target >= w_other if target == 0 else w_target > w_other
+
+
 def _weighted_vote_ok(forest, votes, target) -> bool:
     w_target = sum(t.weight for t, v in zip(forest.trees, votes) if v == target)
     w_other = sum(t.weight for t, v in zip(forest.trees, votes) if v != target)
-    # ties classify to 0, so target 1 needs a strict weighted majority
-    return w_target >= w_other if target == 0 else w_target > w_other
+    return _target_wins(w_target, w_other, target)
 
 
 def solve_min_distance(forest, instance, config=None) -> Solution:
@@ -510,10 +505,6 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     state = {"best": None, "best_dist": math.inf, "nodes": 0}
     combo: list[int] = []
 
-    def feasible_final(w_target):
-        w_other = suffix_weight[0] - w_target
-        return w_target >= w_other if target == 0 else w_target > w_other
-
     def dfs(t, box, w_target):
         state["nodes"] += 1
         clock.check()
@@ -521,14 +512,13 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         if state["best"] is not None and dist >= state["best_dist"]:
             return
         if t == R:
-            if feasible_final(w_target):
+            if _target_wins(w_target, suffix_weight[0] - w_target, target):
                 state["best"] = (list(combo), box)
                 state["best_dist"] = dist
             return
         # even if every remaining tree votes target, can the majority work out?
         optimistic = w_target + suffix_weight[t]
-        w_other = suffix_weight[0] - optimistic
-        if (optimistic < w_other) if target == 0 else (optimistic <= w_other):
+        if not _target_wins(optimistic, suffix_weight[0] - optimistic, target):
             return
         children = []
         for leaf_id, leaf in forest.trees[t].leaves.items():

@@ -192,13 +192,52 @@ def test_usage_error_exit_code(tmp_path):
                  "-o", str(tmp_path / "r.csv")]) == EXIT_USAGE
 
 
+def _assert_replays(manifest, outputs, content=bytes):
+    """Delete a command's outputs, replay its manifest and compare what it rewrites."""
+    before = [content(p.read_bytes()) for p in outputs]
+    for p in outputs:
+        p.unlink()
+    assert main(["replay", str(manifest)]) == EXIT_OK
+    assert [content(p.read_bytes()) for p in outputs] == before
+
+
+def _without_wall_time(raw):
+    doc = json.loads(raw)
+    doc.pop("wall_time")
+    return doc
+
+
 def test_manifest_replay_reproduces_output(tmp_path):
-    forest_path = tmp_path / "f.json"
-    save_forest(firefighter_forest(), forest_path)
-    out = tmp_path / "ranking.csv"
-    assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "1",
-                 "--seed", "9", "-o", str(out)]) == EXIT_OK
-    first = out.read_bytes()
-    out.unlink()
-    assert main(["replay", str(out) + ".manifest.json"]) == EXIT_OK
-    assert out.read_bytes() == first
+    csv_path, schema_path = _write_dataset_files(tmp_path, n=40, seed=3)
+    data = ["--data", str(csv_path), "--schema", str(schema_path)]
+    forest_path = tmp_path / "forest.json"
+    assert main(["train", *data, "--trees", "3", "--depth", "2", "--seed", "1",
+                 "-o", str(forest_path)]) == EXIT_OK
+    _assert_replays(tmp_path / "forest.json.manifest.json",
+                    [forest_path, tmp_path / "forest.importances.csv"])
+
+    probs_dir = tmp_path / "probs"
+    assert main(["probs", "--forest", str(forest_path), *data,
+                 "--individual", "all-off-target", "--n-samples", "100", "--seed", "2",
+                 "-o", str(probs_dir)]) == EXIT_OK
+    tables = sorted(probs_dir.glob("individual_*.json"))
+    assert tables
+    _assert_replays(tmp_path / "probs.manifest.json", tables)
+
+    # the solution's wall_time is a timing, so only the rest of it replays exactly
+    sol_path = tmp_path / "sol.json"
+    assert main(["shift", "--forest", str(forest_path), "--probs", str(tables[0]), *data,
+                 "--individual", tables[0].stem.split("_")[1], "--eta", "2",
+                 "-o", str(sol_path)]) == EXIT_OK
+    _assert_replays(tmp_path / "sol.json.manifest.json", [sol_path], _without_wall_time)
+
+    ranking_path = tmp_path / "ranking.csv"
+    assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "2",
+                 "--seed", "9", "-o", str(ranking_path)]) == EXIT_OK
+    _assert_replays(tmp_path / "ranking.csv.manifest.json", [ranking_path])
+
+    report_path = tmp_path / "report.csv"
+    assert main(["simulate", "--forest", str(forest_path), *data,
+                 "--ranking", str(ranking_path), "--etas", "1,2", "--reps", "10",
+                 "--seed", "4", "--baseline", "-o", str(report_path)]) == EXIT_OK
+    _assert_replays(tmp_path / "report.csv.manifest.json", [report_path])

@@ -142,8 +142,6 @@ def test_report_zero_baseline_omits_normalized():
     with pytest.warns(UserWarning):
         report = build_report({("m", 1): 10.0}, baseline=0.0)
     assert report.normalized == {}
-    with pytest.raises(ValueError):
-        report.write_normalized_csv("/dev/null")
 
 
 def test_report_detail_json(tmp_path):
@@ -162,19 +160,3 @@ def test_report_detail_json(tmp_path):
     assert doc["cells"][0]["method"] == "effort"
     assert len(doc["cells"][0]["per_individual"]) == 2
     assert doc["baseline"]["percent"] == base.percent
-
-
-def test_report_csv_layout(tmp_path):
-    raw = {("rsr", e): 20.0 + e for e in (1, 2, 3, 4)}
-    raw.update({("effort", e): 25.0 + e for e in (1, 2, 3, 4)})
-    report = build_report(raw, baseline=50.0)
-    out = tmp_path / "raw.csv"
-    report.write_raw_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "method,eta=4,eta=3,eta=2,eta=1,best_for_eta"
-    effort_line = next(l for l in lines if l.startswith("effort"))
-    assert effort_line.split(",")[1] == "29.00"
-    assert effort_line.endswith("4;3;2;1")   # effort beats rsr at every eta
-    norm = tmp_path / "norm.csv"
-    report.write_normalized_csv(norm)
-    assert norm.read_text().splitlines()[0] == lines[0]

@@ -241,17 +241,38 @@ def test_min_distance_already_target(firefighter):
     assert sol.x == pytest.approx((0.75, 0.9))
 
 
-def test_min_distance_weighted_tie_feasible_for_class_zero():
-    # weights (2,1,1): a 2-vs-2 weighted tie classifies to 0, so target 0 works
+def _weighted_tie_forest():
+    # weights (2,1,1): the first tree votes 1 below 0.6, the other two from 0.3 up
     meta = [FeatureMeta(0, "x", mutable=True, beneficial="increase")]
     t1 = Tree(0, [Node(0, 0, 0.6, 1, 2)], [Leaf(1, 1), Leaf(2, 0)], weight=2.0)
     t2 = Tree(0, [Node(0, 0, 0.3, 1, 2)], [Leaf(1, 0), Leaf(2, 1)], weight=1.0)
     t3 = Tree(0, [Node(0, 0, 0.3, 1, 2)], [Leaf(1, 0), Leaf(2, 1)], weight=1.0)
-    forest = Forest([t1, t2, t3], meta)
+    return Forest([t1, t2, t3], meta)
+
+
+def test_min_distance_weighted_tie_feasible_for_class_zero():
+    # a 2-vs-2 weighted tie classifies to 0, so target 0 works
+    forest = _weighted_tie_forest()
     instance = ProblemInstance(x0=(0.5,), target_class=0, eta=0, E=0)
     sol = solve_min_distance(forest, instance)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.1, abs=TOL)   # x = 0.6 beats x = 0.3 - eps
+    oracle = brute_force_oracle(forest, instance, None, _cfg(MIN_DISTANCE))
+    assert oracle.objective == pytest.approx(sol.objective, abs=TOL)
+    verdict = verify_solution(forest, instance, None, sol, _cfg(MIN_DISTANCE))
+    assert verdict.passed, verdict.failures
+
+
+@pytest.mark.parametrize("x0, distance, x", [(0.8, 0.2 + 1e-6, 0.599999), (0.1, 0.2, 0.3)])
+def test_min_distance_weighted_tie_not_enough_for_class_one(x0, distance, x):
+    # both starting points are 2-vs-2 weighted ties (class 0): target 1 needs 0.3 <= x < 0.6
+    forest = _weighted_tie_forest()
+    instance = ProblemInstance(x0=(x0,), target_class=1, eta=0, E=0)
+    assert forest.predict(instance.x0)[0] == 0
+    sol = solve_min_distance(forest, instance)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(distance, abs=TOL)
+    assert sol.x == pytest.approx((x,), abs=TOL)
     oracle = brute_force_oracle(forest, instance, None, _cfg(MIN_DISTANCE))
     assert oracle.objective == pytest.approx(sol.objective, abs=TOL)
     verdict = verify_solution(forest, instance, None, sol, _cfg(MIN_DISTANCE))
