@@ -21,4 +21,4 @@ from .solver import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
                      solve_min_path, tree_value_profile, verify_solution)
 from .ranking import Ranking, effort_ranking, load_ranking_csv, rfr_ranking, rsr_ranking
 from .cohort import (SimReport, SimulationResult, build_report,
-                     feasible_baseline, report_detail_json, simulate_cohort)
+                     feasible_baseline, simulate_cohort)

@@ -116,26 +116,28 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             if col.name not in header:
                 raise ValueError(f"schema column {col.name!r} missing from CSV header")
         rows = list(reader)
+    target = schema.target
+    feats = schema.feature_columns
+    droppable = [c for c in feats if c.drop_values]
     rows = [
         row for row in rows
-        if row[schema.target.name] not in schema.target.drop_labels
-        and not any(row[c.name] in c.drop_values for c in schema.feature_columns if c.drop_values)
+        if row[target.name] not in target.drop_labels
+        and not any(row[c.name] in c.drop_values for c in droppable)
     ]
     if not rows:
         raise ValueError("CSV has no data rows")
 
-    feats = schema.feature_columns
+    recodes = [col.recode if col.recode is not None else (
+        {"0": 0.0, "1": 1.0} if col.kind == BINARY else None) for col in feats]
     raw = np.empty((len(rows), len(feats)))
     labels = np.empty(len(rows), dtype=int)
     errors = []
     for i, row in enumerate(rows):
-        for j, col in enumerate(feats):
+        for j, (col, recode) in enumerate(zip(feats, recodes)):
             value = row[col.name]
             if value is None or value == "":
                 errors.append(f"row {i}: missing value in {col.name}")
                 continue
-            recode = col.recode if col.recode is not None else (
-                {"0": 0.0, "1": 1.0} if col.kind == BINARY else None)
             if recode is not None:
                 if value not in recode:
                     errors.append(f"row {i}: {col.name} value {value!r} has no recode")
@@ -146,8 +148,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     raw[i, j] = float(value)
                 except ValueError:
                     errors.append(f"row {i}: {col.name} value {value!r} is not numeric")
-        tval = row[schema.target.name]
-        labels[i] = 1 if tval in schema.target.positive_labels else 0
+        labels[i] = 1 if row[target.name] in target.positive_labels else 0
     if errors:
         raise ValueError("CSV rejected:\n" + "\n".join(errors))
 

@@ -182,7 +182,7 @@ class Forest:
         votes = [tree.leaves[leaf_of(tree, x)].predicted_class for tree in self.trees]
         w1 = sum(t.weight for t, v in zip(self.trees, votes) if v == 1)
         w0 = sum(t.weight for t, v in zip(self.trees, votes) if v == 0)
-        return (1 if w1 > w0 else 0), votes
+        return (1 if _target_wins(w1, w0, 1) else 0), votes
 
     @cached_property
     def _flat(self) -> _FlatTrees:
@@ -229,7 +229,7 @@ class Forest:
             votes = flat.leaf_class[idx]
             w1 += np.where(votes == 1, tree.weight, 0.0)
             w0 += np.where(votes == 0, tree.weight, 0.0)
-        return (w1 > w0).astype(int)
+        return _target_wins(w1, w0, 1).astype(int)
 
     def leaf_box(self, tree_index: int, leaf_id: int, epsilon: float = DEFAULT_EPSILON):
         return leaf_box(self.trees[tree_index], leaf_id, self.domains, epsilon)
@@ -260,6 +260,14 @@ class _FlatTrees(NamedTuple):
     right: np.ndarray
     leaf_class: np.ndarray
     roots: list[int]
+
+
+def _target_wins(w_target, w_other, target):
+    """The weighted vote's outcome: ties classify to 0, so target 1 needs a strict majority.
+
+    Works elementwise on numpy arrays of weight sums too.
+    """
+    return w_target >= w_other if target == 0 else w_target > w_other
 
 
 def leaf_of(tree: Tree, x) -> int:

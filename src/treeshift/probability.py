@@ -127,6 +127,13 @@ class NodeProbabilityTable:
     E: int
     probs: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for (t, node_id), row in self.probs.items():
+            if len(row) != self.E + 1:
+                raise TableFormatError(f"tree {t} node {node_id}: expected {self.E + 1} effort levels")
+            if any(not 0.0 <= p <= 1.0 for p in row):
+                raise TableFormatError(f"tree {t} node {node_id}: probability outside [0, 1]")
+
     def right_prob(self, tree_index: int, node_id: int, effort: int) -> float:
         return self.probs[(tree_index, node_id)][effort]
 
@@ -142,10 +149,6 @@ class NodeProbabilityTable:
         if extra := got - expected:
             raise TableFormatError(f"table has entries for unknown nodes {sorted(extra)[:5]}")
         for (t, node_id), row in self.probs.items():
-            if len(row) != self.E + 1:
-                raise TableFormatError(f"tree {t} node {node_id}: expected {self.E + 1} effort levels")
-            if any(not 0.0 <= p <= 1.0 for p in row):
-                raise TableFormatError(f"tree {t} node {node_id}: probability outside [0, 1]")
             feature = forest.trees[t].nodes[node_id].feature
             if not forest.feature_metas[feature].mutable and any(p != row[0] for p in row):
                 raise TableFormatError(
@@ -177,9 +180,6 @@ class NodeProbabilityTable:
             raise TableFormatError(f"malformed table document: {exc}") from exc
         if len(table.probs) != len(doc["entries"]):
             raise TableFormatError("duplicate (tree, node) entry")
-        for (t, node_id), row in table.probs.items():
-            if len(row) != table.E + 1 or any(not 0.0 <= p <= 1.0 for p in row):
-                raise TableFormatError(f"tree {t} node {node_id}: bad probability row")
         if forest is not None:
             table.validate_against(forest)
         return table

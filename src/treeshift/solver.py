@@ -24,7 +24,8 @@ import math
 import time
 from dataclasses import dataclass, field, asdict
 
-from .forest import DEFAULT_EPSILON, Forest, _intersect, boxes_intersect, leaf_box, leaf_of
+from .forest import (DEFAULT_EPSILON, Forest, _intersect, _target_wins, boxes_intersect,
+                     leaf_box, leaf_of)
 from .probability import NodeProbabilityTable
 
 MAX_PATH = "max_path"
@@ -249,12 +250,34 @@ def _box_distance(x0, box, weights, kind: str) -> float:
     return _distance(x0, choose_point(box, x0, "project_x0"), weights, kind)
 
 
-def _validate_common(forest: Forest, instance: ProblemInstance) -> None:
+def _distance_weights(forest: Forest, config: SolverConfig) -> tuple[float, ...]:
+    return config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
+
+
+def _check_problem(forest: Forest, instance: ProblemInstance, table, config: SolverConfig) -> None:
+    """The input rules shared by every solve, pinned solve and oracle call."""
     if len(instance.x0) != forest.num_features:
         raise ValueError("x0 has the wrong dimension")
     for x, (lo, hi) in zip(instance.x0, forest.domains):
         if not lo <= x <= hi:
             raise ValueError(f"x0 value {x} outside feature domain [{lo}, {hi}]")
+    if config.objective == MIN_DISTANCE:
+        if len(_distance_weights(forest, config)) != forest.num_features:
+            raise ValueError("distance_weights length must equal the feature count")
+        return
+    if table is None:
+        raise ValueError("probabilistic objectives need a probability table")
+    if not forest.equal_weights():
+        raise ValueError("probabilistic objectives require equal tree weights")
+    if table.E < instance.E:
+        raise ValueError(f"table covers effort levels 0..{table.E}, instance needs {instance.E}")
+    table.validate_against(forest)
+
+
+def _allocations(forest: Forest, instance: ProblemInstance):
+    """The instance's effort allocations: sum <= eta, levels 0..E, none on immutables."""
+    mask = [m.mutable for m in forest.feature_metas]
+    return enumerate_effort_allocations(forest.num_features, instance.E, instance.eta, mask)
 
 
 class _Clock:
@@ -279,12 +302,7 @@ class _ProbabilisticSearch:
     def __init__(self, forest, instance, table, config):
         if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
             raise ValueError("probabilistic search needs a path objective")
-        _validate_common(forest, instance)
-        if not forest.equal_weights():
-            raise ValueError("probabilistic objectives require equal tree weights")
-        if table.E < instance.E:
-            raise ValueError(f"table covers effort levels 0..{table.E}, instance needs {instance.E}")
-        table.validate_against(forest)
+        _check_problem(forest, instance, table, config)
         self.forest = forest
         self.instance = instance
         self.table = table
@@ -389,9 +407,7 @@ class _ProbabilisticSearch:
     def run(self, allocations=None) -> Solution:
         """Best solution over the given effort vectors (default: every allocation)."""
         if allocations is None:
-            mask = [m.mutable for m in self.forest.feature_metas]
-            allocations = enumerate_effort_allocations(
-                self.forest.num_features, self.instance.E, self.instance.eta, mask)
+            allocations = _allocations(self.forest, self.instance)
         clock = _Clock(self.config.time_limit)
         timed_out = False
         try:
@@ -445,7 +461,12 @@ def solve_kappa_path(forest, instance, table, config=None) -> Solution:
 
 def evaluate_allocation(forest, instance, table, config, effort) -> Solution:
     """Solve with the effort vector pinned (diagnostics and golden tests)."""
-    return _ProbabilisticSearch(forest, instance, table, config).run([tuple(effort)])
+    search = _ProbabilisticSearch(forest, instance, table, config)
+    effort = tuple(effort)
+    pinned = [a for a in _allocations(forest, instance) if a == effort]
+    if not pinned:
+        raise ValueError(f"effort {effort} is not an allocation of the instance")
+    return search.run(pinned)
 
 
 def _with_objective(config, objective):
@@ -460,17 +481,10 @@ def solve(forest, instance, table=None, config=None) -> Solution:
     config = config or SolverConfig()
     if config.objective == MIN_DISTANCE:
         return solve_min_distance(forest, instance, config)
-    if table is None:
-        raise ValueError("probabilistic objectives need a probability table")
     return _ProbabilisticSearch(forest, instance, table, config).run()
 
 
 # --- min-distance -----------------------------------------------------------
-
-
-def _target_wins(w_target, w_other, target) -> bool:
-    """The weighted vote's outcome: ties classify to 0, so target 1 needs a strict majority."""
-    return w_target >= w_other if target == 0 else w_target > w_other
 
 
 def _weighted_vote_ok(forest, votes, target) -> bool:
@@ -487,13 +501,9 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     assigned. x is always the clamp onto the final box (the exact minimizer),
     regardless of config.point_rule.
     """
-    config = config or SolverConfig(objective=MIN_DISTANCE)
-    if config.objective != MIN_DISTANCE:
-        raise ValueError(f"config.objective is {config.objective!r}, expected {MIN_DISTANCE!r}")
-    _validate_common(forest, instance)
-    weights = config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
-    if len(weights) != forest.num_features:
-        raise ValueError("distance_weights length must equal the feature count")
+    config = _with_objective(config, MIN_DISTANCE)
+    _check_problem(forest, instance, None, config)
+    weights = _distance_weights(forest, config)
     x0, target = instance.x0, instance.target_class
     boxes = forest.leaf_boxes(instance.epsilon)
     R = forest.num_trees
@@ -562,31 +572,26 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
 def brute_force_oracle(forest, instance, table, config) -> Solution:
     """Exhaustive reference: every allocation x every leaf combination.
 
-    Reuses only the shared value definitions (allocation enumeration, path
-    products); the search itself is a plain recursive enumeration of full
-    leaf combinations with empty-box skipping, recomputing objectives from
-    their definitions at every complete combination.
+    Reuses only the shared input check and value definitions (allocation
+    enumeration, path products); the search itself is a plain enumeration
+    of full leaf combinations with empty-box skipping, recomputing
+    objectives from their definitions at every complete combination.
     """
-    _validate_common(forest, instance)
-    mask = [m.mutable for m in forest.feature_metas]
-    allocations = list(enumerate_effort_allocations(
-        forest.num_features, instance.E, instance.eta, mask))
+    _check_problem(forest, instance, table, config)
+    allocations = list(_allocations(forest, instance))
     combos = 1
     for tree in forest.trees:
         combos *= len(tree.leaves)
     if combos * len(allocations) > config.oracle_cap:
         raise ValueError(f"oracle cap exceeded: {combos} combos x {len(allocations)} allocations")
 
+    boxes = _oracle_boxes(forest, instance.epsilon)
     if config.objective == MIN_DISTANCE:
-        return _oracle_min_distance(forest, instance, config)
-    if not forest.equal_weights():
-        raise ValueError("probabilistic objectives require equal tree weights")
-    table.validate_against(forest)
+        return _oracle_min_distance(forest, instance, config, boxes)
 
     m = majority_threshold(forest.num_trees)
     target = instance.target_class
-    boxes = _oracle_boxes(forest, instance.epsilon)
-    best = {"log": _NEG_INF, "payload": None}
+    best_log, best = _NEG_INF, None
 
     for effort in allocations:
         # per-tree leaf probabilities and per-tree robust values, from definitions
@@ -618,26 +623,29 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
                 tree_value.append(None)  # max_path uses the chosen leaf's probability
                 tree_eligible.append(True)
 
-        def walk(t, box, combo):
-            if t == forest.num_trees:
-                _oracle_score(forest, target, m, config, effort, leafprob,
-                              tree_value, tree_eligible, combo, box, best)
-                return
-            for leaf_id in forest.trees[t].leaf_ids():
-                nb = _intersect(box, boxes[t][leaf_id])
-                if nb is not None:
-                    walk(t + 1, nb, combo + [leaf_id])
+        for combo, box in _oracle_combinations(forest, boxes):
+            positive = [t for t, leaf_id in enumerate(combo)
+                        if forest.trees[t].leaves[leaf_id].predicted_class == target]
+            if config.objective == MAX_PATH:
+                scored = [(leafprob[t][combo[t]], t) for t in positive]
+            else:
+                scored = [(tree_value[t], t) for t in positive if tree_eligible[t]]
+            if len(scored) < m:
+                continue
+            top = sorted(scored, key=lambda s: (-s[0], s[1]))[:m]
+            log_obj = math.fsum(_log(v) for v, _ in top)
+            if log_obj > best_log or best is None:
+                best_log = log_obj
+                best = (effort, combo, [t for _, t in top], [v for v, _ in top], box)
 
-        walk(0, [tuple(dom) for dom in forest.domains], [])
-
-    if best["payload"] is None:
+    if best is None:
         return Solution(status="infeasible")
-    effort, combo, essential, values, box = best["payload"]
+    effort, combo, essential, values, box = best
     x = choose_point(box, instance.x0, config.point_rule)
     return Solution(
         status="optimal",
-        objective=math.exp(best["log"]) if best["log"] > _NEG_INF else 0.0,
-        log_objective=best["log"],
+        objective=math.exp(best_log) if best_log > _NEG_INF else 0.0,
+        log_objective=best_log,
         effort=effort,
         chosen_leaves=dict(enumerate(combo)),
         essential_trees=tuple(sorted(essential)),
@@ -645,28 +653,6 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
         x=x,
         feasible_box=box,
     )
-
-
-def _oracle_score(forest, target, m, config, effort, leafprob,
-                  tree_value, tree_eligible, combo, box, best):
-    positive = [t for t, leaf_id in enumerate(combo)
-                if forest.trees[t].leaves[leaf_id].predicted_class == target]
-    if len(positive) < m:
-        return
-    if config.objective == MAX_PATH:
-        scored = sorted(((leafprob[t][combo[t]], t) for t in positive),
-                        key=lambda s: (-s[0], s[1]))
-    else:
-        eligible = [t for t in positive if tree_eligible[t]]
-        if len(eligible) < m:
-            return
-        scored = sorted(((tree_value[t], t) for t in eligible),
-                        key=lambda s: (-s[0], s[1]))
-    top = scored[:m]
-    log_obj = math.fsum(_log(v) for v, _ in top)
-    if log_obj > best["log"] or best["payload"] is None:
-        best["log"] = log_obj
-        best["payload"] = (effort, list(combo), [t for _, t in top], [v for v, _ in top], box)
 
 
 def _oracle_boxes(forest, epsilon):
@@ -677,33 +663,36 @@ def _oracle_boxes(forest, epsilon):
     ]
 
 
-def _oracle_min_distance(forest, instance, config) -> Solution:
-    weights = config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
-    boxes = _oracle_boxes(forest, instance.epsilon)
-    best = {"dist": math.inf, "payload": None}
-
+def _oracle_combinations(forest, boxes):
+    """Every one-leaf-per-tree combination (a fresh list) with a nonempty joint box, and that box."""
     def walk(t, box, combo):
         if t == forest.num_trees:
-            votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
-            if not _weighted_vote_ok(forest, votes, instance.target_class):
-                return
-            dist = _box_distance(instance.x0, box, weights, config.distance)
-            if dist < best["dist"]:
-                best["dist"] = dist
-                best["payload"] = (list(combo), box)
+            yield combo, box
             return
         for leaf_id in forest.trees[t].leaf_ids():
             nb = _intersect(box, boxes[t][leaf_id])
             if nb is not None:
-                walk(t + 1, nb, combo + [leaf_id])
+                yield from walk(t + 1, nb, combo + [leaf_id])
 
-    walk(0, [tuple(dom) for dom in forest.domains], [])
-    if best["payload"] is None:
+    return walk(0, [tuple(dom) for dom in forest.domains], [])
+
+
+def _oracle_min_distance(forest, instance, config, boxes) -> Solution:
+    weights = _distance_weights(forest, config)
+    best_dist, best = math.inf, None
+    for combo, box in _oracle_combinations(forest, boxes):
+        votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
+        if not _weighted_vote_ok(forest, votes, instance.target_class):
+            continue
+        dist = _box_distance(instance.x0, box, weights, config.distance)
+        if dist < best_dist:
+            best_dist, best = dist, (combo, box)
+    if best is None:
         return Solution(status="infeasible")
-    combo, box = best["payload"]
+    combo, box = best
     return Solution(
         status="optimal",
-        objective=best["dist"],
+        objective=best_dist,
         effort=tuple(0 for _ in range(forest.num_features)),
         chosen_leaves=dict(enumerate(combo)),
         essential_trees=(),
@@ -781,11 +770,10 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
         failures.append("prediction at x")
 
     if config.objective == MIN_DISTANCE:
-        weights = config.distance_weights or tuple(1.0 for _ in range(d))
-        recomputed = _distance(instance.x0, x, weights, config.distance)
+        recomputed = _distance(instance.x0, x, _distance_weights(forest, config), config.distance)
         if not objectives_close(recomputed, solution.objective):
             failures.append("objective mismatch")
-    else:
+    elif "effort level bounds" not in failures:  # the table has no entry at such a level
         logs = []
         for t in essential:
             profile = tree_value_profile(forest, t, table, effort, instance.target_class, config)

@@ -143,20 +143,3 @@ def test_report_zero_baseline_omits_normalized():
         report = build_report({("m", 1): 10.0}, baseline=0.0)
     assert report.normalized == {}
 
-
-def test_report_detail_json(tmp_path):
-    import json
-
-    from treeshift import report_detail_json
-
-    forest = _boundary_forest()
-    spec = _spec_for(forest)
-    cohort = [(0.3,), (0.45,)]
-    cell = simulate_cohort(forest, cohort, 0, {0}, spec, n_reps=20, seed=2)
-    base = feasible_baseline(forest, cohort, 0, spec, n_reps=20, seed=2)
-    path = tmp_path / "detail.json"
-    report_detail_json(path, {("effort", 1): cell}, base)
-    doc = json.loads(path.read_text())
-    assert doc["cells"][0]["method"] == "effort"
-    assert len(doc["cells"][0]["per_individual"]) == 2
-    assert doc["baseline"]["percent"] == base.percent

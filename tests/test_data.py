@@ -74,6 +74,26 @@ def test_load_csv_rejects_missing_value(tmp_path):
         load_csv(csv, SCHEMA)
 
 
+def test_load_csv_reports_every_bad_cell_in_order(tmp_path):
+    csv = _write_csv(tmp_path / "d.csv", (
+        "age,water,smoker,note,status\n"
+        "10,1.0,no,a,obese\n"
+        "x,,maybe,b,obese\n"
+        "30,3.0,no,c,obese\n"
+        ",abc,yes,d,healthy\n"
+    ))
+    with pytest.raises(ValueError) as err:
+        load_csv(csv, SCHEMA)
+    assert str(err.value) == (
+        "CSV rejected:\n"
+        "row 1: age value 'x' is not numeric\n"
+        "row 1: missing value in water\n"
+        "row 1: smoker value 'maybe' has no recode\n"
+        "row 3: missing value in age\n"
+        "row 3: water value 'abc' is not numeric"
+    )
+
+
 def test_split_sizes_and_partition():
     ds = synth_generate(30, 3, seed=1)
     small = ds.subset(np.arange(9))

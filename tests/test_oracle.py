@@ -6,8 +6,9 @@ a quick slice in the regular suite so solver regressions surface fast.
 import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
-                       SolverConfig, brute_force_oracle, objectives_close,
-                       solve, solve_min_distance, verify_solution)
+                       NodeProbabilityTable, ProblemInstance, SolverConfig,
+                       brute_force_oracle, objectives_close, solve, solve_min_distance,
+                       verify_solution)
 
 from helpers import (assert_matches_oracle, make_random_instance,
                      make_weighted_distance_case, per_tree_value_chain)
@@ -67,6 +68,30 @@ def test_min_distance_weighted_matches_oracle(seed):
         assert objectives_close(sol.objective, oracle.objective)
         verdict = verify_solution(forest, instance, None, sol, config)
         assert verdict.passed, verdict.failures
+
+
+def _e0_table(table):
+    return NodeProbabilityTable(table.individual, 0, {k: row[:1] for k, row in table.probs.items()})
+
+
+@pytest.mark.parametrize("objective, table_of, E, weights", [
+    (MAX_PATH, lambda table: None, 1, None),            # no table
+    (KAPPA_PATH, lambda table: None, 1, None),
+    (MAX_PATH, lambda table: table, 2, None),           # table E=1 below the instance's E=2
+    (MIN_PATH, _e0_table, 1, None),                     # table E=0 below the instance's E=1
+    (MIN_DISTANCE, lambda table: None, 1, (1.0,)),      # one weight per feature needed
+    (MIN_DISTANCE, lambda table: None, 1, (1.0, 1.0, 1.0)),
+], ids=["no-table-max", "no-table-kappa", "table-e1-instance-e2", "table-e0-instance-e1",
+        "one-weight", "three-weights"])
+def test_oracle_rejects_what_solve_rejects(firefighter, objective, table_of, E, weights):
+    forest, table = firefighter   # the table covers E=1
+    instance = ProblemInstance(x0=(0.5, 0.5), target_class=1, eta=E, E=E)
+    config = SolverConfig(objective=objective, distance_weights=weights)
+    with pytest.raises(ValueError) as solve_err:
+        solve(forest, instance, table_of(table), config)
+    with pytest.raises(ValueError) as oracle_err:
+        brute_force_oracle(forest, instance, table_of(table), config)
+    assert str(oracle_err.value) == str(solve_err.value)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -201,6 +201,19 @@ def test_table_missing_node_rejected():
         broken.validate_against(firefighter_forest())
 
 
+@pytest.mark.parametrize("row, message", [
+    ((0.4,), "expected 2 effort levels"),
+    ((0.4, 0.5, 0.6), "expected 2 effort levels"),
+    ((0.4, 1.5), "outside"),
+    ((-0.1, 0.5), "outside"),
+    ((0.4, float("nan")), "outside"),
+])
+def test_bad_table_row_rejected_when_built(row, message):
+    probs = {**firefighter_table().probs, (0, 1): row}
+    with pytest.raises(TableFormatError, match=f"tree 0 node 1: .*{message}"):
+        NodeProbabilityTable(0, 1, probs)
+
+
 def test_table_out_of_range_probability_rejected(tmp_path):
     table = firefighter_table()
     path = tmp_path / "t.json"

@@ -139,6 +139,31 @@ def test_max_path_effort_s_alternative(firefighter, firefighter_instance):
     assert alt.objective == pytest.approx(0.2, abs=TOL)
 
 
+@pytest.mark.parametrize("effort", [(1, 1), (1,), (1, 0, 0), (2, 0), (-1, 0)])
+def test_pinned_effort_must_be_an_allocation(firefighter, firefighter_instance, effort):
+    forest, table = firefighter   # eta=1, E=1
+    with pytest.raises(ValueError, match="not an allocation"):
+        evaluate_allocation(forest, firefighter_instance, table, _cfg(MAX_PATH), effort)
+
+
+def test_pinned_effort_is_reported_as_the_allocation(firefighter, firefighter_instance):
+    forest, table = firefighter
+    alt = evaluate_allocation(forest, firefighter_instance, table, _cfg(MAX_PATH), [1.0, 0])
+    assert alt.effort == (1, 0) and all(type(e) is int for e in alt.effort)
+    assert alt.objective == pytest.approx(0.2, abs=TOL)
+
+
+def test_pinned_effort_on_immutable_feature_rejected(firefighter, firefighter_instance):
+    forest, table = firefighter
+    metas = [FeatureMeta(0, "S", mutable=False), forest.feature_metas[1]]
+    frozen_s = Forest(forest.trees, metas)
+    frozen_table = NodeProbabilityTable(0, 1, {**table.probs, (0, 0): (0.4, 0.4)})
+    cfg = _cfg(MAX_PATH)
+    assert evaluate_allocation(frozen_s, firefighter_instance, frozen_table, cfg, (0, 1)).found
+    with pytest.raises(ValueError, match="not an allocation"):
+        evaluate_allocation(frozen_s, firefighter_instance, frozen_table, cfg, (1, 0))
+
+
 def test_min_path_golden(firefighter, firefighter_instance):
     forest, table = firefighter
     sol = solve_min_path(forest, firefighter_instance, table)
@@ -325,6 +350,14 @@ def test_verify_catches_effort_overrun(firefighter, firefighter_instance):
     verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
     assert not verdict.passed
     assert any("effort budget" in f for f in verdict.failures)
+
+
+def test_verify_reports_effort_level_above_e(firefighter, firefighter_instance):
+    forest, table = firefighter   # the table has levels 0..1 only
+    sol = solve_max_path(forest, firefighter_instance, table)
+    sol.effort = (2, 0)
+    verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
+    assert verdict.failures == ["effort budget", "effort level bounds"]
 
 
 def test_verify_catches_empty_joint_box(firefighter, firefighter_instance):
