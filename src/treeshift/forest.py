@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_EPSILON = 1e-6
+_GEOMETRY_BLOCK = 1 << 16   # elements of one block of the leaf-compatibility build
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -150,7 +151,7 @@ class Forest:
         self.trees = list(trees)
         self.feature_metas = list(feature_metas)
         self.num_features = len(feature_metas)
-        self._leaf_boxes: dict[float, tuple[dict[int, tuple], ...]] = {}
+        self._leaf_geometry: dict[float, LeafGeometry] = {}
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
                 if not 0 <= node.feature < self.num_features:
@@ -235,20 +236,66 @@ class Forest:
         return leaf_box(self.trees[tree_index], leaf_id, self.domains, epsilon)
 
     def leaf_boxes(self, epsilon: float = DEFAULT_EPSILON) -> tuple[dict[int, tuple], ...]:
-        """Per tree, ``{leaf_id: box}`` for every leaf, built once per epsilon.
+        """Per tree, ``{leaf_id: box}`` for every leaf: the boxes of :meth:`leaf_geometry`."""
+        return self.leaf_geometry(epsilon).boxes
 
-        The table is shared by every caller, so each box is a tuple of
-        ``(lo, hi)`` pairs; treat the dicts as read-only too.
+    def leaf_geometry(self, epsilon: float = DEFAULT_EPSILON) -> LeafGeometry:
+        """Leaf boxes and leaf-compatibility bitsets, built once per epsilon.
+
+        The table is shared by every caller; treat it as read-only.
         """
-        boxes = self._leaf_boxes.get(epsilon)
-        if boxes is None:
-            domains = self.domains
-            boxes = tuple(
-                {leaf_id: tuple(leaf_box(tree, leaf_id, domains, epsilon)) for leaf_id in tree.leaves}
-                for tree in self.trees
-            )
-            self._leaf_boxes[epsilon] = boxes
-        return boxes
+        geometry = self._leaf_geometry.get(epsilon)
+        if geometry is None:
+            geometry = _leaf_geometry(self.trees, self.domains, epsilon)
+            self._leaf_geometry[epsilon] = geometry
+        return geometry
+
+
+class LeafGeometry(NamedTuple):
+    """The leaf boxes of a forest at one epsilon and which of them meet.
+
+    Every leaf of the forest owns one bit of a Python int, ``bit[t][leaf_id]``;
+    ``compatible[t][leaf_id]`` is the OR of the bits of the leaves in other
+    trees whose boxes meet that leaf's box. Closed intervals that meet
+    pairwise share a point, so leaves from distinct trees have a nonempty
+    joint box iff every pair of them is compatible.
+    """
+
+    boxes: tuple[dict[int, tuple], ...]   # per tree, {leaf_id: box as (lo, hi) pairs}
+    bit: tuple[dict[int, int], ...]       # per tree, {leaf_id: the leaf's own bit}
+    compatible: tuple[dict[int, int], ...]  # per tree, {leaf_id: bitset of compatible leaves}
+
+
+def _leaf_geometry(trees, domains, epsilon) -> LeafGeometry:
+    boxes = tuple(
+        {leaf_id: tuple(leaf_box(tree, leaf_id, domains, epsilon)) for leaf_id in tree.leaves}
+        for tree in trees
+    )
+    sizes = [len(tree_boxes) for tree_boxes in boxes]
+    n, d = sum(sizes), len(domains)
+    flat_boxes = [box for tree_boxes in boxes for box in tree_boxes.values()]
+    lo, hi = (np.fromiter((box[j][end] for j in range(d) for box in flat_boxes),
+                          dtype=float, count=n * d).reshape(d, n) for end in (0, 1))
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    rows = []
+    # a block of rows at a time, so that no n x n temporary is made
+    step = max(1, _GEOMETRY_BLOCK // n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        meets = owner[a:b, None] != owner
+        test = np.empty_like(meets)
+        for j in range(d):   # closed intervals meet iff each starts at or before the other ends
+            meets &= np.less_equal(lo[j, a:b, None], hi[j], out=test)
+            meets &= np.greater_equal(hi[j, a:b, None], lo[j], out=test)
+        packed = np.packbits(meets, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    # leaves are numbered tree by tree, in each tree's leaf order; leaf g owns bit g
+    bit, compatible, g = [], [], 0
+    for tree_boxes in boxes:
+        bit.append({leaf_id: 1 << (g + k) for k, leaf_id in enumerate(tree_boxes)})
+        compatible.append({leaf_id: rows[g + k] for k, leaf_id in enumerate(tree_boxes)})
+        g += len(tree_boxes)
+    return LeafGeometry(boxes, tuple(bit), tuple(compatible))
 
 
 class _FlatTrees(NamedTuple):

@@ -15,8 +15,10 @@ Four objectives over a shared search space:
 Probabilistic objectives are solved by enumerating effort allocations
 (outermost; their count is small at the intended scale) and running a
 branch-and-bound over essential-tree sets and leaf choices, pruning with the
-product of the best remaining per-tree values and with empty box
-intersections. All accumulation happens in log space.
+product of the best remaining per-tree values. Feasibility is tested with the
+forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a leaf can join
+the chosen ones iff its bit is set in the AND of their bitsets, and the joint
+box is built only for an incumbent. All accumulation happens in log space.
 """
 from __future__ import annotations
 
@@ -251,7 +253,9 @@ def _box_distance(x0, box, weights, kind: str) -> float:
 
 
 def _distance_weights(forest: Forest, config: SolverConfig) -> tuple[float, ...]:
-    return config.distance_weights or tuple(1.0 for _ in range(forest.num_features))
+    if config.distance_weights is None:
+        return tuple(1.0 for _ in range(forest.num_features))
+    return config.distance_weights
 
 
 def _check_problem(forest: Forest, instance: ProblemInstance, table, config: SolverConfig) -> None:
@@ -308,7 +312,7 @@ class _ProbabilisticSearch:
         self.table = table
         self.config = config
         self.m = majority_threshold(forest.num_trees)
-        self.boxes = forest.leaf_boxes(instance.epsilon)
+        self.geometry = forest.leaf_geometry(instance.epsilon)
         # bind table rows once, for target-class leaves only: the other leaves
         # enter the per-tree values as 1.0 caps, never through a path product
         self.compiled = []
@@ -373,16 +377,20 @@ class _ProbabilisticSearch:
 
         if self.best is not None and top_sum(0, self.m) <= self.best_log:
             return
+        bit, compatible = self.geometry.bit, self.geometry.compatible
+        # per tree: (value, log value, leaf, its bit, its compatible leaves), built when the
+        # search first reaches the tree, so logs are taken only where candidates can be visited
+        cands = [None] * n
         chosen: list[tuple[int, int, float]] = []
-        domains = self.forest.domains
 
-        def dfs(i, k, box, cur_log):
+        def dfs(i, k, allowed, cur_log):
             self.nodes_explored += 1
             clock.check()
             if k == self.m:
                 if cur_log > self.best_log or self.best is None:
                     self.best_log = cur_log
-                    self.best = (effort, list(chosen), box)
+                    joint_box = boxes_intersect([self.geometry.boxes[t][leaf] for t, leaf, _ in chosen])
+                    self.best = (effort, list(chosen), joint_box)
                 return
             if n - i < self.m - k:
                 return
@@ -390,19 +398,21 @@ class _ProbabilisticSearch:
             if self.best is not None and cur_log + top_sum(i, need) <= self.best_log:
                 return
             t = order[i]
+            if cands[i] is None:
+                cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf])
+                            for v, leaf in per_tree[t]]
             rest = top_sum(i + 1, need - 1)
-            for value, leaf in per_tree[t]:
-                if self.best is not None and cur_log + _log(value) + rest <= self.best_log:
+            for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:
+                if self.best is not None and cur_log + log_value + rest <= self.best_log:
                     break  # candidates sorted by value: the rest can only do worse
-                nb = _intersect(box, self.boxes[t][leaf])
-                if nb is None:
+                if not allowed & leaf_bit:
                     continue
                 chosen.append((t, leaf, value))
-                dfs(i + 1, k + 1, nb, cur_log + _log(value))
+                dfs(i + 1, k + 1, allowed & leaf_compatible, cur_log + log_value)
                 chosen.pop()
-            dfs(i + 1, k, box, cur_log)
+            dfs(i + 1, k, allowed, cur_log)
 
-        dfs(0, 0, [tuple(dom) for dom in domains], 0.0)
+        dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
 
     def run(self, allocations=None) -> Solution:
         """Best solution over the given effort vectors (default: every allocation)."""
@@ -498,14 +508,15 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
 
     Branch and bound over full leaf combinations; the bound is the distance
     from x0 to its clamp onto the running box, which only grows as trees are
-    assigned. x is always the clamp onto the final box (the exact minimizer),
-    regardless of config.point_rule.
+    assigned. A leaf is tried only if the leaf bitsets allow it, so every
+    box built is nonempty. x is always the clamp onto the final box (the
+    exact minimizer), regardless of config.point_rule.
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
     weights = _distance_weights(forest, config)
     x0, target = instance.x0, instance.target_class
-    boxes = forest.leaf_boxes(instance.epsilon)
+    boxes, bit, compatible = forest.leaf_geometry(instance.epsilon)
     R = forest.num_trees
     suffix_weight = [0.0] * (R + 1)
     for t in range(R - 1, -1, -1):
@@ -515,10 +526,9 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     state = {"best": None, "best_dist": math.inf, "nodes": 0}
     combo: list[int] = []
 
-    def dfs(t, box, w_target):
+    def dfs(t, box, allowed, w_target, dist):
         state["nodes"] += 1
         clock.check()
-        dist = _box_distance(x0, box, weights, config.distance)
         if state["best"] is not None and dist >= state["best_dist"]:
             return
         if t == R:
@@ -532,18 +542,21 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
             return
         children = []
         for leaf_id, leaf in forest.trees[t].leaves.items():
-            nb = _intersect(box, boxes[t][leaf_id])
-            if nb is None:
+            if not allowed & bit[t][leaf_id]:
                 continue
+            nb = _intersect(box, boxes[t][leaf_id])
             children.append((_box_distance(x0, nb, weights, config.distance), leaf_id, nb, leaf))
-        for _, leaf_id, nb, leaf in sorted(children, key=lambda c: (c[0], c[1])):
+        for child_dist, leaf_id, nb, leaf in sorted(children, key=lambda c: (c[0], c[1])):
             combo.append(leaf_id)
-            dfs(t + 1, nb, w_target + (forest.trees[t].weight if leaf.predicted_class == target else 0.0))
+            dfs(t + 1, nb, allowed & compatible[t][leaf_id],
+                w_target + (forest.trees[t].weight if leaf.predicted_class == target else 0.0),
+                child_dist)
             combo.pop()
 
     timed_out = False
+    root = [tuple(dom) for dom in forest.domains]
     try:
-        dfs(0, [tuple(dom) for dom in forest.domains], 0.0)
+        dfs(0, root, -1, 0.0, _box_distance(x0, root, weights, config.distance))
     except _Timeout:
         timed_out = True
     if state["best"] is None:
@@ -733,15 +746,27 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
         failures.append("effort on immutable feature")
 
     x = solution.x
+    if len(x) != d:
+        failures.append("point dimension")
+        return Verdict(False, failures)
     leaves = solution.chosen_leaves or {}
     if set(leaves) != set(range(forest.num_trees)):
         failures.append("leaf assignment incomplete")
         return Verdict(False, failures)
+    unknown = [f"unknown leaf (tree {t})" for t, tree in enumerate(forest.trees)
+               if leaves[t] not in tree.leaves]
+    if unknown:
+        return Verdict(False, failures + unknown)
     for t, tree in enumerate(forest.trees):
         if leaf_of(tree, x) != leaves[t]:
             failures.append(f"leaf assignment (tree {t})")
 
     essential = solution.essential_trees or ()
+    if any(not 0 <= t < forest.num_trees for t in essential):
+        failures.append("essential tree out of range")
+        return Verdict(False, failures)
+    if len(set(essential)) != len(essential):
+        failures.append("essential tree repeated")
     box_trees = essential if config.objective != MIN_DISTANCE else tuple(range(forest.num_trees))
     tol = 1e-12
     boxes = forest.leaf_boxes(instance.epsilon)

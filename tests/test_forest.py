@@ -1,3 +1,5 @@
+import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,11 @@ from treeshift import (MAX_PATH, MIN_DISTANCE, DegenerateBoxError, FeatureMeta, 
                        ForestFormatError, Leaf, Node, ProblemInstance, SolverConfig, Tree,
                        boxes_intersect, forest_from_dict, forest_to_dict, leaf_box,
                        leaf_of, solve)
+from treeshift.forest import _intersect
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
 
-from helpers import make_random_instance, make_weighted_distance_case
+from helpers import _grow_random_tree, make_random_instance, make_weighted_distance_case
 
 UNIT = [(0.0, 1.0), (0.0, 1.0)]
 
@@ -183,6 +186,58 @@ def test_leaf_boxes_table_matches_leaf_box():
                 assert set(table[t]) == set(tree.leaves)
                 for leaf_id in tree.leaves:
                     assert table[t][leaf_id] == tuple(leaf_box(tree, leaf_id, forest.domains, eps))
+
+
+def test_leaf_compatibility_bits_match_intersect():
+    outcomes = set()
+    for seed in range(12):
+        forest = make_random_instance(seed).forest
+        for eps in (1e-6, 1e-3):
+            geometry = forest.leaf_geometry(eps)
+            assert forest.leaf_geometry(eps) is geometry   # built once per epsilon
+            assert forest.leaf_boxes(eps) is geometry.boxes
+            bits = [geometry.bit[t][leaf] for t, tree in enumerate(forest.trees) for leaf in tree.leaves]
+            assert sorted(bits) == [1 << g for g in range(len(bits))]
+            for (t, a_tree), (u, b_tree) in itertools.product(enumerate(forest.trees), repeat=2):
+                for a, b in itertools.product(a_tree.leaves, b_tree.leaves):
+                    has_bit = bool(geometry.compatible[t][a] & geometry.bit[u][b])
+                    meets = t != u and _intersect(geometry.boxes[t][a], geometry.boxes[u][b]) is not None
+                    assert has_bit == meets, (seed, eps, t, a, u, b)
+                    outcomes.add(meets)
+    assert outcomes == {True, False}
+
+
+def test_touching_leaf_boxes_are_compatible():
+    # the boxes share exactly the point 0.5: closed intervals meet there
+    eps = 1e-6
+    assert (0.5 + eps) - eps == 0.5
+    left = Tree(0, [Node(0, 0, 0.5 + eps, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])
+    right = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])
+    forest = Forest([left, right], [FeatureMeta(0, "f0", beneficial="increase")])
+    geometry = forest.leaf_geometry(eps)
+    assert geometry.boxes[0][1][0][1] == geometry.boxes[1][2][0][0] == 0.5
+    assert geometry.compatible[0][1] & geometry.bit[1][2]
+    assert boxes_intersect([geometry.boxes[0][1], geometry.boxes[1][2]]) == [(0.5, 0.5)]
+
+
+def test_pairwise_compatibility_decides_joint_feasibility():
+    # boxes meet jointly iff they meet pairwise (Helly's theorem in one dimension, per feature)
+    outcomes = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        metas = [FeatureMeta(j, f"f{j}", beneficial="increase") for j in range(2)]
+        forest = Forest([_grow_random_tree(rng, 2, 3) for _ in range(8)], metas)
+        geometry = forest.leaf_geometry(1e-6)
+        pick = random.Random(seed)
+        for _ in range(300):
+            trees = pick.sample(range(forest.num_trees), pick.randint(2, forest.num_trees))
+            chosen = [(t, pick.choice(forest.trees[t].leaf_ids())) for t in trees]
+            joint = boxes_intersect([geometry.boxes[t][leaf] for t, leaf in chosen]) is not None
+            pairwise = all(geometry.compatible[t][a] & geometry.bit[u][b]
+                           for (t, a), (u, b) in itertools.combinations(chosen, 2))
+            assert joint == pairwise, (seed, chosen)
+            outcomes.add((joint, len(chosen) > 2))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_solve_ignores_boxes_cached_at_another_epsilon():

@@ -81,8 +81,9 @@ def _e0_table(table):
     (MIN_PATH, _e0_table, 1, None),                     # table E=0 below the instance's E=1
     (MIN_DISTANCE, lambda table: None, 1, (1.0,)),      # one weight per feature needed
     (MIN_DISTANCE, lambda table: None, 1, (1.0, 1.0, 1.0)),
+    (MIN_DISTANCE, lambda table: None, 1, ()),          # empty is not the unit-weight default
 ], ids=["no-table-max", "no-table-kappa", "table-e1-instance-e2", "table-e0-instance-e1",
-        "one-weight", "three-weights"])
+        "one-weight", "three-weights", "no-weights"])
 def test_oracle_rejects_what_solve_rejects(firefighter, objective, table_of, E, weights):
     forest, table = firefighter   # the table covers E=1
     instance = ProblemInstance(x0=(0.5, 0.5), target_class=1, eta=E, E=E)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
@@ -368,6 +370,31 @@ def test_verify_catches_empty_joint_box(firefighter, firefighter_instance):
     verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
     assert not verdict.passed
     assert any("leaf assignment" in f or "box intersection" in f for f in verdict.failures)
+
+
+@pytest.mark.parametrize("content, failure", [
+    ({"x": (0.5,)}, "point dimension"),
+    ({"chosen_leaves": {0: 99}}, "unknown leaf (tree 0)"),
+    ({"essential_trees": (3,)}, "essential tree out of range"),
+], ids=["short-x", "unknown-leaf", "essential-out-of-range"])
+def test_verify_reports_malformed_content(firefighter, firefighter_instance, content, failure):
+    forest, table = firefighter
+    sol = replace(solve_max_path(forest, firefighter_instance, table), **content)
+    verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
+    assert verdict.failures == [failure]
+
+
+def test_verify_reports_repeated_essential_tree(firefighter, firefighter_instance):
+    # three copies of one tree: counting tree 0 twice reproduces the objective exactly
+    forest, table = firefighter
+    tripled = Forest(forest.trees * 3, forest.feature_metas)
+    table3 = NodeProbabilityTable(0, 1, {(t, node): row for t in range(3)
+                                         for (_, node), row in table.probs.items()})
+    sol = solve_max_path(tripled, firefighter_instance, table3)
+    assert sol.essential_trees == (0, 1)
+    forged = replace(sol, essential_trees=(0, 0))
+    verdict = verify_solution(tripled, firefighter_instance, table3, forged, _cfg(MAX_PATH))
+    assert verdict.failures == ["essential tree repeated"]
 
 
 def test_probabilistic_solver_requires_equal_weights(firefighter, firefighter_instance):
