@@ -10,15 +10,13 @@ from .data import ColumnSpec, Dataset, DatasetSchema, load_csv, split, synth_gen
 from .train import TrainConfig, TrainingError, accuracy, impurity_importances, train
 from .probability import (FeaturePerturbation, NodeProbabilityTable,
                           PerturbationSpec, TableFormatError,
-                          estimate_node_probabilities, load_table,
-                          perturb_value, save_table)
+                          estimate_node_probabilities, load_table, save_table)
 from .solver import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
-                     ProblemInstance, Solution, SolverConfig, TreeValueProfile,
-                     Verdict, brute_force_oracle, choose_point,
+                     ProblemInstance, Solution, SolverConfig, Verdict,
+                     brute_force_oracle, choose_point,
                      enumerate_effort_allocations, evaluate_allocation,
                      majority_threshold, objectives_close, path_probability,
                      solve, solve_kappa_path, solve_max_path, solve_min_distance,
-                     solve_min_path, tree_value_profile, verify_solution)
+                     solve_min_path, verify_solution)
 from .ranking import Ranking, effort_ranking, load_ranking_csv, rfr_ranking, rsr_ranking
-from .cohort import (SimReport, SimulationResult, build_report,
-                     feasible_baseline, simulate_cohort)
+from .cohort import SimReport, SimulationResult, feasible_baseline, simulate_cohort

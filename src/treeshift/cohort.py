@@ -34,10 +34,6 @@ class SimReport:
             self.normalized = {}
 
 
-def build_report(raw: dict[tuple[str, int], float], baseline: float) -> SimReport:
-    return SimReport(raw=dict(raw), baseline=baseline)
-
-
 def _stream(seed: int, x0, *tag: int) -> np.random.Generator:
     """The RNG stream of one individual, keyed by its feature values, not its position."""
     words = np.array(x0, dtype=np.float64).view(np.uint32)

@@ -1,15 +1,15 @@
 """Dataset ingestion, normalization, splitting, and a synthetic generator.
 
-Continuous columns are min-max normalized to [0, 1] (the observed lo/hi are
-kept for the inverse mapping); binary columns are recoded to {0, 1} through
-the schema's recode map. The schema also carries per-feature mutability and
-the direction of beneficial change.
+Continuous columns are min-max normalized to [0, 1] by their observed lo/hi;
+binary columns are recoded to {0, 1} through the schema's recode map. The
+schema also carries per-feature mutability and the direction of beneficial
+change.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +74,10 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     feature_metas: list[FeatureMeta]
-    norms: list[tuple[float, float]] = field(default_factory=list)  # raw (lo, hi) per feature
 
     def __post_init__(self):
         if self.X.ndim != 2 or len(self.y) != len(self.X):
             raise ValueError("X must be (n, d) with one label per row")
-        if not self.norms:
-            self.norms = [(m.lo, m.hi) for m in self.feature_metas]
 
     @property
     def num_rows(self) -> int:
@@ -89,10 +86,6 @@ class Dataset:
     @property
     def num_features(self) -> int:
         return self.X.shape[1]
-
-    def denormalize(self, x_norm, feature: int) -> float:
-        lo, hi = self.norms[feature]
-        return lo + x_norm * (hi - lo)
 
     def feature_sigmas(self) -> np.ndarray:
         """Per-feature standard deviation on this split (normalized scale)."""
@@ -104,7 +97,7 @@ class Dataset:
         return max(frac_one, 1.0 - frac_one)
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(self.X[indices], self.y[indices], self.feature_metas, self.norms)
+        return Dataset(self.X[indices], self.y[indices], self.feature_metas)
 
 
 def load_csv(path, schema: DatasetSchema) -> Dataset:
@@ -152,20 +145,18 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     if errors:
         raise ValueError("CSV rejected:\n" + "\n".join(errors))
 
-    metas, norms = [], []
+    metas = []
     X = np.empty_like(raw)
     for j, col in enumerate(feats):
         if col.kind == BINARY:
             if not set(np.unique(raw[:, j])) <= {0.0, 1.0}:
                 raise ValueError(f"binary column {col.name} recodes outside {{0, 1}}")
             X[:, j] = raw[:, j]
-            norms.append((0.0, 1.0))
         else:
             lo, hi = float(raw[:, j].min()), float(raw[:, j].max())
             if hi == lo:
-                hi = lo + 1.0  # constant column; keep the map invertible
+                hi = lo + 1.0  # constant column: it normalizes to 0
             X[:, j] = (raw[:, j] - lo) / (hi - lo)
-            norms.append((lo, hi))
         metas.append(
             FeatureMeta(
                 index=j,
@@ -175,7 +166,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                 beneficial=col.beneficial,
             )
         )
-    return Dataset(X, labels, metas, norms)
+    return Dataset(X, labels, metas)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

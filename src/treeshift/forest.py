@@ -135,9 +135,6 @@ class Tree:
             raise ForestFormatError(f"unreachable ids {sorted(unreachable)}")
         return paths
 
-    def leaf_ids(self) -> list[int]:
-        return sorted(self.leaves)
-
 
 class Forest:
     """An ordered list of trees over a shared feature space."""
@@ -231,13 +228,6 @@ class Forest:
             w1 += np.where(votes == 1, tree.weight, 0.0)
             w0 += np.where(votes == 0, tree.weight, 0.0)
         return _target_wins(w1, w0, 1).astype(int)
-
-    def leaf_box(self, tree_index: int, leaf_id: int, epsilon: float = DEFAULT_EPSILON):
-        return leaf_box(self.trees[tree_index], leaf_id, self.domains, epsilon)
-
-    def leaf_boxes(self, epsilon: float = DEFAULT_EPSILON) -> tuple[dict[int, tuple], ...]:
-        """Per tree, ``{leaf_id: box}`` for every leaf: the boxes of :meth:`leaf_geometry`."""
-        return self.leaf_geometry(epsilon).boxes
 
     def leaf_geometry(self, epsilon: float = DEFAULT_EPSILON) -> LeafGeometry:
         """Leaf boxes and leaf-compatibility bitsets, built once per epsilon.
@@ -333,7 +323,7 @@ def leaf_box(tree: Tree, leaf_id: int, domains, epsilon: float = DEFAULT_EPSILON
     ``x <= threshold - epsilon``. Features absent from the path keep their
     full domain.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:   # also rejects NaN, which would drop every left-branch bound
         raise ValueError("epsilon must be positive")
     box = [list(dom) for dom in domains]
     for node_id, went_right in tree.paths[leaf_id]:

@@ -16,6 +16,9 @@ import numpy as np
 from .data import Dataset
 from .forest import BINARY, CONTINUOUS, FeatureMeta, Forest
 
+EFFORT_SCALE = 1.5   # effort draws are U[0, (1 + (EFFORT_SCALE - 1) * e) * sigma]
+EFFORT_FLOOR = 0.2   # binary flip probability floor under effort, scaled by e
+
 
 class TableFormatError(ValueError):
     """A probability-table document failed validation."""
@@ -36,8 +39,6 @@ class PerturbationSpec:
     features: list[FeaturePerturbation]
     feature_metas: list[FeatureMeta]
     num_samples: int = 1000
-    effort_scale: float = 1.5     # effort draws are U[0, (1 + (scale-1)*e) * sigma]
-    effort_floor: float = 0.2     # binary flip probability floor, scaled by e
     seed: int = 0
 
     def __post_init__(self):
@@ -57,15 +58,15 @@ class PerturbationSpec:
                 raise ValueError(f"feature {meta.name}: effort needs a beneficial direction")
 
     def scale_for(self, effort: int) -> float:
-        return 1.0 + (self.effort_scale - 1.0) * effort
+        return 1.0 + (EFFORT_SCALE - 1.0) * effort
 
     def flip_probability(self, feature: int, effort: int) -> float:
         p = self.features[feature].p_majority
-        return max(1.0 - p, min(1.0, self.effort_floor * effort))
+        return max(1.0 - p, min(1.0, EFFORT_FLOOR * effort))
 
     @staticmethod
-    def from_dataset(train_split: Dataset, num_samples: int = 1000, seed: int = 0,
-                     effort_scale: float = 1.5, effort_floor: float = 0.2) -> "PerturbationSpec":
+    def from_dataset(train_split: Dataset, num_samples: int = 1000,
+                     seed: int = 0) -> "PerturbationSpec":
         """Build the change model from training-split statistics."""
         sigmas = train_split.feature_sigmas()
         feats = []
@@ -83,13 +84,7 @@ class PerturbationSpec:
                     effort_perturbable=meta.mutable and sigma > 0,
                 ))
         return PerturbationSpec(feats, train_split.feature_metas, num_samples=num_samples,
-                                seed=seed, effort_scale=effort_scale, effort_floor=effort_floor)
-
-
-def perturb_value(value: float, meta: FeatureMeta, spec: PerturbationSpec,
-                  effort: int, rng: np.random.Generator) -> float:
-    """Draw one perturbed future value for a single feature."""
-    return float(_perturb_samples(value, meta, spec, effort, rng, 1)[0])
+                                seed=seed)
 
 
 def _perturb_samples(value, meta, spec, effort, rng, n):
@@ -128,6 +123,8 @@ class NodeProbabilityTable:
     probs: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.E < 0:
+            raise TableFormatError(f"E must be nonnegative, got {self.E}")
         for (t, node_id), row in self.probs.items():
             if len(row) != self.E + 1:
                 raise TableFormatError(f"tree {t} node {node_id}: expected {self.E + 1} effort levels")

@@ -37,6 +37,7 @@ MIN_DISTANCE = "min_distance"
 OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 
 _NEG_INF = float("-inf")
+ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
 
 
 class _Timeout(Exception):
@@ -57,8 +58,8 @@ class ProblemInstance:
             raise ValueError("target_class must be 0 or 1")
         if self.eta < 0 or self.E < 0:
             raise ValueError("eta and E must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass
@@ -70,9 +71,7 @@ class SolverConfig:
     positive_leaves_only: bool = False    # sort only target-class leaves for the order statistic
     distance: str = "l1"                  # l1 | l2 | linf
     distance_weights: tuple[float, ...] | None = None
-    point_rule: str = "project_x0"        # project_x0 | box_center
     time_limit: float | None = None
-    oracle_cap: int = 2_000_000
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -85,8 +84,6 @@ class SolverConfig:
             raise ValueError("mu must be in [0, 1)")
         if self.distance not in ("l1", "l2", "linf"):
             raise ValueError(f"unknown distance {self.distance!r}")
-        if self.point_rule not in ("project_x0", "box_center"):
-            raise ValueError(f"unknown point rule {self.point_rule!r}")
         if self.distance_weights is not None and any(
             not (math.isfinite(w) and w >= 0.0) for w in self.distance_weights
         ):
@@ -122,24 +119,6 @@ class Solution:
 class Verdict:
     passed: bool
     failures: list[str] = field(default_factory=list)
-
-
-@dataclass
-class TreeValueProfile:
-    """Per-tree leaf values under one effort allocation.
-
-    ``leaf_theta`` holds the path probability for target-class leaves and the
-    1.0 cap for the rest; ``robust_value`` is the per-tree objective value
-    (min over target leaves, the kappa-th order statistic, or the best target
-    leaf for max_path, where it serves as the bound).
-    """
-
-    tree_index: int
-    leaf_theta: dict[int, float]
-    positive_probs: dict[int, float]
-    sorted_theta: tuple[float, ...]
-    robust_value: float | None
-    eligible: bool
 
 
 def majority_threshold(num_trees: int) -> int:
@@ -207,36 +186,15 @@ def _tree_value(positive_probs, n_leaves: int, config: SolverConfig) -> tuple[fl
     return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
 
 
-def tree_value_profile(forest: Forest, tree_index: int, table: NodeProbabilityTable,
-                       effort, target: int, config: SolverConfig) -> TreeValueProfile:
-    """Leaf thetas, their ascending order, and the per-tree robust value."""
-    tree = forest.trees[tree_index]
-    positive, theta = {}, {}
-    for leaf_id, leaf in tree.leaves.items():
-        if leaf.predicted_class == target:
-            p = path_probability(forest, tree_index, leaf_id, table, effort)
-            positive[leaf_id] = p
-            theta[leaf_id] = p
-        else:
-            theta[leaf_id] = 1.0
-    robust, eligible = _tree_value(positive.values(), len(tree.leaves), config)
-    return TreeValueProfile(tree_index, theta, positive, tuple(sorted(theta.values())),
-                            robust, eligible)
-
-
 def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else _NEG_INF
 
 
-def choose_point(box, x0, rule: str = "project_x0"):
-    """A concrete point inside a feasible box."""
+def choose_point(box, x0):
+    """The point of a feasible box closest to x0: x0 clamped onto the box."""
     if box is None:
         raise ValueError("empty feasible box")
-    if rule == "project_x0":
-        return tuple(min(max(x, lo), hi) for x, (lo, hi) in zip(x0, box))
-    if rule == "box_center":
-        return tuple((lo + hi) / 2.0 for lo, hi in box)
-    raise ValueError(f"unknown point rule {rule!r}")
+    return tuple(min(max(x, lo), hi) for x, (lo, hi) in zip(x0, box))
 
 
 def _distance(x0, x, weights, kind: str) -> float:
@@ -249,7 +207,7 @@ def _distance(x0, x, weights, kind: str) -> float:
 
 
 def _box_distance(x0, box, weights, kind: str) -> float:
-    return _distance(x0, choose_point(box, x0, "project_x0"), weights, kind)
+    return _distance(x0, choose_point(box, x0), weights, kind)
 
 
 def _distance_weights(forest: Forest, config: SolverConfig) -> tuple[float, ...]:
@@ -434,7 +392,7 @@ class _ProbabilisticSearch:
             return Solution(status=status if timed_out else "infeasible",
                             nodes_explored=self.nodes_explored, wall_time=clock.elapsed())
         effort, chosen, box = self.best
-        x = choose_point(box, self.instance.x0, self.config.point_rule)
+        x = choose_point(box, self.instance.x0)
         leaves = {t: leaf for t, leaf, _ in chosen}
         for t, tree in enumerate(self.forest.trees):
             if t not in leaves:
@@ -509,8 +467,8 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     Branch and bound over full leaf combinations; the bound is the distance
     from x0 to its clamp onto the running box, which only grows as trees are
     assigned. A leaf is tried only if the leaf bitsets allow it, so every
-    box built is nonempty. x is always the clamp onto the final box (the
-    exact minimizer), regardless of config.point_rule.
+    box built is nonempty. x is the clamp onto the final box (the exact
+    minimizer).
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
@@ -563,7 +521,7 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         return Solution(status="timeout" if timed_out else "infeasible",
                         nodes_explored=state["nodes"], wall_time=clock.elapsed())
     combo_best, box = state["best"]
-    x = choose_point(box, x0, "project_x0")
+    x = choose_point(box, x0)
     return Solution(
         status="timeout" if timed_out else "optimal",
         objective=state["best_dist"],
@@ -595,7 +553,7 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
     combos = 1
     for tree in forest.trees:
         combos *= len(tree.leaves)
-    if combos * len(allocations) > config.oracle_cap:
+    if combos * len(allocations) > ORACLE_CAP:
         raise ValueError(f"oracle cap exceeded: {combos} combos x {len(allocations)} allocations")
 
     boxes = _oracle_boxes(forest, instance.epsilon)
@@ -654,7 +612,7 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
     if best is None:
         return Solution(status="infeasible")
     effort, combo, essential, values, box = best
-    x = choose_point(box, instance.x0, config.point_rule)
+    x = choose_point(box, instance.x0)
     return Solution(
         status="optimal",
         objective=math.exp(best_log) if best_log > _NEG_INF else 0.0,
@@ -682,7 +640,7 @@ def _oracle_combinations(forest, boxes):
         if t == forest.num_trees:
             yield combo, box
             return
-        for leaf_id in forest.trees[t].leaf_ids():
+        for leaf_id in sorted(forest.trees[t].leaves):
             nb = _intersect(box, boxes[t][leaf_id])
             if nb is not None:
                 yield from walk(t + 1, nb, combo + [leaf_id])
@@ -710,7 +668,7 @@ def _oracle_min_distance(forest, instance, config, boxes) -> Solution:
         chosen_leaves=dict(enumerate(combo)),
         essential_trees=(),
         per_tree_value={},
-        x=choose_point(box, instance.x0, "project_x0"),
+        x=choose_point(box, instance.x0),
         feasible_box=box,
     )
 
@@ -769,7 +727,7 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
         failures.append("essential tree repeated")
     box_trees = essential if config.objective != MIN_DISTANCE else tuple(range(forest.num_trees))
     tol = 1e-12
-    boxes = forest.leaf_boxes(instance.epsilon)
+    boxes = forest.leaf_geometry(instance.epsilon).boxes
     member_boxes = []
     for t in box_trees:
         box = boxes[t][leaves[t]]
@@ -801,16 +759,16 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
     elif "effort level bounds" not in failures:  # the table has no entry at such a level
         logs = []
         for t in essential:
-            profile = tree_value_profile(forest, t, table, effort, instance.target_class, config)
+            tree = forest.trees[t]
+            positive = {leaf_id: path_probability(forest, t, leaf_id, table, effort)
+                        for leaf_id, leaf in tree.leaves.items()
+                        if leaf.predicted_class == instance.target_class}
+            value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
             if config.objective == MAX_PATH:
-                value = profile.positive_probs.get(leaves[t])
-                if value is None:
-                    value = 0.0
-            else:
-                value = profile.robust_value if profile.robust_value is not None else 0.0
-            if config.objective == KAPPA_PATH and not profile.eligible:
+                value = positive.get(leaves[t])
+            if config.objective == KAPPA_PATH and not eligible:
                 failures.append(f"mu eligibility (tree {t})")
-            logs.append(_log(value))
+            logs.append(_log(value or 0.0))
         recomputed_log = math.fsum(logs)
         recomputed = math.exp(recomputed_log) if recomputed_log > _NEG_INF else 0.0
         if not objectives_close(recomputed, solution.objective):

@@ -13,7 +13,7 @@ import pytest
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
                        FeaturePerturbation, Forest, Leaf, Node, PerturbationSpec,
                        ProblemInstance, SolverConfig, Tree, TrainConfig, accuracy,
-                       brute_force_oracle, build_report, effort_ranking,
+                       SimReport, brute_force_oracle, effort_ranking,
                        enumerate_effort_allocations, estimate_node_probabilities,
                        evaluate_allocation, objectives_close, path_probability,
                        rsr_ranking, simulate_cohort, solve, solve_kappa_path,
@@ -195,7 +195,7 @@ def test_criterion_monte_carlo_closed_forms():
 
 
 def test_criterion_normalized_table_arithmetic():
-    report = build_report({("50%-path", 4): 31.81}, baseline=34.53)
+    report = SimReport(raw={("50%-path", 4): 31.81}, baseline=34.53)
     value = report.normalized[("50%-path", 4)]
     _report("normalized report reproduces 31.81 -> 92.12 at baseline 34.53",
             abs(value - 92.12) <= 0.05, f"got {value:.4f}")

@@ -146,7 +146,8 @@ def test_shift_infeasible_exit_code(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
-def test_shift_timeout_exit_code(tmp_path):
+def _firefighter_files(tmp_path):
+    """The firefighter forest and table, and a one-row dataset at (0.5, 0.5), as files."""
     from treeshift.probability import save_table
 
     forest_path = tmp_path / "f.json"
@@ -161,12 +162,33 @@ def test_shift_timeout_exit_code(tmp_path):
         {"name": "A", "kind": "continuous", "mutable": True, "beneficial": "increase"},
         {"name": "label", "role": "target", "positive_labels": ["1"]},
     ]}))
-    rc = main(["shift", "--forest", str(forest_path), "--probs", str(table_path),
-               "--data", str(csv_path), "--schema", str(schema_path),
-               "--individual", "0", "--objective", "max", "--target-class", "1",
-               "--eta", "1", "--E", "1", "--time-limit", "0",
-               "-o", str(tmp_path / "sol.json")])
-    assert rc == EXIT_TIMEOUT
+    return forest_path, table_path, csv_path, schema_path
+
+
+def _firefighter_shift(tmp_path, *extra):
+    forest_path, table_path, csv_path, schema_path = _firefighter_files(tmp_path)
+    return main(["shift", "--forest", str(forest_path), "--probs", str(table_path),
+                 "--data", str(csv_path), "--schema", str(schema_path),
+                 "--individual", "0", "--objective", "max", "--target-class", "1",
+                 "--eta", "1", "--E", "1", *extra, "-o", str(tmp_path / "sol.json")])
+
+
+def test_shift_timeout_exit_code(tmp_path):
+    assert _firefighter_shift(tmp_path, "--time-limit", "0") == EXIT_TIMEOUT
+
+
+def test_shift_nan_epsilon_is_a_usage_error(tmp_path):
+    assert _firefighter_shift(tmp_path, "--epsilon", "nan") == EXIT_USAGE
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_probs_negative_effort_level_count_is_a_usage_error(tmp_path):
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    rc = main(["probs", "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), "--individual", "0", "--target-class", "1",
+               "--E", "-1", "-o", str(tmp_path / "probs")])
+    assert rc == EXIT_USAGE
+    assert not list((tmp_path / "probs").glob("individual_*.json"))
 
 
 def test_probs_worker_fanout_matches_sequential(tmp_path):

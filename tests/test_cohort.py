@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeshift import (FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
-                       PerturbationSpec, Tree, TrainConfig, build_report,
+                       PerturbationSpec, SimReport, Tree, TrainConfig,
                        feasible_baseline, simulate_cohort, split, synth_generate,
                        train)
 
@@ -129,17 +129,17 @@ def test_effort_beats_no_effort_directionally():
 
 
 def test_report_reproduces_published_pair():
-    report = build_report({("50%-path", 4): 31.81}, baseline=34.53)
+    report = SimReport(raw={("50%-path", 4): 31.81}, baseline=34.53)
     assert report.normalized[("50%-path", 4)] == pytest.approx(92.12, abs=0.05)
 
 
 def test_report_zero_raw_normalizes_to_zero():
-    report = build_report({("m", 1): 0.0}, baseline=34.53)
+    report = SimReport(raw={("m", 1): 0.0}, baseline=34.53)
     assert report.normalized[("m", 1)] == 0.0
 
 
 def test_report_zero_baseline_omits_normalized():
     with pytest.warns(UserWarning):
-        report = build_report({("m", 1): 10.0}, baseline=0.0)
+        report = SimReport(raw={("m", 1): 10.0}, baseline=0.0)
     assert report.normalized == {}
 

@@ -130,14 +130,14 @@ def test_leaf_of_depth_one_boundary():
 def test_leaf_box_firefighter_left_yes():
     forest = firefighter_forest()
     eps = 1e-6
-    box = forest.leaf_box(0, LEAF_YES_LEFT, eps)
+    box = leaf_box(forest.trees[0], LEAF_YES_LEFT, forest.domains, eps)
     assert box[0] == (0.0, 0.7 - eps)
     assert box[1] == (0.8, 1.0)
 
 
 def test_leaf_box_root_only_right():
     forest = _single_feature_forest(threshold=0.4)
-    assert forest.leaf_box(0, 2) == [(0.4, 1.0)]
+    assert leaf_box(forest.trees[0], 2, forest.domains) == [(0.4, 1.0)]
 
 
 def test_leaf_box_repeated_feature_intersects():
@@ -147,7 +147,7 @@ def test_leaf_box_repeated_feature_intersects():
         [Leaf(1, 0), Leaf(3, 0), Leaf(4, 1)],
     )
     forest = Forest([tree], [FeatureMeta(0, "x0", mutable=True, beneficial="increase")])
-    assert forest.leaf_box(0, 4) == [(0.6, 1.0)]
+    assert leaf_box(tree, 4, forest.domains) == [(0.6, 1.0)]
 
 
 def test_leaf_box_degenerate_epsilon():
@@ -158,7 +158,15 @@ def test_leaf_box_degenerate_epsilon():
     )
     forest = Forest([tree], [FeatureMeta(0, "x0", mutable=True, beneficial="increase")])
     with pytest.raises(DegenerateBoxError):
-        forest.leaf_box(0, 3, 1e-6)   # left of 0.3+1e-9 but right of 0.3: gap < epsilon
+        leaf_box(tree, 3, forest.domains, 1e-6)   # left of 0.3+1e-9 but right of 0.3: gap < epsilon
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan")])
+def test_leaf_box_rejects_epsilon_that_is_not_positive(epsilon):
+    # min(hi, threshold - nan) is hi: a NaN epsilon would silently drop the left bound
+    forest = firefighter_forest()
+    with pytest.raises(ValueError, match="epsilon"):
+        leaf_box(forest.trees[0], LEAF_YES_LEFT, forest.domains, epsilon)
 
 
 def test_boxes_intersect_overlap():
@@ -171,7 +179,7 @@ def test_boxes_intersect_empty():
 
 def test_boxes_intersect_identity_with_full_domain():
     forest = firefighter_forest()
-    box = forest.leaf_box(0, LEAF_YES_LEFT)
+    box = leaf_box(forest.trees[0], LEAF_YES_LEFT, forest.domains)
     assert boxes_intersect([box, UNIT]) == box
 
 
@@ -179,8 +187,8 @@ def test_leaf_boxes_table_matches_leaf_box():
     for seed in range(12):
         forest = make_random_instance(seed).forest
         for eps in (1e-6, 1e-3):
-            table = forest.leaf_boxes(eps)
-            assert forest.leaf_boxes(eps) is table   # built once per epsilon
+            table = forest.leaf_geometry(eps).boxes
+            assert forest.leaf_geometry(eps).boxes is table   # built once per epsilon
             assert len(table) == forest.num_trees
             for t, tree in enumerate(forest.trees):
                 assert set(table[t]) == set(tree.leaves)
@@ -195,7 +203,6 @@ def test_leaf_compatibility_bits_match_intersect():
         for eps in (1e-6, 1e-3):
             geometry = forest.leaf_geometry(eps)
             assert forest.leaf_geometry(eps) is geometry   # built once per epsilon
-            assert forest.leaf_boxes(eps) is geometry.boxes
             bits = [geometry.bit[t][leaf] for t, tree in enumerate(forest.trees) for leaf in tree.leaves]
             assert sorted(bits) == [1 << g for g in range(len(bits))]
             for (t, a_tree), (u, b_tree) in itertools.product(enumerate(forest.trees), repeat=2):
@@ -231,7 +238,7 @@ def test_pairwise_compatibility_decides_joint_feasibility():
         pick = random.Random(seed)
         for _ in range(300):
             trees = pick.sample(range(forest.num_trees), pick.randint(2, forest.num_trees))
-            chosen = [(t, pick.choice(forest.trees[t].leaf_ids())) for t in trees]
+            chosen = [(t, pick.choice(sorted(forest.trees[t].leaves))) for t in trees]
             joint = boxes_intersect([geometry.boxes[t][leaf] for t, leaf in chosen]) is not None
             pairwise = all(geometry.compatible[t][a] & geometry.bit[u][b]
                            for (t, a), (u, b) in itertools.combinations(chosen, 2))
@@ -246,7 +253,7 @@ def test_solve_ignores_boxes_cached_at_another_epsilon():
         case = make_random_instance(seed)
         coarse = ProblemInstance(case.instance.x0, case.instance.target_class,
                                  case.instance.eta, case.instance.E, epsilon=1e-3)
-        case.forest.leaf_boxes(1e-6)
+        case.forest.leaf_geometry(1e-6)
         fresh = Forest(case.forest.trees, case.forest.feature_metas)
         for objective in (MAX_PATH, MIN_DISTANCE):
             config = SolverConfig(objective=objective)
@@ -295,7 +302,7 @@ def test_leaf_of_matches_unique_box_membership():
             for t, tree in enumerate(case.forest.trees):
                 containing = []
                 for leaf_id in tree.leaves:
-                    box = case.forest.leaf_box(t, leaf_id, 1e-12)
+                    box = leaf_box(tree, leaf_id, case.forest.domains, 1e-12)
                     if all(lo <= x[j] <= hi for j, (lo, hi) in enumerate(box)):
                         containing.append(leaf_id)
                 assert containing == [leaf_of(tree, x)]
@@ -305,7 +312,7 @@ def test_leaf_of_boundary_membership():
     # a point exactly on a threshold belongs to the right leaf's box
     forest = _single_feature_forest(threshold=0.5)
     assert leaf_of(forest.trees[0], (0.5,)) == 2
-    box = forest.leaf_box(0, 2)
+    box = leaf_box(forest.trees[0], 2, forest.domains)
     assert box[0][0] <= 0.5 <= box[0][1]
 
 

@@ -47,12 +47,6 @@ def test_kappa_fraction_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH])
-def test_box_center_point_rule_matches_oracle(seed, objective):
-    assert_matches_oracle(make_random_instance(seed), objective, point_rule="box_center")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_min_distance_matches_oracle(seed):
     assert_matches_oracle(make_random_instance(seed), MIN_DISTANCE)
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from treeshift import (FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
+from treeshift import (BINARY, FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
                        NodeProbabilityTable, PerturbationSpec, TableFormatError,
-                       Tree, estimate_node_probabilities, perturb_value,
-                       load_table, save_table)
+                       TrainConfig, Tree, estimate_node_probabilities, load_table,
+                       save_table, split, synth_generate, train)
 from treeshift.fixtures import firefighter_forest, firefighter_table
 from treeshift.probability import _perturb_samples
 
@@ -28,7 +28,7 @@ def _binary_spec(p, metas, n=1000, seed=0):
                             num_samples=n, seed=seed)
 
 
-# --- perturb_value ------------------------------------------------------------
+# --- _perturb_samples ------------------------------------------------------------
 
 
 def test_binary_effort_flip_rate_floor():
@@ -37,7 +37,7 @@ def test_binary_effort_flip_rate_floor():
     spec = _binary_spec(0.9, [meta])
     rng = np.random.default_rng(1)
     n = 20000
-    flips = sum(perturb_value(0.0, meta, spec, 1, rng) == 1.0 for _ in range(n))
+    flips = sum(_perturb_samples(0.0, meta, spec, 1, rng, 1)[0] == 1.0 for _ in range(n))
     assert flips / n == pytest.approx(0.2, abs=3 * math.sqrt(0.2 * 0.8 / n))
 
 
@@ -45,7 +45,7 @@ def test_binary_effort_keeps_beneficial_value():
     meta = FeatureMeta(0, "b", kind="binary", mutable=True, beneficial="to_one")
     spec = _binary_spec(0.9, [meta])
     rng = np.random.default_rng(2)
-    assert all(perturb_value(1.0, meta, spec, 1, rng) == 1.0 for _ in range(200))
+    assert all(_perturb_samples(1.0, meta, spec, 1, rng, 1)[0] == 1.0 for _ in range(200))
 
 
 def test_continuous_no_effort_sign_symmetry():
@@ -53,7 +53,7 @@ def test_continuous_no_effort_sign_symmetry():
     spec = _continuous_spec(0.2, [meta])
     rng = np.random.default_rng(3)
     n = 20000
-    ups = sum(perturb_value(0.5, meta, spec, 0, rng) >= 0.5 for _ in range(n))
+    ups = sum(_perturb_samples(0.5, meta, spec, 0, rng, 1)[0] >= 0.5 for _ in range(n))
     assert ups / n == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
 
 
@@ -61,7 +61,7 @@ def test_effort_on_non_effort_feature_rejected():
     meta = FeatureMeta(0, "c", mutable=False, beneficial="none")
     spec = PerturbationSpec([FeaturePerturbation(sigma=0.2, effort_perturbable=False)], [meta])
     with pytest.raises(ValueError):
-        perturb_value(0.5, meta, spec, 1, np.random.default_rng(0))
+        _perturb_samples(0.5, meta, spec, 1, np.random.default_rng(0), 1)[0]
 
 
 def test_non_perturbable_feature_unchanged():
@@ -69,14 +69,14 @@ def test_non_perturbable_feature_unchanged():
     spec = PerturbationSpec(
         [FeaturePerturbation(sigma=0.2, effort_perturbable=False, no_effort_perturbable=False)],
         [meta])
-    assert perturb_value(0.37, meta, spec, 0, np.random.default_rng(0)) == 0.37
+    assert _perturb_samples(0.37, meta, spec, 0, np.random.default_rng(0), 1)[0] == 0.37
 
 
 def test_values_clamped_to_domain():
     meta = FeatureMeta(0, "c", mutable=True, beneficial="increase")
     spec = _continuous_spec(0.5, [meta])
     rng = np.random.default_rng(4)
-    values = [perturb_value(0.9, meta, spec, 1, rng) for _ in range(500)]
+    values = [_perturb_samples(0.9, meta, spec, 1, rng, 1)[0] for _ in range(500)]
     assert max(values) <= 1.0 and min(values) >= 0.0
 
 
@@ -180,6 +180,72 @@ def test_estimates_within_unit_interval():
     table = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=2)
     for row in table.probs.values():
         assert all(0.0 <= p <= 1.0 for p in row)
+
+
+def _exact_right_prob(x, threshold, meta, fp, e):
+    """P(x' >= threshold) for one feature, from the change model as README states it."""
+    if e > 0 and not fp.effort_perturbable:
+        e = 0   # such a feature reuses its no-effort row
+    if e == 0 and not fp.no_effort_perturbable:
+        return float(x >= threshold)
+    if meta.kind == BINARY:   # thresholds lie in (0, 1), so the event is x' == 1
+        if e == 0:
+            flip = 1.0 - fp.p_majority
+            return flip if x == 0.0 else 1.0 - flip
+        beneficial = meta.beneficial_value
+        reach = 1.0 if x == beneficial else max(1.0 - fp.p_majority, min(1.0, 0.2 * e))
+        return reach if beneficial == 1.0 else 1.0 - reach
+
+    # thresholds lie strictly inside the domain, so clipping never changes the event
+    def up(width):     # P(x + U[0, width) >= threshold)
+        return 1.0 if x >= threshold else max(0.0, 1.0 - (threshold - x) / width)
+
+    def down(width):   # P(x - U[0, width) >= threshold)
+        return 0.0 if x < threshold else min(1.0, (x - threshold) / width)
+
+    if e == 0:
+        return 0.5 * up(fp.sigma) + 0.5 * down(fp.sigma)
+    width = (1.0 + 0.5 * e) * fp.sigma
+    return up(width) if meta.beneficial == "increase" else down(width)
+
+
+def test_estimates_match_closed_form_change_model():
+    # desk configuration, every fourth training row; the bound was fixed before the first run
+    ds = synth_generate(600, 8, seed=0)
+    tr, _ = split(ds, 2 / 3, seed=0)
+    forest = train(tr, TrainConfig(num_trees=9, max_depth=4, seed=0))
+    spec = PerturbationSpec.from_dataset(tr, num_samples=1000, seed=0)
+    n, E = spec.num_samples, 2
+    exact_entries = interior_entries = 0
+    for i in range(0, tr.num_rows, 4):
+        x0 = tr.X[i]
+        table = estimate_node_probabilities(forest, x0, spec, E=E, individual=i)
+        for (t, node_id), row in table.probs.items():
+            node = forest.trees[t].nodes[node_id]
+            meta = forest.feature_metas[node.feature]
+            for e, estimate in enumerate(row):
+                p = _exact_right_prob(float(x0[node.feature]), node.threshold, meta,
+                                      spec.features[node.feature], e)
+                where = (i, t, node_id, e, p, estimate)
+                if p in (0.0, 1.0):
+                    assert estimate == p, where
+                    exact_entries += 1
+                else:
+                    assert abs(estimate - p) <= 6 * math.sqrt(p * (1 - p) / n) + 1 / n, where
+                    interior_entries += 1
+    assert exact_entries and interior_entries
+
+
+def test_negative_effort_level_count_rejected():
+    # E = -1 gives rows with no effort level at all, which no solve can read
+    with pytest.raises(TableFormatError, match="E must be nonnegative"):
+        NodeProbabilityTable(0, -1, {})
+    with pytest.raises(TableFormatError, match="E must be nonnegative"):
+        NodeProbabilityTable.from_dict({"individual": 0, "E": -1, "entries": []})
+    forest = firefighter_forest()
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)] * 2, forest.feature_metas)
+    with pytest.raises(TableFormatError, match="E must be nonnegative"):
+        estimate_node_probabilities(forest, (0.5, 0.5), spec, E=-1)
 
 
 # --- table round trip -----------------------------------------------------------

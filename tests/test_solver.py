@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -6,11 +7,9 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
                        SolverConfig, Tree, brute_force_oracle, choose_point,
                        enumerate_effort_allocations, evaluate_allocation,
-                       path_probability, solve_kappa_path, solve_max_path,
-                       solve_min_distance, solve_min_path, tree_value_profile,
-                       verify_solution)
-from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_NO_RIGHT, LEAF_YES_LEFT,
-                                LEAF_YES_RIGHT)
+                       path_probability, solve, solve_kappa_path, solve_max_path,
+                       solve_min_distance, solve_min_path, verify_solution)
+from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
 
 TOL = 1e-9
 
@@ -19,7 +18,14 @@ def _cfg(objective, **kw):
     return SolverConfig(objective=objective, **kw)
 
 
-# --- SolverConfig validation ----------------------------------------------------------
+# --- ProblemInstance and SolverConfig validation ---------------------------------------
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, math.nan, math.inf])
+def test_instance_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
+    # a NaN epsilon would drop every left-branch bound from the leaf boxes
+    with pytest.raises(ValueError, match="epsilon"):
+        ProblemInstance(x0=(0.5, 0.5), target_class=1, eta=1, E=1, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
@@ -93,33 +99,6 @@ def test_path_probabilities_sum_to_one(firefighter):
         total = sum(path_probability(forest, 0, l, table, effort)
                     for l in forest.trees[0].leaves)
         assert total == pytest.approx(1.0, abs=TOL)
-
-
-# --- tree_value_profile ------------------------------------------------------------
-
-
-def test_profile_min_path_effort_a(firefighter):
-    forest, table = firefighter
-    profile = tree_value_profile(forest, 0, table, (0, 1), 1, _cfg(MIN_PATH))
-    assert profile.leaf_theta[LEAF_YES_LEFT] == pytest.approx(0.36, abs=TOL)
-    assert profile.leaf_theta[LEAF_YES_RIGHT] == pytest.approx(0.32, abs=TOL)
-    assert profile.leaf_theta[LEAF_NO_LEFT] == 1.0
-    assert profile.robust_value == pytest.approx(0.32, abs=TOL)
-
-
-def test_profile_kappa_two_order_statistic(firefighter):
-    forest, table = firefighter
-    profile = tree_value_profile(forest, 0, table, (0, 1), 1, _cfg(KAPPA_PATH, kappa=2, mu=0.0))
-    assert profile.sorted_theta == pytest.approx((0.32, 0.36, 1.0, 1.0), abs=TOL)
-    assert profile.robust_value == pytest.approx(0.36, abs=TOL)
-
-
-def test_profile_never_positive_tree():
-    tree = Tree(0, [], [Leaf(0, 0)])
-    forest = Forest([tree], [FeatureMeta(0, "x", mutable=True, beneficial="increase")])
-    table = NodeProbabilityTable(0, 1, {})
-    profile = tree_value_profile(forest, 0, table, (0,), 1, _cfg(MIN_PATH))
-    assert profile.robust_value is None and not profile.eligible
 
 
 # --- firefighter golden solves -------------------------------------------------------
@@ -196,6 +175,20 @@ def test_kappa_two_golden(firefighter, firefighter_instance):
     assert sol.effort == (0, 1)
 
 
+@pytest.mark.parametrize("positive_leaves_only, objective, effort", [
+    (False, 1.0, (0, 0)),    # theta at (0, 0) is (0.16, 0.18, 1.0, 1.0): the third is a cap
+    (True, 0.36, (0, 1)),    # kappa is capped at the two target leaves: (0.32, 0.36) at (0, 1)
+])
+def test_kappa_three_counts_the_capped_leaves(firefighter, firefighter_instance,
+                                              positive_leaves_only, objective, effort):
+    forest, table = firefighter
+    config = _cfg(KAPPA_PATH, kappa=3, mu=0.0, positive_leaves_only=positive_leaves_only)
+    sol = solve_kappa_path(forest, firefighter_instance, table, config)
+    assert sol.objective == pytest.approx(objective, abs=TOL)
+    assert sol.effort == effort
+    assert verify_solution(forest, firefighter_instance, table, sol, config).passed
+
+
 def test_kappa_two_mu_half_infeasible(firefighter, firefighter_instance):
     forest, table = firefighter
     sol = solve_kappa_path(forest, firefighter_instance, table, _cfg(KAPPA_PATH, kappa=2, mu=0.5))
@@ -222,11 +215,11 @@ def test_oracle_firefighter_max_path(firefighter, firefighter_instance):
     assert oracle.effort == (0, 1)
 
 
-def test_oracle_refuses_above_cap(firefighter, firefighter_instance):
+def test_oracle_refuses_above_cap(firefighter, firefighter_instance, monkeypatch):
     forest, table = firefighter
+    monkeypatch.setattr("treeshift.solver.ORACLE_CAP", 2)
     with pytest.raises(ValueError):
-        brute_force_oracle(forest, firefighter_instance, table,
-                           _cfg(MAX_PATH, oracle_cap=2))
+        brute_force_oracle(forest, firefighter_instance, table, _cfg(MAX_PATH))
 
 
 def test_zero_time_limit_reports_timeout(firefighter, firefighter_instance):
@@ -245,6 +238,18 @@ def test_infeasible_when_no_positive_leaves(firefighter_instance):
     sol = solve_max_path(forest, instance, table)
     oracle = brute_force_oracle(forest, instance, table, _cfg(MAX_PATH))
     assert sol.status == "infeasible" and oracle.status == "infeasible"
+
+
+@pytest.mark.parametrize("objective", [MIN_PATH, KAPPA_PATH])
+def test_tree_without_target_leaf_has_no_value(objective):
+    # the only tree never votes 1, so it has no per-tree value and no shift exists
+    tree = Tree(0, [], [Leaf(0, 0)])
+    forest = Forest([tree], [FeatureMeta(0, "x", mutable=True, beneficial="increase")])
+    table = NodeProbabilityTable(0, 1, {})
+    instance = ProblemInstance(x0=(0.5,), target_class=1, eta=1, E=1)
+    config = _cfg(objective, mu=0.0)
+    assert solve(forest, instance, table, config).status == "infeasible"
+    assert brute_force_oracle(forest, instance, table, config).status == "infeasible"
 
 
 # --- min distance ---------------------------------------------------------------------
@@ -318,21 +323,17 @@ def test_min_distance_infeasible():
 
 def test_choose_point_projection():
     box = [(0.7, 1.0), (0.6, 1.0)]
-    assert choose_point(box, (0.65, 0.5), "project_x0") == (0.7, 0.6)
+    assert choose_point(box, (0.65, 0.5)) == (0.7, 0.6)
 
 
 def test_choose_point_inside_is_identity():
     box = [(0.0, 1.0), (0.0, 1.0)]
-    assert choose_point(box, (0.4, 0.9), "project_x0") == (0.4, 0.9)
-
-
-def test_choose_point_center():
-    assert choose_point([(0.0, 1.0), (0.8, 1.0)], (0, 0), "box_center") == (0.5, 0.9)
+    assert choose_point(box, (0.4, 0.9)) == (0.4, 0.9)
 
 
 def test_choose_point_empty_box_rejected():
     with pytest.raises(ValueError):
-        choose_point(None, (0.5,), "project_x0")
+        choose_point(None, (0.5,))
 
 
 # --- verify_solution ----------------------------------------------------------------------
@@ -381,6 +382,22 @@ def test_verify_reports_malformed_content(firefighter, firefighter_instance, con
     forest, table = firefighter
     sol = replace(solve_max_path(forest, firefighter_instance, table), **content)
     verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
+    assert verdict.failures == [failure]
+
+
+@pytest.mark.parametrize("verify_mu, forged_objective, failure", [
+    (0.5, None, "mu eligibility (tree 0)"),   # the smaller theta, 0.32, is below mu
+    (0.0, 0.5, "objective mismatch"),
+], ids=["mu", "objective"])
+def test_verify_recomputes_kappa_values(firefighter, firefighter_instance,
+                                        verify_mu, forged_objective, failure):
+    forest, table = firefighter
+    sol = solve_kappa_path(forest, firefighter_instance, table, _cfg(KAPPA_PATH, kappa=2, mu=0.0))
+    assert (sol.status, sol.objective, sol.effort) == ("optimal", pytest.approx(0.36), (0, 1))
+    if forged_objective is not None:
+        sol = replace(sol, objective=forged_objective)
+    verdict = verify_solution(forest, firefighter_instance, table, sol,
+                              _cfg(KAPPA_PATH, kappa=2, mu=verify_mu))
     assert verdict.failures == [failure]
 
 
