@@ -3,12 +3,14 @@
 The acceptance module runs the full 100-seed version with timing; this keeps
 a quick slice in the regular suite so solver regressions surface fast.
 """
+from dataclasses import replace
+
 import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
                        NodeProbabilityTable, ProblemInstance, SolverConfig,
-                       brute_force_oracle, objectives_close, solve, solve_min_distance,
-                       verify_solution)
+                       brute_force_oracle, leaf_of, objectives_close, solve,
+                       solve_min_distance, verify_solution)
 
 from helpers import (assert_matches_oracle, make_random_instance,
                      make_weighted_distance_case, per_tree_value_chain)
@@ -44,6 +46,25 @@ def test_kappa_positive_leaves_only_matches_oracle(seed, by_fraction):
 def test_kappa_fraction_matches_oracle(seed):
     # the desk-scale acceptance configuration: half the leaves, default mu
     assert_matches_oracle(make_random_instance(seed), KAPPA_PATH, kappa_fraction=0.5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH])
+def test_box_center_point_rule_matches_oracle(seed, objective):
+    # a path objective depends only on the chosen leaves, so the centre of the
+    # feasible box is as good a shifted point as the clamp of x0 onto it
+    case = make_random_instance(seed)
+    solver_sol, oracle_sol = assert_matches_oracle(case, objective)
+    if solver_sol.status != "optimal":
+        return
+    for sol in (solver_sol, oracle_sol):
+        centre = tuple((lo + hi) / 2.0 for lo, hi in sol.feasible_box)
+        leaves = {t: leaf_of(tree, centre) for t, tree in enumerate(case.forest.trees)}
+        assert all(leaves[t] == sol.chosen_leaves[t] for t in sol.essential_trees)
+        moved = replace(sol, x=centre, chosen_leaves=leaves)
+        verdict = verify_solution(case.forest, case.instance, case.table, moved,
+                                  SolverConfig(objective=objective))
+        assert verdict.passed, f"seed {seed} {objective}: {verdict.failures}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -10,6 +10,7 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        path_probability, solve, solve_kappa_path, solve_max_path,
                        solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
+from treeshift.solver import _tree_value
 
 TOL = 1e-9
 
@@ -99,6 +100,41 @@ def test_path_probabilities_sum_to_one(firefighter):
         total = sum(path_probability(forest, 0, l, table, effort)
                     for l in forest.trees[0].leaves)
         assert total == pytest.approx(1.0, abs=TOL)
+
+
+# --- per-tree value rule ---------------------------------------------------------------
+
+
+def _target_probs(forest, t, table, effort, target_class=1):
+    return {leaf_id: path_probability(forest, t, leaf_id, table, effort)
+            for leaf_id, leaf in forest.trees[t].leaves.items()
+            if leaf.predicted_class == target_class}
+
+
+def test_profile_min_path_effort_a(firefighter):
+    forest, table = firefighter
+    probs = _target_probs(forest, 0, table, (0, 1))
+    assert probs == {LEAF_YES_LEFT: pytest.approx(0.36, abs=TOL),
+                     LEAF_YES_RIGHT: pytest.approx(0.32, abs=TOL)}
+    value, eligible = _tree_value(probs.values(), 4, _cfg(MIN_PATH))
+    assert value == pytest.approx(0.32, abs=TOL) and eligible
+
+
+def test_profile_kappa_two_order_statistic(firefighter):
+    # the theta vector is the target probabilities then a 1.0 cap per other leaf
+    forest, table = firefighter
+    probs = _target_probs(forest, 0, table, (0, 1)).values()
+    theta = [_tree_value(probs, 4, _cfg(KAPPA_PATH, kappa=k, mu=0.0))[0] for k in range(1, 5)]
+    assert theta == pytest.approx([0.32, 0.36, 1.0, 1.0], abs=TOL)
+
+
+def test_profile_never_positive_tree():
+    tree = Tree(0, [], [Leaf(0, 0)])
+    forest = Forest([tree], [FeatureMeta(0, "x", mutable=True, beneficial="increase")])
+    table = NodeProbabilityTable(0, 1, {})
+    probs = _target_probs(forest, 0, table, (0,))
+    assert probs == {}
+    assert _tree_value(probs.values(), 1, _cfg(MIN_PATH)) == (None, False)
 
 
 # --- firefighter golden solves -------------------------------------------------------
