@@ -70,6 +70,13 @@ def _load_pipeline_inputs(args):
     return forest, dataset
 
 
+def _data_row(dataset, individual) -> int:
+    row = int(individual)
+    if not 0 <= row < dataset.num_rows:
+        raise ValueError(f"--individual {row} is not a row of --data (0..{dataset.num_rows - 1})")
+    return row
+
+
 def _off_target_rows(forest, dataset, target):
     return np.flatnonzero(forest.predict_batch(dataset.X) != target).tolist()
 
@@ -106,7 +113,7 @@ def _cmd_probs(args, argv, started) -> int:
     if args.individual == "all-off-target":
         rows = _off_target_rows(forest, dataset, args.target_class)
     else:
-        rows = [int(args.individual)]
+        rows = [_data_row(dataset, args.individual)]
     os.makedirs(args.output, exist_ok=True)
     estimate = functools.partial(_estimate_row, forest, spec, args.E)
     x0s = [dataset.X[row] for row in rows]
@@ -125,7 +132,7 @@ def _cmd_probs(args, argv, started) -> int:
 
 def _cmd_shift(args, argv, started) -> int:
     forest, dataset = _load_pipeline_inputs(args)
-    row = int(args.individual)
+    row = _data_row(dataset, args.individual)
     instance = ProblemInstance(
         x0=tuple(dataset.X[row]),
         target_class=args.target_class,
@@ -146,6 +153,9 @@ def _cmd_shift(args, argv, started) -> int:
         if not args.probs:
             raise ValueError("probabilistic objectives need --probs")
         table = load_table(args.probs, forest)
+        if table.individual != row:
+            raise ValueError(f"--probs holds the table of individual {table.individual}, "
+                             f"not of --individual {row}")
     solution = solve(forest, instance, table, config)
     verdict = verify_solution(forest, instance, table, solution, config) \
         if solution.found else None

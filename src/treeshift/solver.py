@@ -22,6 +22,7 @@ box is built only for an incumbent. All accumulation happens in log space.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -242,11 +243,28 @@ def _allocations(forest: Forest, instance: ProblemInstance):
     return enumerate_effort_allocations(forest.num_features, instance.E, instance.eta, mask)
 
 
-class _Clock:
-    def __init__(self, time_limit):
+def _exp(log_value: float) -> float:
+    return math.exp(log_value) if log_value > _NEG_INF else 0.0
+
+
+class _Run:
+    """One solve's record: its clock, node count and incumbent, and the one place its
+    Solution is built.
+
+    A search calls ``check()`` per node and ``keep(...)`` per incumbent update. The
+    incumbent's score is its log probability, or its distance for ``min_distance``.
+    """
+
+    def __init__(self, forest, instance, config):
+        self.forest = forest
+        self.x0 = instance.x0
+        self.min_distance = config.objective == MIN_DISTANCE
         self.start = time.monotonic()
-        self.deadline = None if time_limit is None else self.start + time_limit
+        self.deadline = None if config.time_limit is None else self.start + config.time_limit
         self.ticks = 0
+        self.nodes = 0
+        self.score = None
+        self.best = None  # (leaves {tree: leaf}, box, effort, per-tree values {essential tree: value})
 
     def check(self):
         self.ticks += 1
@@ -254,41 +272,68 @@ class _Clock:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
+    def keep(self, score, leaves, box, effort=None, values=None):
+        self.score = score
+        self.best = (leaves, box, effort, values)
+
+    def finish(self, search) -> Solution:
+        """Run search(self) to completion or to the time limit; the incumbent becomes the Solution."""
+        try:
+            search(self)
+            status = "optimal" if self.best is not None else "infeasible"
+        except _Timeout:
+            status = "timeout"
+        content = {}
+        if self.best is not None:
+            leaves, box, effort, values = self.best
+            x = choose_point(box, self.x0)
+            for t, tree in enumerate(self.forest.trees):
+                if t not in leaves:
+                    leaves[t] = leaf_of(tree, x)
+            if self.min_distance:
+                effort, values = tuple(0 for _ in range(self.forest.num_features)), {}
+            content = dict(
+                objective=self.score if self.min_distance else _exp(self.score),
+                log_objective=None if self.min_distance else self.score,
+                effort=effort,
+                chosen_leaves=leaves,
+                essential_trees=tuple(sorted(values)),
+                per_tree_value=values,
+                x=x,
+                feasible_box=box,
+            )
+        return Solution(status=status, nodes_explored=self.nodes,
+                        wall_time=time.monotonic() - self.start, **content)
 
 
-class _ProbabilisticSearch:
-    """Shared machinery for max/min/kappa path solves."""
+def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
+    """Best max/min/kappa path solution over every allocation, or over the pinned effort only."""
+    if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
+        raise ValueError("probabilistic search needs a path objective")
+    _check_problem(forest, instance, table, config)
+    allocations = _allocations(forest, instance)
+    if pinned is not None:
+        pinned = tuple(pinned)
+        allocations = [a for a in allocations if a == pinned]
+        if not allocations:
+            raise ValueError(f"effort {pinned} is not an allocation of the instance")
+    m = majority_threshold(forest.num_trees)
+    geometry = forest.leaf_geometry(instance.epsilon)
+    bit, compatible = geometry.bit, geometry.compatible
+    # bind table rows once, for target-class leaves only: the other leaves
+    # enter the per-tree values as 1.0 caps, never through a path product
+    compiled = [
+        [(leaf_id, tuple((table.probs[(t, node_id)], tree.nodes[node_id].feature, right)
+                         for node_id, right in tree.paths[leaf_id]))
+         for leaf_id, leaf in tree.leaves.items()
+         if leaf.predicted_class == instance.target_class]
+        for t, tree in enumerate(forest.trees)
+    ]
 
-    def __init__(self, forest, instance, table, config):
-        if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
-            raise ValueError("probabilistic search needs a path objective")
-        _check_problem(forest, instance, table, config)
-        self.forest = forest
-        self.instance = instance
-        self.table = table
-        self.config = config
-        self.m = majority_threshold(forest.num_trees)
-        self.geometry = forest.leaf_geometry(instance.epsilon)
-        # bind table rows once, for target-class leaves only: the other leaves
-        # enter the per-tree values as 1.0 caps, never through a path product
-        self.compiled = []
-        for t, tree in enumerate(forest.trees):
-            self.compiled.append([
-                (leaf_id, tuple((table.probs[(t, node_id)], tree.nodes[node_id].feature, right)
-                                for node_id, right in tree.paths[leaf_id]))
-                for leaf_id, leaf in tree.leaves.items()
-                if leaf.predicted_class == instance.target_class
-            ])
-        self.nodes_explored = 0
-        self.best_log = _NEG_INF
-        self.best = None  # (effort, [(tree, leaf, value)], box)
-
-    def _leaf_probs(self, t, effort):
+    def leaf_probs(t, effort):
         """Path probabilities of tree t's target-class leaves, multiplied root to leaf."""
         out = {}
-        for leaf_id, steps in self.compiled[t]:
+        for leaf_id, steps in compiled[t]:
             prob = 1.0
             for row, feature, went_right in steps:
                 p = row[effort[feature]]
@@ -296,12 +341,11 @@ class _ProbabilisticSearch:
             out[leaf_id] = prob
         return out
 
-    def _candidates(self, effort):
+    def candidates(effort):
         """Per-tree candidate (value, leaf) lists for one allocation (None: tree unusable)."""
-        config = self.config
         per_tree = []
-        for t, tree in enumerate(self.forest.trees):
-            positive = self._leaf_probs(t, effort)
+        for t, tree in enumerate(forest.trees):
+            positive = leaf_probs(t, effort)
             value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
             if not eligible:
                 per_tree.append(None)
@@ -312,10 +356,10 @@ class _ProbabilisticSearch:
                 per_tree.append([(value, l) for l in sorted(positive)])
         return per_tree
 
-    def _search_allocation(self, effort, clock):
-        per_tree = self._candidates(effort)
+    def search_allocation(effort, run):
+        per_tree = candidates(effort)
         cand_trees = [t for t, c in enumerate(per_tree) if c]
-        if len(cand_trees) < self.m:
+        if len(cand_trees) < m:
             return
         order = sorted(cand_trees, key=lambda t: (-per_tree[t][0][0], t))
         n = len(order)
@@ -333,27 +377,26 @@ class _ProbabilisticSearch:
                 return _NEG_INF
             return prefix_log[i + k] - prefix_log[i]
 
-        if self.best is not None and top_sum(0, self.m) <= self.best_log:
+        if run.best is not None and top_sum(0, m) <= run.score:
             return
-        bit, compatible = self.geometry.bit, self.geometry.compatible
         # per tree: (value, log value, leaf, its bit, its compatible leaves), built when the
         # search first reaches the tree, so logs are taken only where candidates can be visited
         cands = [None] * n
         chosen: list[tuple[int, int, float]] = []
 
         def dfs(i, k, allowed, cur_log):
-            self.nodes_explored += 1
-            clock.check()
-            if k == self.m:
-                if cur_log > self.best_log or self.best is None:
-                    self.best_log = cur_log
-                    joint_box = boxes_intersect([self.geometry.boxes[t][leaf] for t, leaf, _ in chosen])
-                    self.best = (effort, list(chosen), joint_box)
+            run.nodes += 1
+            run.check()
+            if k == m:
+                if run.best is None or cur_log > run.score:
+                    run.keep(cur_log, {t: leaf for t, leaf, _ in chosen},
+                             boxes_intersect([geometry.boxes[t][leaf] for t, leaf, _ in chosen]),
+                             effort, {t: v for t, _, v in chosen})
                 return
-            if n - i < self.m - k:
+            if n - i < m - k:
                 return
-            need = self.m - k
-            if self.best is not None and cur_log + top_sum(i, need) <= self.best_log:
+            need = m - k
+            if run.best is not None and cur_log + top_sum(i, need) <= run.score:
                 return
             t = order[i]
             if cands[i] is None:
@@ -361,7 +404,7 @@ class _ProbabilisticSearch:
                             for v, leaf in per_tree[t]]
             rest = top_sum(i + 1, need - 1)
             for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:
-                if self.best is not None and cur_log + log_value + rest <= self.best_log:
+                if run.best is not None and cur_log + log_value + rest <= run.score:
                     break  # candidates sorted by value: the rest can only do worse
                 if not allowed & leaf_bit:
                     continue
@@ -372,69 +415,29 @@ class _ProbabilisticSearch:
 
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
 
-    def run(self, allocations=None) -> Solution:
-        """Best solution over the given effort vectors (default: every allocation)."""
-        if allocations is None:
-            allocations = _allocations(self.forest, self.instance)
-        clock = _Clock(self.config.time_limit)
-        timed_out = False
-        try:
-            for effort in allocations:
-                clock.check()
-                self._search_allocation(effort, clock)
-        except _Timeout:
-            timed_out = True
-        return self._finalize(timed_out, clock)
+    def search(run):
+        for effort in allocations:
+            run.check()
+            search_allocation(effort, run)
 
-    def _finalize(self, timed_out: bool, clock) -> Solution:
-        status = "timeout" if timed_out else "optimal"
-        if self.best is None:
-            return Solution(status=status if timed_out else "infeasible",
-                            nodes_explored=self.nodes_explored, wall_time=clock.elapsed())
-        effort, chosen, box = self.best
-        x = choose_point(box, self.instance.x0)
-        leaves = {t: leaf for t, leaf, _ in chosen}
-        for t, tree in enumerate(self.forest.trees):
-            if t not in leaves:
-                leaves[t] = leaf_of(tree, x)
-        return Solution(
-            status=status,
-            objective=math.exp(self.best_log) if self.best_log > _NEG_INF else 0.0,
-            log_objective=self.best_log,
-            effort=effort,
-            chosen_leaves=leaves,
-            essential_trees=tuple(sorted(t for t, _, _ in chosen)),
-            per_tree_value={t: v for t, _, v in chosen},
-            x=x,
-            feasible_box=box,
-            nodes_explored=self.nodes_explored,
-            wall_time=clock.elapsed(),
-        )
+    return _Run(forest, instance, config).finish(search)
 
 
 def solve_max_path(forest, instance, table, config=None) -> Solution:
-    config = _with_objective(config, MAX_PATH)
-    return _ProbabilisticSearch(forest, instance, table, config).run()
+    return _solve_path(forest, instance, table, _with_objective(config, MAX_PATH))
 
 
 def solve_min_path(forest, instance, table, config=None) -> Solution:
-    config = _with_objective(config, MIN_PATH)
-    return _ProbabilisticSearch(forest, instance, table, config).run()
+    return _solve_path(forest, instance, table, _with_objective(config, MIN_PATH))
 
 
 def solve_kappa_path(forest, instance, table, config=None) -> Solution:
-    config = _with_objective(config, KAPPA_PATH)
-    return _ProbabilisticSearch(forest, instance, table, config).run()
+    return _solve_path(forest, instance, table, _with_objective(config, KAPPA_PATH))
 
 
 def evaluate_allocation(forest, instance, table, config, effort) -> Solution:
     """Solve with the effort vector pinned (diagnostics and golden tests)."""
-    search = _ProbabilisticSearch(forest, instance, table, config)
-    effort = tuple(effort)
-    pinned = [a for a in _allocations(forest, instance) if a == effort]
-    if not pinned:
-        raise ValueError(f"effort {effort} is not an allocation of the instance")
-    return search.run(pinned)
+    return _solve_path(forest, instance, table, config, pinned=effort)
 
 
 def _with_objective(config, objective):
@@ -449,7 +452,7 @@ def solve(forest, instance, table=None, config=None) -> Solution:
     config = config or SolverConfig()
     if config.objective == MIN_DISTANCE:
         return solve_min_distance(forest, instance, config)
-    return _ProbabilisticSearch(forest, instance, table, config).run()
+    return _solve_path(forest, instance, table, config)
 
 
 # --- min-distance -----------------------------------------------------------
@@ -479,20 +482,16 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     suffix_weight = [0.0] * (R + 1)
     for t in range(R - 1, -1, -1):
         suffix_weight[t] = suffix_weight[t + 1] + forest.trees[t].weight
-
-    clock = _Clock(config.time_limit)
-    state = {"best": None, "best_dist": math.inf, "nodes": 0}
     combo: list[int] = []
 
-    def dfs(t, box, allowed, w_target, dist):
-        state["nodes"] += 1
-        clock.check()
-        if state["best"] is not None and dist >= state["best_dist"]:
+    def dfs(run, t, box, allowed, w_target, dist):
+        run.nodes += 1
+        run.check()
+        if run.best is not None and dist >= run.score:
             return
         if t == R:
             if _target_wins(w_target, suffix_weight[0] - w_target, target):
-                state["best"] = (list(combo), box)
-                state["best_dist"] = dist
+                run.keep(dist, dict(enumerate(combo)), box)
             return
         # even if every remaining tree votes target, can the majority work out?
         optimistic = w_target + suffix_weight[t]
@@ -506,35 +505,14 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
             children.append((_box_distance(x0, nb, weights, config.distance), leaf_id, nb, leaf))
         for child_dist, leaf_id, nb, leaf in sorted(children, key=lambda c: (c[0], c[1])):
             combo.append(leaf_id)
-            dfs(t + 1, nb, allowed & compatible[t][leaf_id],
+            dfs(run, t + 1, nb, allowed & compatible[t][leaf_id],
                 w_target + (forest.trees[t].weight if leaf.predicted_class == target else 0.0),
                 child_dist)
             combo.pop()
 
-    timed_out = False
     root = [tuple(dom) for dom in forest.domains]
-    try:
-        dfs(0, root, -1, 0.0, _box_distance(x0, root, weights, config.distance))
-    except _Timeout:
-        timed_out = True
-    if state["best"] is None:
-        return Solution(status="timeout" if timed_out else "infeasible",
-                        nodes_explored=state["nodes"], wall_time=clock.elapsed())
-    combo_best, box = state["best"]
-    x = choose_point(box, x0)
-    return Solution(
-        status="timeout" if timed_out else "optimal",
-        objective=state["best_dist"],
-        log_objective=None,
-        effort=tuple(0 for _ in range(forest.num_features)),
-        chosen_leaves=dict(enumerate(combo_best)),
-        essential_trees=(),
-        per_tree_value={},
-        x=x,
-        feasible_box=box,
-        nodes_explored=state["nodes"],
-        wall_time=clock.elapsed(),
-    )
+    return _Run(forest, instance, config).finish(
+        lambda run: dfs(run, 0, root, -1, 0.0, _box_distance(x0, root, weights, config.distance)))
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -543,10 +521,11 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
 def brute_force_oracle(forest, instance, table, config) -> Solution:
     """Exhaustive reference: every allocation x every leaf combination.
 
-    Reuses only the shared input check and value definitions (allocation
-    enumeration, path products); the search itself is a plain enumeration
-    of full leaf combinations with empty-box skipping, recomputing
-    objectives from their definitions at every complete combination.
+    Reuses only the shared input check, value definitions (allocation
+    enumeration, path products) and solve record; the search itself is a
+    plain enumeration of full leaf combinations with empty-box skipping,
+    recomputing objectives from their definitions at every complete
+    combination. It has no time limit.
     """
     _check_problem(forest, instance, table, config)
     allocations = list(_allocations(forest, instance))
@@ -558,12 +537,15 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
 
     boxes = _oracle_boxes(forest, instance.epsilon)
     if config.objective == MIN_DISTANCE:
-        return _oracle_min_distance(forest, instance, config, boxes)
+        walk = functools.partial(_oracle_min_distance, forest, instance, config, boxes)
+    else:
+        walk = functools.partial(_oracle_path, forest, instance, table, config, allocations, boxes)
+    return _Run(forest, instance, config).finish(walk)
 
+
+def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> None:
     m = majority_threshold(forest.num_trees)
     target = instance.target_class
-    best_log, best = _NEG_INF, None
-
     for effort in allocations:
         # per-tree leaf probabilities and per-tree robust values, from definitions
         leafprob = [
@@ -605,25 +587,8 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
                 continue
             top = sorted(scored, key=lambda s: (-s[0], s[1]))[:m]
             log_obj = math.fsum(_log(v) for v, _ in top)
-            if log_obj > best_log or best is None:
-                best_log = log_obj
-                best = (effort, combo, [t for _, t in top], [v for v, _ in top], box)
-
-    if best is None:
-        return Solution(status="infeasible")
-    effort, combo, essential, values, box = best
-    x = choose_point(box, instance.x0)
-    return Solution(
-        status="optimal",
-        objective=math.exp(best_log) if best_log > _NEG_INF else 0.0,
-        log_objective=best_log,
-        effort=effort,
-        chosen_leaves=dict(enumerate(combo)),
-        essential_trees=tuple(sorted(essential)),
-        per_tree_value=dict(zip(essential, values)),
-        x=x,
-        feasible_box=box,
-    )
+            if run.best is None or log_obj > run.score:
+                run.keep(log_obj, dict(enumerate(combo)), box, effort, {t: v for v, t in top})
 
 
 def _oracle_boxes(forest, epsilon):
@@ -648,29 +613,15 @@ def _oracle_combinations(forest, boxes):
     return walk(0, [tuple(dom) for dom in forest.domains], [])
 
 
-def _oracle_min_distance(forest, instance, config, boxes) -> Solution:
+def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
     weights = _distance_weights(forest, config)
-    best_dist, best = math.inf, None
     for combo, box in _oracle_combinations(forest, boxes):
         votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
         if not _weighted_vote_ok(forest, votes, instance.target_class):
             continue
         dist = _box_distance(instance.x0, box, weights, config.distance)
-        if dist < best_dist:
-            best_dist, best = dist, (combo, box)
-    if best is None:
-        return Solution(status="infeasible")
-    combo, box = best
-    return Solution(
-        status="optimal",
-        objective=best_dist,
-        effort=tuple(0 for _ in range(forest.num_features)),
-        chosen_leaves=dict(enumerate(combo)),
-        essential_trees=(),
-        per_tree_value={},
-        x=choose_point(box, instance.x0),
-        feasible_box=box,
-    )
+        if run.best is None or dist < run.score:
+            run.keep(dist, dict(enumerate(combo)), box)
 
 
 # --- verification ---------------------------------------------------------------
@@ -769,8 +720,7 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
             if config.objective == KAPPA_PATH and not eligible:
                 failures.append(f"mu eligibility (tree {t})")
             logs.append(_log(value or 0.0))
-        recomputed_log = math.fsum(logs)
-        recomputed = math.exp(recomputed_log) if recomputed_log > _NEG_INF else 0.0
+        recomputed = _exp(math.fsum(logs))
         if not objectives_close(recomputed, solution.objective):
             failures.append("objective mismatch")
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from treeshift import synth_generate
 from treeshift.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
 from treeshift.forest import save_forest
@@ -147,7 +149,7 @@ def test_shift_infeasible_exit_code(tmp_path):
 
 
 def _firefighter_files(tmp_path):
-    """The firefighter forest and table, and a one-row dataset at (0.5, 0.5), as files."""
+    """The firefighter forest and individual 0's table, and a two-row dataset, as files."""
     from treeshift.probability import save_table
 
     forest_path = tmp_path / "f.json"
@@ -155,7 +157,7 @@ def _firefighter_files(tmp_path):
     table_path = tmp_path / "t.json"
     save_table(firefighter_table(), table_path)
     csv_path = tmp_path / "d.csv"
-    csv_path.write_text("S,A,label\n0.5,0.5,0\n")
+    csv_path.write_text("S,A,label\n0.5,0.5,0\n0.4,0.6,0\n")
     schema_path = tmp_path / "s.json"
     schema_path.write_text(json.dumps({"columns": [
         {"name": "S", "kind": "continuous", "mutable": True, "beneficial": "increase"},
@@ -165,11 +167,11 @@ def _firefighter_files(tmp_path):
     return forest_path, table_path, csv_path, schema_path
 
 
-def _firefighter_shift(tmp_path, *extra):
+def _firefighter_shift(tmp_path, *extra, individual="0"):
     forest_path, table_path, csv_path, schema_path = _firefighter_files(tmp_path)
     return main(["shift", "--forest", str(forest_path), "--probs", str(table_path),
                  "--data", str(csv_path), "--schema", str(schema_path),
-                 "--individual", "0", "--objective", "max", "--target-class", "1",
+                 "--individual", individual, "--objective", "max", "--target-class", "1",
                  "--eta", "1", "--E", "1", *extra, "-o", str(tmp_path / "sol.json")])
 
 
@@ -180,6 +182,28 @@ def test_shift_timeout_exit_code(tmp_path):
 def test_shift_nan_epsilon_is_a_usage_error(tmp_path):
     assert _firefighter_shift(tmp_path, "--epsilon", "nan") == EXIT_USAGE
     assert not (tmp_path / "sol.json").exists()
+
+
+def test_shift_rejects_the_table_of_another_individual(tmp_path):
+    # the table on file is individual 0's; row 1 of the data is someone else
+    assert _firefighter_shift(tmp_path, individual="1") == EXIT_USAGE
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("individual", ["-1", "2", "5"])
+def test_shift_individual_outside_the_data_is_a_usage_error(tmp_path, individual):
+    assert _firefighter_shift(tmp_path, individual=individual) == EXIT_USAGE
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("individual", ["-1", "2", "5"])
+def test_probs_individual_outside_the_data_is_a_usage_error(tmp_path, individual):
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    rc = main(["probs", "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), "--individual", individual, "--target-class", "1",
+               "--E", "1", "--n-samples", "10", "-o", str(tmp_path / "probs")])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "probs").exists()
 
 
 def test_probs_negative_effort_level_count_is_a_usage_error(tmp_path):

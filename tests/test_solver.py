@@ -473,3 +473,69 @@ def test_solver_runs_are_deterministic(firefighter, firefighter_instance):
     a = solve_max_path(forest, firefighter_instance, table)
     b = solve_max_path(forest, firefighter_instance, table)
     assert (a.objective, a.effort, a.chosen_leaves, a.x) == (b.objective, b.effort, b.chosen_leaves, b.x)
+
+
+# --- the shape of a Solution, per search and status -------------------------------------
+
+_CONTENT = ("objective", "log_objective", "effort", "chosen_leaves", "essential_trees",
+            "per_tree_value", "x", "feasible_box")
+
+
+def _three_firefighters(forest, table):
+    """Three copies of the firefighter tree whose A rows rank them 2, 0, 1 by value, so the
+    searches meet the essential trees out of index order."""
+    a_rows = {1: {1: (0.1, 0.2), 2: (0.1, 0.2)}, 2: {1: (0.5, 0.9), 2: (0.6, 0.95)}}
+    probs = {(t, node): a_rows.get(t, {}).get(node, row)   # tree 0 and the S rows: the fixture's
+             for t in range(3) for (_, node), row in table.probs.items()}
+    return Forest(forest.trees * 3, forest.feature_metas), NodeProbabilityTable(0, 1, probs)
+
+
+def _all_class_zero():
+    """A one-tree forest whose leaves all predict class 0: class 1 is out of reach."""
+    tree = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 0)])
+    forest = Forest([tree], [FeatureMeta(0, "x", mutable=True, beneficial="increase")])
+    table = NodeProbabilityTable(0, 1, {(0, 0): (0.4, 0.6)})
+    return forest, table, ProblemInstance(x0=(0.5,), target_class=1, eta=1, E=1)
+
+
+@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE])
+@pytest.mark.parametrize("runner, status", [
+    ("solve", "optimal"), ("solve", "infeasible"), ("solve", "timeout"),
+    ("oracle", "optimal"), ("oracle", "infeasible"),
+])
+def test_solution_shape(firefighter, firefighter_instance, objective, runner, status):
+    forest, table = _three_firefighters(*firefighter)
+    instance = firefighter_instance
+    if status == "infeasible":
+        forest, table, instance = _all_class_zero()
+    config = _cfg(objective, kappa=2, mu=0.0, time_limit=0.0 if status == "timeout" else None)
+    if objective == MIN_DISTANCE:
+        table = None
+    if runner == "solve":
+        sol = solve(forest, instance, table, config)
+    else:
+        sol = brute_force_oracle(forest, instance, table, config)
+    assert sol.status == status
+    assert sol.wall_time > 0.0
+    if status != "optimal":   # at limit 0, a timeout stops before any incumbent
+        assert not sol.found
+        assert all(getattr(sol, name) is None for name in _CONTENT)
+        if status == "timeout":
+            # min_distance stops in its root node; the path search stops at the
+            # check before its first allocation, before any DFS node
+            assert sol.nodes_explored == (1 if objective == MIN_DISTANCE else 0)
+        return
+    d = forest.num_features
+    assert sol.found
+    assert len(sol.x) == d and len(sol.feasible_box) == d and len(sol.effort) == d
+    assert sorted(sol.chosen_leaves) == list(range(forest.num_trees))
+    assert sol.essential_trees == tuple(sorted(sol.per_tree_value))
+    assert sol.x == choose_point(sol.feasible_box, instance.x0)
+    if objective == MIN_DISTANCE:
+        assert sol.essential_trees == () and sol.per_tree_value == {}
+        assert sol.effort == (0,) * d
+        assert sol.log_objective is None
+    else:
+        assert len(sol.essential_trees) == 2   # the majority of three trees
+        assert sol.objective == math.exp(sol.log_objective)
+    assert verify_solution(forest, instance, table, sol, config).passed
