@@ -14,15 +14,34 @@ Four objectives over a shared search space:
 
 Probabilistic objectives are solved by enumerating effort allocations
 (outermost; their count is small at the intended scale) and running a
-branch-and-bound over essential-tree sets and leaf choices, pruning with the
-product of the best remaining per-tree values. Feasibility is tested with the
-forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a leaf can join
-the chosen ones iff its bit is set in the AND of their bitsets, and the joint
-box is built only for an incumbent. All accumulation happens in log space.
+branch-and-bound over essential-tree sets and leaf choices. Trees are visited
+by best value first, candidates of a tree by value. Feasibility is tested with
+the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a leaf can
+join the chosen ones iff its bit is set in ``allowed``, the AND of their
+bitsets, and the joint box is built only for an incumbent. All accumulation
+happens in log space, and an incumbent is replaced only by a strictly better
+plan, so among equal plans the first one visited wins. Every cut below drops
+only subtrees with no strictly better plan, so it changes the nodes explored,
+never the answer:
+
+* Forward check: a remaining tree counts toward the bound only if ``allowed``
+  still meets its target leaves. If fewer than the missing votes remain, the
+  node is cut; otherwise the bound adds the best log values of the first
+  qualifying trees to the running log one at a time, in visit order. A
+  completion adds, in the same order, values no higher term by term, and
+  rounding is monotone, so the bound never rounds below a completion's sum
+  and needs no tolerance.
+* Sibling dominance: what a candidate leaves open is ``allowed`` ANDed with
+  its bitset, restricted to the candidate leaves of the trees after it. A
+  candidate that leaves open a subset of what an earlier-tried sibling left
+  open is skipped: that sibling's value is no lower, so each completion of
+  the skipped one is matched, term by term, by a completion visited earlier.
+* ``solve_min_distance`` has its own box and vote-counting bounds.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -72,7 +91,7 @@ class SolverConfig:
     positive_leaves_only: bool = False    # sort only target-class leaves for the order statistic
     distance: str = "l1"                  # l1 | l2 | linf
     distance_weights: tuple[float, ...] | None = None
-    time_limit: float | None = None
+    time_limit: float | None = None      # seconds; None or inf: no limit
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -89,6 +108,8 @@ class SolverConfig:
             not (math.isfinite(w) and w >= 0.0) for w in self.distance_weights
         ):
             raise ValueError("distance_weights must be finite and nonnegative")
+        if self.time_limit is not None and not self.time_limit > 0.0:   # also rejects NaN
+            raise ValueError("time_limit must be positive; None or inf sets no limit")
 
 
 @dataclass
@@ -243,6 +264,13 @@ def _allocations(forest: Forest, instance: ProblemInstance):
     return enumerate_effort_allocations(forest.num_features, instance.E, instance.eta, mask)
 
 
+def _add_up(cur_log: float, logs) -> float:
+    """cur_log plus these log values, added one at a time in the order given."""
+    for log_value in logs:
+        cur_log += log_value
+    return cur_log
+
+
 def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value > _NEG_INF else 0.0
 
@@ -356,29 +384,42 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                 per_tree.append([(value, l) for l in sorted(positive)])
         return per_tree
 
+    # per tree, the bits of its target leaves (its candidates): the tree can still vote
+    # target iff the running ``allowed`` meets this mask
+    target_mask = [sum(bit[t][leaf] for leaf, _ in compiled[t]) for t in range(forest.num_trees)]
+
     def search_allocation(effort, run):
         per_tree = candidates(effort)
         cand_trees = [t for t, c in enumerate(per_tree) if c]
         if len(cand_trees) < m:
             return
         order = sorted(cand_trees, key=lambda t: (-per_tree[t][0][0], t))
-        n = len(order)
-        prefix_log = [0.0] * (n + 1)
-        prefix_zero = [0] * (n + 1)
-        for i, t in enumerate(order):
-            v = per_tree[t][0][0]
-            prefix_log[i + 1] = prefix_log[i] + (math.log(v) if v > 0 else 0.0)
-            prefix_zero[i + 1] = prefix_zero[i] + (0 if v > 0 else 1)
-
-        def top_sum(i, k):
-            if k == 0:
-                return 0.0
-            if prefix_zero[i + k] - prefix_zero[i]:
-                return _NEG_INF
-            return prefix_log[i + k] - prefix_log[i]
-
-        if run.best is not None and top_sum(0, m) <= run.score:
+        best_log = [_log(per_tree[t][0][0]) for t in order]
+        if run.best is not None and _add_up(0.0, best_log[:m]) <= run.score:
             return
+        n = len(order)
+        masks = [target_mask[t] for t in order]
+        rows = list(zip(masks, best_log))
+
+        def forward_check(i, need, allowed, cur_log):
+            """The best log values of the first ``need`` trees from position i that still
+            have an allowed leaf, or None if fewer trees have one or if cur_log plus those
+            values, added one at a time, cannot beat the incumbent."""
+            logs = []
+            for mask, log_value in itertools.islice(rows, i, None):
+                if allowed & mask:
+                    logs.append(log_value)
+                    cur_log += log_value
+                    need -= 1
+                    if not need:
+                        return logs if run.best is None or cur_log > run.score else None
+            return None
+
+        # later[i]: the bits of the candidate leaves of the trees after position i, the
+        # only bits the search below position i still reads
+        later = [0] * n
+        for i in range(n - 1, 0, -1):
+            later[i - 1] = later[i] | masks[i]
         # per tree: (value, log value, leaf, its bit, its compatible leaves), built when the
         # search first reaches the tree, so logs are taken only where candidates can be visited
         cands = [None] * n
@@ -393,24 +434,31 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                              boxes_intersect([geometry.boxes[t][leaf] for t, leaf, _ in chosen]),
                              effort, {t: v for t, _, v in chosen})
                 return
-            if n - i < m - k:
+            logs = forward_check(i, m - k, allowed, cur_log)
+            if logs is None:
                 return
-            need = m - k
-            if run.best is not None and cur_log + top_sum(i, need) <= run.score:
-                return
+            while not allowed & masks[i]:
+                i += 1   # a tree with no allowed leaf left can only be passed over
             t = order[i]
             if cands[i] is None:
                 cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf])
                             for v, leaf in per_tree[t]]
-            rest = top_sum(i + 1, need - 1)
+            rest = logs[1:]   # logs[0] is tree i's own best value
+            left_open = []   # what each sibling tried so far leaves open
             for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:
-                if run.best is not None and cur_log + log_value + rest <= run.score:
+                if run.best is not None and _add_up(cur_log + log_value, rest) <= run.score:
                     break  # candidates sorted by value: the rest can only do worse
                 if not allowed & leaf_bit:
                     continue
-                chosen.append((t, leaf, value))
-                dfs(i + 1, k + 1, allowed & leaf_compatible, cur_log + log_value)
-                chosen.pop()
+                child = allowed & leaf_compatible & later[i]
+                for seen in left_open:
+                    if child | seen == seen:
+                        break  # an earlier sibling, no lower in value, left all of this open
+                else:
+                    left_open.append(child)
+                    chosen.append((t, leaf, value))
+                    dfs(i + 1, k + 1, child, cur_log + log_value)
+                    chosen.pop()
             dfs(i + 1, k, allowed, cur_log)
 
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
@@ -467,11 +515,24 @@ def _weighted_vote_ok(forest, votes, target) -> bool:
 def solve_min_distance(forest, instance, config=None) -> Solution:
     """Closest point (weighted L1/L2/Linf) classified into the target class.
 
-    Branch and bound over full leaf combinations; the bound is the distance
-    from x0 to its clamp onto the running box, which only grows as trees are
-    assigned. A leaf is tried only if the leaf bitsets allow it, so every
-    box built is nonempty. x is the clamp onto the final box (the exact
-    minimizer).
+    Branch and bound over full leaf combinations, tree by tree, nearest child
+    first. A leaf is tried only if the leaf bitsets allow it, so every box
+    built is nonempty. x is the clamp of x0 onto the final box (the exact
+    minimizer). A node is cut when no completion can be strictly nearer than
+    the incumbent, so ties keep the first optimum visited:
+
+    * Box bound: the distance from x0 to the running box. Boxes only shrink
+      along the search, and intersection, clamping, |a - b|, weighting, fsum,
+      sqrt and max are each monotone in floating point, so no completion's
+      computed distance is lower.
+    * Vote bound, while target votes are missing: a remaining tree can supply
+      its vote only through an allowed target leaf, and the final box lies in
+      the running box intersected with that leaf. If the trees that have such
+      a leaf nearer to x0 than the incumbent (any such leaf, without an
+      incumbent) cannot make ``_target_wins`` true, the node is cut. Their
+      weights are added in tree order from the running target weight, as the
+      final vote adds them; adding a nonnegative weight never lowers a float
+      sum, so no subset of them can win where all of them do not.
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
@@ -479,10 +540,21 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     x0, target = instance.x0, instance.target_class
     boxes, bit, compatible = forest.leaf_geometry(instance.epsilon)
     R = forest.num_trees
-    suffix_weight = [0.0] * (R + 1)
-    for t in range(R - 1, -1, -1):
-        suffix_weight[t] = suffix_weight[t + 1] + forest.trees[t].weight
+    total = 0.0
+    for tree in reversed(forest.trees):
+        total += tree.weight
+    target_leaves = [[(bit[u][leaf_id], boxes[u][leaf_id]) for leaf_id, leaf in tree.leaves.items()
+                      if leaf.predicted_class == target] for u, tree in enumerate(forest.trees)]
     combo: list[int] = []
+
+    def could_vote(run, u, box, allowed):
+        """Has tree u an allowed target leaf whose box meets the running box closer to x0
+        than the incumbent?"""
+        for leaf_bit, target_box in target_leaves[u]:
+            if allowed & leaf_bit and (run.best is None or _box_distance(
+                    x0, _intersect(box, target_box), weights, config.distance) < run.score):
+                return True
+        return False
 
     def dfs(run, t, box, allowed, w_target, dist):
         run.nodes += 1
@@ -490,13 +562,20 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         if run.best is not None and dist >= run.score:
             return
         if t == R:
-            if _target_wins(w_target, suffix_weight[0] - w_target, target):
+            if _target_wins(w_target, total - w_target, target):
                 run.keep(dist, dict(enumerate(combo)), box)
             return
-        # even if every remaining tree votes target, can the majority work out?
-        optimistic = w_target + suffix_weight[t]
-        if not _target_wins(optimistic, suffix_weight[0] - optimistic, target):
-            return
+        if not _target_wins(w_target, total - w_target, target):
+            # target votes are missing: count the trees that can still vote target closer
+            # to x0 than the incumbent, adding their weights in tree order like the final vote
+            w = w_target
+            for u in range(t, R):
+                if could_vote(run, u, box, allowed):
+                    w += forest.trees[u].weight
+                    if _target_wins(w, total - w, target):
+                        break
+            else:
+                return
         children = []
         for leaf_id, leaf in forest.trees[t].leaves.items():
             if not allowed & bit[t][leaf_id]:

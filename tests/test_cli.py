@@ -176,7 +176,14 @@ def _firefighter_shift(tmp_path, *extra, individual="0"):
 
 
 def test_shift_timeout_exit_code(tmp_path):
-    assert _firefighter_shift(tmp_path, "--time-limit", "0") == EXIT_TIMEOUT
+    assert _firefighter_shift(tmp_path, "--time-limit", "1e-9") == EXIT_TIMEOUT
+
+
+@pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+def test_shift_time_limit_that_is_not_positive_is_a_usage_error(tmp_path, capsys, limit):
+    assert _firefighter_shift(tmp_path, "--time-limit", limit) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_shift_nan_epsilon_is_a_usage_error(tmp_path):

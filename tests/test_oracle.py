@@ -4,12 +4,13 @@ The acceptance module runs the full 100-seed version with timing; this keeps
 a quick slice in the regular suite so solver regressions surface fast.
 """
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
-                       NodeProbabilityTable, ProblemInstance, SolverConfig,
-                       brute_force_oracle, leaf_of, objectives_close, solve,
+from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
+                       Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance, SolverConfig,
+                       Tree, brute_force_oracle, leaf_of, objectives_close, solve,
                        solve_min_distance, verify_solution)
 
 from helpers import (assert_matches_oracle, make_random_instance,
@@ -83,6 +84,37 @@ def test_min_distance_weighted_matches_oracle(seed):
         assert objectives_close(sol.objective, oracle.objective)
         verdict = verify_solution(forest, instance, None, sol, config)
         assert verdict.passed, verdict.failures
+
+
+def _heavy_and_light_trees():
+    """Trees 0-3 (weight 1) vote 1 from x0 >= 0.3, x1 >= 0.3, x0 >= 0.35 and x1 >= 0.35;
+    tree 4 (weight 3) votes 1 from x0 >= 0.9. Class 1 needs 4 of the 7 votes, so from
+    (0.1, 0.1) the light trees are the cheapest votes, and only all four of them win."""
+    metas = [FeatureMeta(j, f"x{j}", mutable=True, beneficial="increase") for j in range(2)]
+    splits = [(0, 0.3, 1.0), (1, 0.3, 1.0), (0, 0.35, 1.0), (1, 0.35, 1.0), (0, 0.9, 3.0)]
+    trees = [Tree(0, [Node(0, j, threshold, 1, 2)], [Leaf(1, 0), Leaf(2, 1)], weight=w)
+             for j, threshold, w in splits]
+    return Forest(trees, metas)
+
+
+@pytest.mark.parametrize("distance, expected", [
+    ("l1", 0.5), ("l2", 0.25 * 2 ** 0.5), ("linf", 0.25)])
+def test_min_distance_vote_bound_counts_several_light_trees(distance, expected):
+    case = SimpleNamespace(seed="heavy and light", forest=_heavy_and_light_trees(), table=None,
+                           instance=ProblemInstance(x0=(0.1, 0.1), target_class=1, eta=0, E=0))
+    sol, _ = assert_matches_oracle(case, MIN_DISTANCE, distance=distance)
+    assert sol.objective == pytest.approx(expected, abs=1e-9)
+    assert sol.x == pytest.approx((0.35, 0.35), abs=1e-9)
+    assert sol.chosen_leaves == {0: 2, 1: 2, 2: 2, 3: 2, 4: 1}
+    # Nodes (children nearest first, the vote needs weight 4): 1 root; 2 tree 0 votes 0,
+    # cut: trees 2 and 4 can no longer vote 1, so trees 1 and 3 bring weight 2 at most;
+    # 3 tree 0 votes 1; 4 tree 1 votes 0; 5 tree 2 votes 0, cut (only weight 1 left);
+    # 6 tree 2 votes 1; 7 tree 3 votes 0; 8 tree 4 votes 0 (a leaf, vote lost); 9 tree 4
+    # votes 1: incumbent at x = (0.9, 0.1); 10 tree 1 votes 1; 11 tree 2 votes 0, cut (tree
+    # 4 cannot vote 1, weight 3 at most); 12 tree 2 votes 1; 13 tree 3 votes 0, cut: tree
+    # 4 can vote 1 only at the incumbent's distance or more; 14 tree 3 votes 1, the vote
+    # is won; 15 tree 4 votes 0: the optimum; 16 tree 4 votes 1, cut by its distance.
+    assert sol.nodes_explored == 16
 
 
 def _e0_table(table):

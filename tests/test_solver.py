@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,8 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
 from treeshift.solver import _tree_value
+
+from helpers import assert_matches_oracle
 
 TOL = 1e-9
 
@@ -43,6 +46,28 @@ def test_config_accepts_kappa_fraction_one():
 def test_config_rejects_bad_distance_weights(weights):
     with pytest.raises(ValueError):
         _cfg(MIN_DISTANCE, distance_weights=weights)
+
+
+@pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+def test_config_rejects_time_limit_that_is_not_positive(limit):
+    with pytest.raises(ValueError, match="time_limit"):
+        _cfg(MAX_PATH, time_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0])
+def test_solve_rejects_nan_and_negative_time_limit(firefighter, firefighter_instance, limit):
+    # NaN never compares greater, so it used to run unlimited; -1 used to time out at once
+    forest, table = firefighter
+    with pytest.raises(ValueError, match="time_limit"):
+        solve(forest, firefighter_instance, table, _cfg(MAX_PATH, time_limit=limit))
+
+
+def test_infinite_time_limit_is_no_limit(firefighter, firefighter_instance):
+    forest, table = firefighter
+    unlimited = solve(forest, firefighter_instance, table, _cfg(MAX_PATH))
+    sol = solve(forest, firefighter_instance, table, _cfg(MAX_PATH, time_limit=math.inf))
+    assert sol.status == "optimal"
+    assert sol.to_dict() | {"wall_time": 0.0} == unlimited.to_dict() | {"wall_time": 0.0}
 
 
 def test_zero_distance_weight_is_accepted(firefighter):
@@ -258,10 +283,10 @@ def test_oracle_refuses_above_cap(firefighter, firefighter_instance, monkeypatch
         brute_force_oracle(forest, firefighter_instance, table, _cfg(MAX_PATH))
 
 
-def test_zero_time_limit_reports_timeout(firefighter, firefighter_instance):
+def test_tiny_time_limit_reports_timeout(firefighter, firefighter_instance):
     forest, table = firefighter
     sol = solve_max_path(forest, firefighter_instance, table,
-                         _cfg(MAX_PATH, time_limit=0.0))
+                         _cfg(MAX_PATH, time_limit=1e-9))
     assert sol.status == "timeout"
 
 
@@ -286,6 +311,67 @@ def test_tree_without_target_leaf_has_no_value(objective):
     config = _cfg(objective, mu=0.0)
     assert solve(forest, instance, table, config).status == "infeasible"
     assert brute_force_oracle(forest, instance, table, config).status == "infeasible"
+
+
+# --- pruning in the path search: forward checking and sibling dominance -----------------
+
+
+def _one_feature_forest(*trees):
+    """Trees over one feature x in [0, 1], each given as (nodes, leaves, right-branch
+    probabilities per node); the table has one effort level, so eta = E = 0."""
+    meta = [FeatureMeta(0, "x", mutable=True, beneficial="increase")]
+    forest = Forest([Tree(0, nodes, leaves) for nodes, leaves, _ in trees], meta)
+    table = NodeProbabilityTable(0, 0, {(t, node): (p,) for t, (_, _, probs) in enumerate(trees)
+                                        for node, p in probs.items()})
+    return forest, table
+
+
+def _path_case(forest, table):
+    instance = ProblemInstance(x0=(0.65,), target_class=1, eta=0, E=0)
+    return SimpleNamespace(seed="hand-built", forest=forest, table=table, instance=instance)
+
+
+def test_sibling_dominated_by_an_earlier_leaf_is_skipped():
+    # tree 0: a = [0, 0.3) and b = [0.3, 0.6) vote 1 with path probability 0.45 each, x >= 0.6
+    #   votes 0; tree 1: c = [0.6, 1] votes 1 (0.4); tree 2: e1 = [0, 0.2) (0.3) and
+    #   e2 = [0.2, 1] (0.7) vote 1. min_path values 0.45 > 0.4 > 0.3, so the search order is
+    #   0, 1, 2; two of three trees must vote 1. c meets neither a nor b; a meets e1 and e2,
+    #   b meets only e2, so b leaves open a subset of what a leaves open.
+    forest, table = _one_feature_forest(
+        ([Node(0, 0, 0.6, 1, 2), Node(1, 0, 0.3, 3, 4)], [Leaf(2, 0), Leaf(3, 1), Leaf(4, 1)],
+         {0: 0.1, 1: 0.5}),
+        ([Node(0, 0, 0.6, 1, 2)], [Leaf(1, 0), Leaf(2, 1)], {0: 0.4}),
+        ([Node(0, 0, 0.2, 1, 2)], [Leaf(1, 1), Leaf(2, 1)], {0: 0.7}),
+    )
+    sol, _ = assert_matches_oracle(_path_case(forest, table), MIN_PATH)
+    assert sol.objective == pytest.approx(0.45 * 0.3, abs=TOL)
+    assert sol.essential_trees == (0, 2)
+    assert (sol.chosen_leaves[0], sol.chosen_leaves[2]) == (3, 1)   # a and e1, the first visited
+    # Nodes: 1 the root; 2 a, where tree 1 has no allowed leaf and is passed over; 3 a + e1,
+    # the incumbent 0.45 * 0.3 (e2 then fails the bound); 4 a with tree 2 excluded, cut as
+    # no tree is left. b still passes the bound 0.45 * 0.4 > 0.135 but is dominated by a, so
+    # its two nodes are never made. 5 tree 0 excluded: 0.4 * 0.3 cannot beat 0.135.
+    assert sol.nodes_explored == 5
+
+
+def test_forward_check_cuts_a_leaf_that_empties_the_other_trees():
+    # tree 0: a = [0, 0.5) votes 1 with 0.7 and b = [0.5, 1] with 0.3; trees 1 and 2 vote 1
+    #   only on [0.5, 1], with 0.6 and 0.4. Two of three must vote 1. Including a leaves no
+    #   allowed leaf in trees 1 and 2, so that node is cut at once.
+    half = [Node(0, 0, 0.5, 1, 2)]
+    forest, table = _one_feature_forest(
+        (half, [Leaf(1, 1), Leaf(2, 1)], {0: 0.3}),
+        (half, [Leaf(1, 0), Leaf(2, 1)], {0: 0.6}),
+        (half, [Leaf(1, 0), Leaf(2, 1)], {0: 0.4}),
+    )
+    sol, _ = assert_matches_oracle(_path_case(forest, table), MAX_PATH)
+    assert sol.objective == pytest.approx(0.6 * 0.4, abs=TOL)
+    assert sol.essential_trees == (1, 2)
+    # Nodes: 1 the root; 2 a, cut by the forward check; 3 b; 4 b + c, incumbent 0.18;
+    # 5 b with tree 1 excluded, 0.3 * 0.4 cut; 6 tree 0 excluded, bound 0.24; 7 c;
+    # 8 c + e, incumbent 0.24; 9 c with tree 2 excluded, no tree left; 10 trees 0 and 1
+    # excluded, one tree left.
+    assert sol.nodes_explored == 10
 
 
 # --- min distance ---------------------------------------------------------------------
@@ -508,7 +594,7 @@ def test_solution_shape(firefighter, firefighter_instance, objective, runner, st
     instance = firefighter_instance
     if status == "infeasible":
         forest, table, instance = _all_class_zero()
-    config = _cfg(objective, kappa=2, mu=0.0, time_limit=0.0 if status == "timeout" else None)
+    config = _cfg(objective, kappa=2, mu=0.0, time_limit=1e-9 if status == "timeout" else None)
     if objective == MIN_DISTANCE:
         table = None
     if runner == "solve":
@@ -517,7 +603,7 @@ def test_solution_shape(firefighter, firefighter_instance, objective, runner, st
         sol = brute_force_oracle(forest, instance, table, config)
     assert sol.status == status
     assert sol.wall_time > 0.0
-    if status != "optimal":   # at limit 0, a timeout stops before any incumbent
+    if status != "optimal":   # at a 1 ns limit, a timeout stops before any incumbent
         assert not sol.found
         assert all(getattr(sol, name) is None for name in _CONTENT)
         if status == "timeout":
