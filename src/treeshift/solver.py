@@ -15,7 +15,10 @@ Four objectives over a shared search space:
 Probabilistic objectives are solved by enumerating effort allocations
 (outermost; their count is small at the intended scale) and running a
 branch-and-bound over essential-tree sets and leaf choices. Trees are visited
-by best value first, candidates of a tree by value. Feasibility is tested with
+by best value first, candidates of a tree by value. Each allocation's path
+probabilities come from one numpy gather over every target leaf, multiplied
+root to leaf in the order ``path_probability`` uses, so they are bit-identical
+to it (``_path_products``). Feasibility is tested with
 the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a leaf can
 join the chosen ones iff its bit is set in ``allowed``, the AND of their
 bitsets, and the joint box is built only for an incumbent. All accumulation
@@ -43,8 +46,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field, asdict
+
+import numpy as np
 
 from .forest import (DEFAULT_EPSILON, Forest, _intersect, _target_wins, boxes_intersect,
                      leaf_box, leaf_of)
@@ -64,6 +70,14 @@ class _Timeout(Exception):
     pass
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (numpy integers pass, 1.0 and 1.5 do not)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     x0: tuple[float, ...]
@@ -76,6 +90,8 @@ class ProblemInstance:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.target_class not in (0, 1):
             raise ValueError("target_class must be 0 or 1")
+        _check_count("eta", self.eta)
+        _check_count("E", self.E)
         if self.eta < 0 or self.E < 0:
             raise ValueError("eta and E must be nonnegative")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -96,6 +112,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        _check_count("kappa", self.kappa)
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.kappa_fraction is not None and not 0.0 < self.kappa_fraction <= 1.0:
@@ -180,6 +197,47 @@ def path_probability(forest: Forest, tree_index: int, leaf_id: int,
         p = table.right_prob(tree_index, node_id, effort[node.feature])
         prob *= p if went_right else 1.0 - p
     return prob
+
+
+def _path_products(forest: Forest, table: NodeProbabilityTable, leaves):
+    """A function of the effort vector: per tree, the path probabilities of its ids in
+    ``leaves`` (one list of leaf ids per tree), bit-for-bit ``path_probability``'s.
+
+    ``q[l, k, e]`` is step k of leaf l's path at effort level e (``row[e]`` going right,
+    ``1.0 - row[e]`` going left, 1.0 past the path's end) and ``feat[l, k]`` the step's
+    feature, so an effort costs one gather and one product per step, root to leaf.
+    """
+    depth = max([1] + [forest.trees[t].depth for t, ids in enumerate(leaves) if ids])
+    width = table.E + 1
+    rows, feat, right = [], [], []
+    for t, ids in enumerate(leaves):
+        tree = forest.trees[t]
+        for leaf in ids:
+            path = tree.paths[leaf]
+            for node_id, went_right in path:
+                rows.append(table.probs[(t, node_id)])
+                feat.append(tree.nodes[node_id].feature)
+                right.append(went_right)
+            pad = depth - len(path)
+            rows += [(1.0,) * width] * pad
+            feat += [0] * pad
+            right += [True] * pad
+    rows = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    rows = rows.reshape(-1, width)
+    q = np.where(np.array(right, dtype=bool)[:, None], rows, 1.0 - rows).reshape(-1)
+    feat = np.array(feat, dtype=np.intp).reshape(-1, depth)
+    base = np.arange(feat.size, dtype=np.intp).reshape(feat.shape) * width
+    bounds = list(itertools.pairwise(itertools.accumulate(map(len, leaves), initial=0)))
+
+    def probs(effort) -> list[list[float]]:
+        steps = q[base + np.asarray(effort, dtype=np.intp)[feat]]
+        prob = steps[:, 0].copy()
+        for k in range(1, depth):
+            prob *= steps[:, k]   # elementwise, in path order: no reduction reorders it
+        flat = prob.tolist()
+        return [flat[a:b] for a, b in bounds]
+
+    return probs
 
 
 def _resolve_kappa(config: SolverConfig, n_leaves: int) -> int:
@@ -348,53 +406,26 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     m = majority_threshold(forest.num_trees)
     geometry = forest.leaf_geometry(instance.epsilon)
     bit, compatible = geometry.bit, geometry.compatible
-    # bind table rows once, for target-class leaves only: the other leaves
-    # enter the per-tree values as 1.0 caps, never through a path product
-    compiled = [
-        [(leaf_id, tuple((table.probs[(t, node_id)], tree.nodes[node_id].feature, right)
-                         for node_id, right in tree.paths[leaf_id]))
-         for leaf_id, leaf in tree.leaves.items()
-         if leaf.predicted_class == instance.target_class]
-        for t, tree in enumerate(forest.trees)
-    ]
-
-    def leaf_probs(t, effort):
-        """Path probabilities of tree t's target-class leaves, multiplied root to leaf."""
-        out = {}
-        for leaf_id, steps in compiled[t]:
-            prob = 1.0
-            for row, feature, went_right in steps:
-                p = row[effort[feature]]
-                prob *= p if went_right else 1.0 - p
-            out[leaf_id] = prob
-        return out
-
-    def candidates(effort):
-        """Per-tree candidate (value, leaf) lists for one allocation (None: tree unusable)."""
-        per_tree = []
-        for t, tree in enumerate(forest.trees):
-            positive = leaf_probs(t, effort)
-            value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
-            if not eligible:
-                per_tree.append(None)
-            elif config.objective == MAX_PATH:
-                per_tree.append(sorted(((p, l) for l, p in positive.items()),
-                                       key=lambda c: (-c[0], c[1])))
-            else:
-                per_tree.append([(value, l) for l in sorted(positive)])
-        return per_tree
-
+    # only target-class leaves bind table rows: the other leaves enter the per-tree
+    # values as 1.0 caps, never through a path product
+    target = [sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
+                     if leaf.predicted_class == instance.target_class) for tree in forest.trees]
+    leaf_probs = _path_products(forest, table, target)
     # per tree, the bits of its target leaves (its candidates): the tree can still vote
     # target iff the running ``allowed`` meets this mask
-    target_mask = [sum(bit[t][leaf] for leaf, _ in compiled[t]) for t in range(forest.num_trees)]
+    target_mask = [sum(bit[t][leaf] for leaf in target[t]) for t in range(forest.num_trees)]
 
     def search_allocation(effort, run):
-        per_tree = candidates(effort)
-        cand_trees = [t for t, c in enumerate(per_tree) if c]
-        if len(cand_trees) < m:
+        probs = leaf_probs(effort)
+        values = {}   # tree -> its value, for the trees that can vote target
+        for t, tree in enumerate(forest.trees):
+            value, eligible = _tree_value(probs[t], len(tree.leaves), config)
+            if eligible:
+                values[t] = value
+        if len(values) < m:
             return
-        order = sorted(cand_trees, key=lambda t: (-per_tree[t][0][0], t))
-        best_log = [_log(per_tree[t][0][0]) for t in order]
+        order = sorted(values, key=lambda t: (-values[t], t))
+        best_log = [_log(values[t]) for t in order]
         if run.best is not None and _add_up(0.0, best_log[:m]) <= run.score:
             return
         n = len(order)
@@ -420,8 +451,9 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         later = [0] * n
         for i in range(n - 1, 0, -1):
             later[i - 1] = later[i] | masks[i]
-        # per tree: (value, log value, leaf, its bit, its compatible leaves), built when the
-        # search first reaches the tree, so logs are taken only where candidates can be visited
+        # per tree, its candidates as (value, log value, leaf, its bit, its compatible leaves):
+        # max_path by (-p, leaf), the others (value, leaf) by leaf id; built when the search
+        # first reaches the tree, so only trees the search visits are sorted and logged
         cands = [None] * n
         chosen: list[tuple[int, int, float]] = []
 
@@ -441,8 +473,11 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                 i += 1   # a tree with no allowed leaf left can only be passed over
             t = order[i]
             if cands[i] is None:
-                cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf])
-                            for v, leaf in per_tree[t]]
+                if config.objective == MAX_PATH:
+                    pairs = sorted(zip(probs[t], target[t]), key=lambda c: (-c[0], c[1]))
+                else:
+                    pairs = [(values[t], leaf) for leaf in target[t]]
+                cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf]) for v, leaf in pairs]
             rest = logs[1:]   # logs[0] is tree i's own best value
             left_open = []   # what each sibling tried so far leaves open
             for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
@@ -36,6 +37,31 @@ def test_instance_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
 def test_config_rejects_kappa_fraction_outside_unit_interval(fraction):
     with pytest.raises(ValueError):
         _cfg(KAPPA_PATH, kappa_fraction=fraction)
+
+
+@pytest.mark.parametrize("kappa", [1.5, 2.0, "2"])
+def test_config_rejects_kappa_that_is_not_an_integer(kappa):
+    # 1.5 used to be accepted and end in a TypeError inside the per-tree value rule
+    with pytest.raises(ValueError, match="kappa"):
+        _cfg(KAPPA_PATH, kappa=kappa)
+
+
+@pytest.mark.parametrize("field", ["eta", "E"])
+@pytest.mark.parametrize("value", [1.5, 1.0])
+def test_instance_rejects_counts_that_are_not_integers(field, value):
+    # used to be accepted and end in a TypeError inside the allocation enumeration
+    counts = {"eta": 1, "E": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ProblemInstance(x0=(0.5, 0.5), target_class=1, **counts)
+
+
+def test_numpy_integer_counts_are_accepted(firefighter, firefighter_instance):
+    forest, table = firefighter
+    instance = ProblemInstance(x0=(0.5, 0.5), target_class=1, eta=np.int64(1), E=np.int32(1))
+    config = _cfg(KAPPA_PATH, kappa=np.int64(2))
+    assert (solve(forest, instance, table, config).to_dict() | {"wall_time": 0.0}
+            == solve(forest, firefighter_instance, table, _cfg(KAPPA_PATH, kappa=2)).to_dict()
+            | {"wall_time": 0.0})
 
 
 def test_config_accepts_kappa_fraction_one():
