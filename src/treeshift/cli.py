@@ -65,8 +65,9 @@ def _load_pipeline_inputs(args):
     forest = load_forest(args.forest)
     schema = DatasetSchema.from_json(args.schema)
     dataset = load_csv(args.data, schema)
-    if dataset.num_features != forest.num_features:
-        raise ValueError("data and forest disagree on the feature count")
+    if dataset.feature_metas != forest.feature_metas:
+        raise ValueError("the schema's features differ from the forest's (count, name, kind, "
+                         "mutability or direction)")
     return forest, dataset
 
 

@@ -73,15 +73,14 @@ def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
     percentage of replications landing in the target class, averaged over
     individuals.
     """
+    rules = spec.rules(forest)
     effort_set = set(effort_features)
     out_of_range = sorted(j for j in effort_set if not 0 <= j < forest.num_features)
     if out_of_range:
         raise ValueError(f"effort features {out_of_range} outside 0..{forest.num_features - 1}")
-    immutable_with_effort = [
-        j for j in effort_set if not spec.features[j].effort_perturbable
-    ]
-    if immutable_with_effort:
-        raise ValueError(f"effort on non-effort-perturbable features {immutable_with_effort}")
+    no_effort = sorted(j for j in effort_set if not rules[j][1])
+    if no_effort:
+        raise ValueError(f"effort on features {no_effort}, which cannot take effort")
     metas = forest.feature_metas
 
     def draw(j, value, rng):
@@ -94,20 +93,20 @@ def feasible_baseline(forest: Forest, cohort, target_class: int,
                       spec: PerturbationSpec, n_reps: int = 100, seed: int = 0) -> SimulationResult:
     """Upper-bound run: maximal favorable shift on every feature.
 
-    Continuous effort-perturbable features move deterministically by
+    Continuous features that take effort move deterministically by
      1.5 sigma (the full effort-draw support) in their beneficial direction;
     binary ones keep the stochastic effort flip; everything else gets its
     plain no-effort perturbation. Streams are keyed like simulate_cohort's,
     with a tag of their own.
     """
-    metas = forest.feature_metas
+    metas, rules = forest.feature_metas, spec.rules(forest)
 
     def draw(j, value, rng):
-        meta, fp = metas[j], spec.features[j]
-        if fp.effort_perturbable and meta.kind != BINARY:
-            delta = spec.scale_for(1) * fp.sigma
+        meta, takes_effort = metas[j], rules[j][1]
+        if takes_effort and meta.kind != BINARY:
+            delta = spec.scale_for(1) * spec.features[j].sigma
             shifted = value + (delta if meta.beneficial == "increase" else -delta)
             return np.full(n_reps, min(max(shifted, meta.lo), meta.hi))
-        return _perturb_samples(value, meta, spec, int(fp.effort_perturbable), rng, n_reps)
+        return _perturb_samples(value, meta, spec, int(takes_effort), rng, n_reps)
 
     return _simulate(forest, cohort, target_class, n_reps, seed, draw, 0xBA5E)

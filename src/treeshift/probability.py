@@ -26,75 +26,66 @@ class TableFormatError(ValueError):
 
 @dataclass
 class FeaturePerturbation:
-    """Per-feature parameters of the change model."""
+    """Per-feature parameters of the change model; see :func:`change_rule`."""
 
     sigma: float | None = None        # continuous: no-effort draws are U[0, sigma]
     p_majority: float | None = None   # binary: majority-class frequency, in [0.5, 1]
-    no_effort_perturbable: bool = True
-    effort_perturbable: bool = True
+
+    def __post_init__(self):
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.p_majority is not None and not 0.5 <= self.p_majority <= 1.0:
+            raise ValueError(f"p_majority must be in [0.5, 1], got {self.p_majority}")
+
+
+def change_rule(meta: FeatureMeta, fp: FeaturePerturbation) -> tuple[bool, bool]:
+    """(moves, takes effort): the change model's one per-feature rule. A feature moves
+    iff the spec gives its kind's parameter (``sigma`` if continuous, ``p_majority``
+    if binary); it takes effort iff it moves and its FeatureMeta is mutable."""
+    moves = (fp.sigma if meta.kind == CONTINUOUS else fp.p_majority) is not None
+    return moves, moves and meta.mutable
 
 
 @dataclass
 class PerturbationSpec:
     features: list[FeaturePerturbation]
-    feature_metas: list[FeatureMeta]
     num_samples: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-        if len(self.features) != len(self.feature_metas):
-            raise ValueError("one FeaturePerturbation per feature required")
-        for fp, meta in zip(self.features, self.feature_metas):
-            perturbable = fp.no_effort_perturbable or fp.effort_perturbable
-            if meta.kind == CONTINUOUS and perturbable:
-                if fp.sigma is None or fp.sigma <= 0:
-                    raise ValueError(f"feature {meta.name}: sigma must be positive")
-            if meta.kind == BINARY and perturbable:
-                if fp.p_majority is None or not 0.5 <= fp.p_majority <= 1.0:
-                    raise ValueError(f"feature {meta.name}: p_majority must be in [0.5, 1]")
-            if fp.effort_perturbable and meta.beneficial == "none":
-                raise ValueError(f"feature {meta.name}: effort needs a beneficial direction")
+
+    def rules(self, forest: Forest) -> list[tuple[bool, bool]]:
+        """:func:`change_rule` of every forest feature, in feature order."""
+        if len(self.features) != forest.num_features:
+            raise ValueError("the spec needs one FeaturePerturbation per forest feature")
+        return [change_rule(m, fp) for m, fp in zip(forest.feature_metas, self.features)]
 
     def scale_for(self, effort: int) -> float:
         return 1.0 + (EFFORT_SCALE - 1.0) * effort
 
-    def flip_probability(self, feature: int, effort: int) -> float:
-        p = self.features[feature].p_majority
-        return max(1.0 - p, min(1.0, EFFORT_FLOOR * effort))
-
     @staticmethod
     def from_dataset(train_split: Dataset, num_samples: int = 1000,
                      seed: int = 0) -> "PerturbationSpec":
-        """Build the change model from training-split statistics."""
+        """Build the change model from training-split statistics (no spread: no sigma)."""
         sigmas = train_split.feature_sigmas()
-        feats = []
-        for j, meta in enumerate(train_split.feature_metas):
-            if meta.kind == BINARY:
-                feats.append(FeaturePerturbation(
-                    p_majority=train_split.binary_majority_freq(j),
-                    effort_perturbable=meta.mutable,
-                ))
-            else:
-                sigma = float(sigmas[j])
-                feats.append(FeaturePerturbation(
-                    sigma=sigma if sigma > 0 else None,
-                    no_effort_perturbable=sigma > 0,
-                    effort_perturbable=meta.mutable and sigma > 0,
-                ))
-        return PerturbationSpec(feats, train_split.feature_metas, num_samples=num_samples,
-                                seed=seed)
+        feats = [
+            FeaturePerturbation(p_majority=train_split.binary_majority_freq(j))
+            if meta.kind == BINARY else
+            FeaturePerturbation(sigma=float(sigmas[j]) if sigmas[j] > 0 else None)
+            for j, meta in enumerate(train_split.feature_metas)
+        ]
+        return PerturbationSpec(feats, num_samples=num_samples, seed=seed)
 
 
 def _perturb_samples(value, meta, spec, effort, rng, n):
     """Draw n perturbed future values for a single feature (the change model)."""
     fp = spec.features[meta.index]
-    if effort < 0:
-        raise ValueError("effort must be nonnegative")
-    if effort > 0 and not fp.effort_perturbable:
-        raise ValueError(f"feature {meta.name} cannot take effort")
-    if effort == 0 and not fp.no_effort_perturbable:
+    moves, takes_effort = change_rule(meta, fp)
+    if effort < 0 or effort > 0 and not takes_effort:
+        raise ValueError(f"feature {meta.name} cannot take effort {effort}")
+    if not moves:
         return np.full(n, value)
     if meta.kind == CONTINUOUS:
         if effort == 0:
@@ -110,7 +101,7 @@ def _perturb_samples(value, meta, spec, effort, rng, n):
     beneficial = meta.beneficial_value
     if value == beneficial:
         return np.full(n, value)
-    flips = rng.random(n) < spec.flip_probability(meta.index, effort)
+    flips = rng.random(n) < max(1.0 - fp.p_majority, min(1.0, EFFORT_FLOOR * effort))
     return np.where(flips, beneficial, value)
 
 
@@ -194,6 +185,7 @@ def estimate_node_probabilities(forest: Forest, x0, spec: PerturbationSpec,
     """
     if len(x0) != forest.num_features:
         raise ValueError("x0 has the wrong dimension")
+    rules = spec.rules(forest)
     nodes_of: dict[int, list[tuple[int, int, float]]] = {}
     for t, tree in enumerate(forest.trees):
         for node in tree.nodes.values():
@@ -205,7 +197,7 @@ def estimate_node_probabilities(forest: Forest, x0, spec: PerturbationSpec,
         thresholds = np.array([threshold for _, _, threshold in nodes])
         shares = []
         for e in range(E + 1):
-            if e > 0 and not spec.features[j].effort_perturbable:
+            if e > 0 and not rules[j][1]:
                 shares.append(shares[0])
                 continue
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, individual, j, e]))

@@ -183,8 +183,8 @@ def test_criterion_monte_carlo_closed_forms():
         se = math.sqrt(truth * (1 - truth) / 1000)
         hits = 0
         for seed in range(100):
-            spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)],
-                                    forest.feature_metas, num_samples=1000, seed=seed)
+            spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)], num_samples=1000,
+                                    seed=seed)
             table = estimate_node_probabilities(forest, x0, spec, E=e)
             err = abs(table.right_prob(0, 0, e) - truth)
             if err <= 3 * se:

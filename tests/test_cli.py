@@ -213,6 +213,20 @@ def test_probs_individual_outside_the_data_is_a_usage_error(tmp_path, individual
     assert not (tmp_path / "probs").exists()
 
 
+def test_probs_schema_that_disagrees_with_the_forest_is_a_usage_error(tmp_path, capsys):
+    # the forest lets S take effort; a schema that calls S immutable must not be used with it
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    doc = json.loads(schema_path.read_text())
+    doc["columns"][0]["mutable"] = False
+    schema_path.write_text(json.dumps(doc))
+    rc = main(["probs", "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), "--individual", "0", "--target-class", "1",
+               "--E", "1", "--n-samples", "10", "-o", str(tmp_path / "probs")])
+    assert rc == EXIT_USAGE
+    assert "differ from the forest's" in capsys.readouterr().err
+    assert not (tmp_path / "probs").exists()
+
+
 def test_probs_negative_effort_level_count_is_a_usage_error(tmp_path):
     forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
     rc = main(["probs", "--forest", str(forest_path), "--data", str(csv_path),

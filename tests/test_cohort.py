@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from treeshift import (FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
-                       PerturbationSpec, SimReport, Tree, TrainConfig,
-                       feasible_baseline, simulate_cohort, split, synth_generate,
-                       train)
+from treeshift import (MAX_PATH, FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
+                       PerturbationSpec, ProblemInstance, SimReport, SolverConfig, Tree,
+                       TrainConfig, estimate_node_probabilities, feasible_baseline,
+                       simulate_cohort, solve, split, synth_generate, train)
 
 
 def _boundary_forest(threshold=0.5):
@@ -15,9 +15,7 @@ def _boundary_forest(threshold=0.5):
 
 
 def _spec_for(forest, sigma=0.2):
-    return PerturbationSpec(
-        [FeaturePerturbation(sigma=sigma) for _ in forest.feature_metas],
-        forest.feature_metas)
+    return PerturbationSpec([FeaturePerturbation(sigma=sigma) for _ in forest.feature_metas])
 
 
 def test_simulate_deterministic():
@@ -35,15 +33,48 @@ def test_simulate_forest_ignoring_perturbables_is_zero():
     metas = [FeatureMeta(0, "age", mutable=False, beneficial="none"),
              FeatureMeta(1, "h", mutable=True, beneficial="increase")]
     forest = Forest([tree], metas)
-    spec = PerturbationSpec(
-        [FeaturePerturbation(sigma=0.2, effort_perturbable=False, no_effort_perturbable=False),
-         FeaturePerturbation(sigma=0.2)],
-        metas)
+    spec = PerturbationSpec([FeaturePerturbation(), FeaturePerturbation(sigma=0.2)])
     cohort = [(0.2, 0.5), (0.4, 0.1)]
     result = simulate_cohort(forest, cohort, 0, {1}, spec, n_reps=50, seed=1)
     assert result.percent == 0.0
     base = feasible_baseline(forest, cohort, 0, spec, n_reps=10, seed=1)
     assert base.percent == 0.0
+
+
+def _age_forest():
+    # class 0 iff age >= 0.5, or h >= 0.5 below that; age has a direction but is immutable
+    tree = Tree(0, [Node(0, 0, 0.5, 1, 2), Node(1, 1, 0.5, 3, 4)],
+                [Leaf(2, 0), Leaf(3, 1), Leaf(4, 0)])
+    metas = [FeatureMeta(0, "age", mutable=False, beneficial="increase"),
+             FeatureMeta(1, "h", mutable=True, beneficial="increase")]
+    return Forest([tree], metas)
+
+
+def test_effort_goes_only_where_the_forest_allows_it():
+    # the spec gives both features a sigma; the forest alone says age takes no effort
+    forest = _age_forest()
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)] * 2)
+    x0 = (0.4, 0.4)
+    with pytest.raises(ValueError, match=r"effort on features \[0\]"):
+        simulate_cohort(forest, [x0], 0, {0}, spec, n_reps=10)
+    table = estimate_node_probabilities(forest, x0, spec, E=2)
+    age, h = table.probs[(0, 0)], table.probs[(0, 1)]
+    assert 0.0 < age[0] == age[1] == age[2]   # age still moves without effort
+    assert h[0] < h[1] < h[2]
+    # P(age >= 0.5) is about 0.25 and P(h >= 0.5 | e=2) about 0.75, so the h leaf wins
+    instance = ProblemInstance(x0=x0, target_class=0, eta=2, E=2)
+    solution = solve(forest, instance, table, SolverConfig(objective=MAX_PATH))
+    assert solution.status == "optimal" and solution.effort == (0, 2)
+
+
+def test_spec_of_the_wrong_length_rejected_by_the_simulator():
+    forest = _age_forest()
+    for features in ([FeaturePerturbation(sigma=0.2)], [FeaturePerturbation(sigma=0.2)] * 3):
+        spec = PerturbationSpec(features)
+        with pytest.raises(ValueError, match="one FeaturePerturbation per forest feature"):
+            simulate_cohort(forest, [(0.4, 0.4)], 0, set(), spec, n_reps=10)
+        with pytest.raises(ValueError, match="one FeaturePerturbation per forest feature"):
+            feasible_baseline(forest, [(0.4, 0.4)], 0, spec, n_reps=10)
 
 
 def test_simulate_empty_cohort_rejected():

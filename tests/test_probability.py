@@ -8,7 +8,7 @@ from treeshift import (BINARY, FeatureMeta, FeaturePerturbation, Forest, Leaf, N
                        TrainConfig, Tree, estimate_node_probabilities, load_table,
                        save_table, split, synth_generate, train)
 from treeshift.fixtures import firefighter_forest, firefighter_table
-from treeshift.probability import _perturb_samples
+from treeshift.probability import _perturb_samples, change_rule
 
 from helpers import make_random_instance
 
@@ -18,14 +18,12 @@ def _one_feature_forest(threshold, kind="continuous", beneficial="increase"):
     return Forest([tree], [FeatureMeta(0, "x0", kind=kind, mutable=True, beneficial=beneficial)])
 
 
-def _continuous_spec(sigma, metas, n=1000, seed=0):
-    return PerturbationSpec([FeaturePerturbation(sigma=sigma)], metas,
-                            num_samples=n, seed=seed)
+def _continuous_spec(sigma, n=1000, seed=0):
+    return PerturbationSpec([FeaturePerturbation(sigma=sigma)], num_samples=n, seed=seed)
 
 
-def _binary_spec(p, metas, n=1000, seed=0):
-    return PerturbationSpec([FeaturePerturbation(p_majority=p)], metas,
-                            num_samples=n, seed=seed)
+def _binary_spec(p, n=1000, seed=0):
+    return PerturbationSpec([FeaturePerturbation(p_majority=p)], num_samples=n, seed=seed)
 
 
 # --- _perturb_samples ------------------------------------------------------------
@@ -34,7 +32,7 @@ def _binary_spec(p, metas, n=1000, seed=0):
 def test_binary_effort_flip_rate_floor():
     # p_majority = 0.9: effort flip probability is max(0.1, 0.2) = 0.2
     meta = FeatureMeta(0, "b", kind="binary", mutable=True, beneficial="to_one")
-    spec = _binary_spec(0.9, [meta])
+    spec = _binary_spec(0.9)
     rng = np.random.default_rng(1)
     n = 20000
     flips = sum(_perturb_samples(0.0, meta, spec, 1, rng, 1)[0] == 1.0 for _ in range(n))
@@ -43,14 +41,14 @@ def test_binary_effort_flip_rate_floor():
 
 def test_binary_effort_keeps_beneficial_value():
     meta = FeatureMeta(0, "b", kind="binary", mutable=True, beneficial="to_one")
-    spec = _binary_spec(0.9, [meta])
+    spec = _binary_spec(0.9)
     rng = np.random.default_rng(2)
     assert all(_perturb_samples(1.0, meta, spec, 1, rng, 1)[0] == 1.0 for _ in range(200))
 
 
 def test_continuous_no_effort_sign_symmetry():
     meta = FeatureMeta(0, "c", mutable=True, beneficial="increase")
-    spec = _continuous_spec(0.2, [meta])
+    spec = _continuous_spec(0.2)
     rng = np.random.default_rng(3)
     n = 20000
     ups = sum(_perturb_samples(0.5, meta, spec, 0, rng, 1)[0] >= 0.5 for _ in range(n))
@@ -59,33 +57,61 @@ def test_continuous_no_effort_sign_symmetry():
 
 def test_effort_on_non_effort_feature_rejected():
     meta = FeatureMeta(0, "c", mutable=False, beneficial="none")
-    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2, effort_perturbable=False)], [meta])
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)])
     with pytest.raises(ValueError):
         _perturb_samples(0.5, meta, spec, 1, np.random.default_rng(0), 1)[0]
 
 
 def test_non_perturbable_feature_unchanged():
     meta = FeatureMeta(0, "c", mutable=False, beneficial="none")
-    spec = PerturbationSpec(
-        [FeaturePerturbation(sigma=0.2, effort_perturbable=False, no_effort_perturbable=False)],
-        [meta])
+    spec = PerturbationSpec([FeaturePerturbation()])
     assert _perturb_samples(0.37, meta, spec, 0, np.random.default_rng(0), 1)[0] == 0.37
 
 
 def test_values_clamped_to_domain():
     meta = FeatureMeta(0, "c", mutable=True, beneficial="increase")
-    spec = _continuous_spec(0.5, [meta])
+    spec = _continuous_spec(0.5)
     rng = np.random.default_rng(4)
     values = [_perturb_samples(0.9, meta, spec, 1, rng, 1)[0] for _ in range(500)]
     assert max(values) <= 1.0 and min(values) >= 0.0
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+def test_sigma_must_be_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        FeaturePerturbation(sigma=sigma)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.49, 1.01])
+def test_p_majority_must_lie_in_half_to_one(p):
+    with pytest.raises(ValueError, match=r"p_majority must be in \[0.5, 1\]"):
+        FeaturePerturbation(p_majority=p)
+
+
+def test_change_rule_reads_the_kind_parameter_and_the_forest_mutability():
+    mutable = FeatureMeta(0, "c", mutable=True, beneficial="increase")
+    frozen = FeatureMeta(0, "c", mutable=False, beneficial="increase")
+    binary = FeatureMeta(0, "b", kind=BINARY, mutable=True, beneficial="to_one")
+    assert change_rule(mutable, FeaturePerturbation(sigma=0.2)) == (True, True)
+    assert change_rule(frozen, FeaturePerturbation(sigma=0.2)) == (True, False)
+    assert change_rule(mutable, FeaturePerturbation()) == (False, False)
+    assert change_rule(binary, FeaturePerturbation(sigma=0.2)) == (False, False)
+    assert change_rule(binary, FeaturePerturbation(p_majority=0.7)) == (True, True)
+
+
 # --- estimate_node_probabilities ----------------------------------------------
+
+
+def test_spec_of_the_wrong_length_rejected_by_the_estimator():
+    forest = firefighter_forest()   # two features
+    for features in ([FeaturePerturbation(sigma=0.2)], [FeaturePerturbation(sigma=0.2)] * 3):
+        with pytest.raises(ValueError, match="one FeaturePerturbation per forest feature"):
+            estimate_node_probabilities(forest, (0.5, 0.5), PerturbationSpec(features), E=1)
 
 
 def test_estimate_threshold_at_x0_is_half():
     forest = _one_feature_forest(0.5)
-    spec = _continuous_spec(0.2, forest.feature_metas, seed=5)
+    spec = _continuous_spec(0.2, seed=5)
     table = estimate_node_probabilities(forest, (0.5,), spec, E=0)
     p = table.right_prob(0, 0, 0)
     assert p == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / 1000))
@@ -93,7 +119,7 @@ def test_estimate_threshold_at_x0_is_half():
 
 def test_estimate_out_of_support_is_exact_zero():
     forest = _one_feature_forest(0.6)
-    spec = _continuous_spec(0.2, forest.feature_metas, seed=6)
+    spec = _continuous_spec(0.2, seed=6)
     table = estimate_node_probabilities(forest, (0.2,), spec, E=0)
     assert table.right_prob(0, 0, 0) == 0.0
 
@@ -101,7 +127,7 @@ def test_estimate_out_of_support_is_exact_zero():
 def test_estimate_effort_uniform_third():
     # P(U[0, 1.5 sigma] >= sigma) = 1/3
     forest = _one_feature_forest(0.5)
-    spec = _continuous_spec(0.2, forest.feature_metas, seed=7)
+    spec = _continuous_spec(0.2, seed=7)
     table = estimate_node_probabilities(forest, (0.3,), spec, E=1)
     p = table.right_prob(0, 0, 1)
     assert p == pytest.approx(1 / 3, abs=3 * math.sqrt((1 / 3) * (2 / 3) / 1000))
@@ -109,10 +135,8 @@ def test_estimate_effort_uniform_third():
 
 def test_estimates_deterministic_given_seed():
     case = make_random_instance(3)
-    spec = PerturbationSpec(
-        [FeaturePerturbation(sigma=0.2, effort_perturbable=m.mutable)
-         for m in case.forest.feature_metas],
-        case.forest.feature_metas, seed=9)
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2) for _ in case.forest.feature_metas],
+                            seed=9)
     t1 = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=1, individual=4)
     t2 = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=1, individual=4)
     assert t1.probs == t2.probs
@@ -126,9 +150,8 @@ def test_estimates_equal_direct_recount():
         metas = forest.feature_metas
         # immutable features stay put, on a threshold where they have one: all draws tie it
         spec = PerturbationSpec(
-            [FeaturePerturbation(sigma=0.2, effort_perturbable=m.mutable,
-                                 no_effort_perturbable=m.mutable) for m in metas],
-            metas, seed=seed)
+            [FeaturePerturbation(sigma=0.2) if m.mutable else FeaturePerturbation()
+             for m in metas], seed=seed)
         x0 = list(case.instance.x0)
         for tree in forest.trees:
             for node in tree.nodes.values():
@@ -156,7 +179,7 @@ def test_estimate_monotone_in_threshold():
     tree_nodes = [Node(0, 0, 0.3, 1, 2), Node(2, 0, 0.7, 3, 4)]
     tree = Tree(0, tree_nodes, [Leaf(1, 0), Leaf(3, 0), Leaf(4, 1)])
     forest = Forest([tree], [FeatureMeta(0, "c", mutable=True, beneficial="increase")])
-    spec = _continuous_spec(0.3, forest.feature_metas, seed=11)
+    spec = _continuous_spec(0.3, seed=11)
     table = estimate_node_probabilities(forest, (0.45,), spec, E=1)
     for e in (0, 1):
         assert table.right_prob(0, 0, e) >= table.right_prob(0, 2, e)
@@ -165,7 +188,7 @@ def test_estimate_monotone_in_threshold():
 def test_immutable_feature_rows_effort_invariant():
     meta = FeatureMeta(0, "age", mutable=False, beneficial="none")
     forest = Forest([Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])], [meta])
-    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2, effort_perturbable=False)], [meta])
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)])
     table = estimate_node_probabilities(forest, (0.4,), spec, E=2)
     row = table.probs[(0, 0)]
     assert row[0] == row[1] == row[2]
@@ -173,10 +196,8 @@ def test_immutable_feature_rows_effort_invariant():
 
 def test_estimates_within_unit_interval():
     case = make_random_instance(5)
-    spec = PerturbationSpec(
-        [FeaturePerturbation(sigma=0.25, effort_perturbable=m.mutable)
-         for m in case.forest.feature_metas],
-        case.forest.feature_metas, seed=13)
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.25) for _ in case.forest.feature_metas],
+                            seed=13)
     table = estimate_node_probabilities(case.forest, case.instance.x0, spec, E=2)
     for row in table.probs.values():
         assert all(0.0 <= p <= 1.0 for p in row)
@@ -184,9 +205,10 @@ def test_estimates_within_unit_interval():
 
 def _exact_right_prob(x, threshold, meta, fp, e):
     """P(x' >= threshold) for one feature, from the change model as README states it."""
-    if e > 0 and not fp.effort_perturbable:
+    moves, takes_effort = change_rule(meta, fp)
+    if e > 0 and not takes_effort:
         e = 0   # such a feature reuses its no-effort row
-    if e == 0 and not fp.no_effort_perturbable:
+    if not moves:
         return float(x >= threshold)
     if meta.kind == BINARY:   # thresholds lie in (0, 1), so the event is x' == 1
         if e == 0:
@@ -243,7 +265,7 @@ def test_negative_effort_level_count_rejected():
     with pytest.raises(TableFormatError, match="E must be nonnegative"):
         NodeProbabilityTable.from_dict({"individual": 0, "E": -1, "entries": []})
     forest = firefighter_forest()
-    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)] * 2, forest.feature_metas)
+    spec = PerturbationSpec([FeaturePerturbation(sigma=0.2)] * 2)
     with pytest.raises(TableFormatError, match="E must be nonnegative"):
         estimate_node_probabilities(forest, (0.5, 0.5), spec, E=-1)
 
