@@ -141,6 +141,9 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     raw[i, j] = float(value)
                 except ValueError:
                     errors.append(f"row {i}: {col.name} value {value!r} is not numeric")
+                    continue
+                if not np.isfinite(raw[i, j]):
+                    errors.append(f"row {i}: {col.name} value {value!r} is not finite")
         labels[i] = 1 if row[target.name] in target.positive_labels else 0
     if errors:
         raise ValueError("CSV rejected:\n" + "\n".join(errors))

@@ -96,8 +96,8 @@ class Tree:
     """
 
     def __init__(self, root: int, nodes: list[Node], leaves: list[Leaf], weight: float = 1.0):
-        if weight < 0:
-            raise ForestFormatError("tree weight must be nonnegative")
+        if not 0 <= weight < math.inf:
+            raise ForestFormatError(f"tree weight must be finite and nonnegative, got {weight}")
         self.root = root
         self.nodes = {n.id: n for n in nodes}
         self.leaves = {l.id: l for l in leaves}

@@ -19,12 +19,16 @@ class Ranking:
     excluded: int = 0                        # infeasible / timed-out solutions left out
 
     def __post_init__(self):
+        if self.eta < 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
         scores = [s for _, _, s in self.entries]
         if any(b > a for a, b in zip(scores, scores[1:])):
             raise ValueError("ranking scores must be non-increasing")
 
     def top(self, count: int | None = None) -> list[int]:
         count = self.eta if count is None else count
+        if count < 0:
+            raise ValueError(f"cannot take the top {count} features")
         return [j for j, _, _ in self.entries[:count]]
 
     def to_csv(self, path) -> None:
@@ -56,8 +60,12 @@ class Ranking:
             fh.write(svg + "\n")
 
 
-def _mutable(metas: list[FeatureMeta]) -> list[FeatureMeta]:
-    return [m for m in metas if m.mutable]
+def _mutable(metas: list[FeatureMeta], eta: int) -> list[FeatureMeta]:
+    """The mutable features, of which eta are to be published."""
+    mutable = [m for m in metas if m.mutable]
+    if not 0 <= eta <= len(mutable):
+        raise ValueError(f"eta must be in 0..{len(mutable)}, the mutable features, got {eta}")
+    return mutable
 
 
 def effort_ranking(solutions: list[Solution], metas: list[FeatureMeta], eta: int,
@@ -72,7 +80,7 @@ def effort_ranking(solutions: list[Solution], metas: list[FeatureMeta], eta: int
     excluded = len(solutions) - len(usable)
     if not usable:
         raise ValueError("no feasible solutions to rank")
-    scores = {m.index: 0.0 for m in _mutable(metas)}
+    scores = {m.index: 0.0 for m in metas if m.mutable}
     for sol in usable:
         for j, e in enumerate(sol.effort):
             if e >= 1 and j in scores:
@@ -84,9 +92,7 @@ def effort_ranking(solutions: list[Solution], metas: list[FeatureMeta], eta: int
 
 def rfr_ranking(importances, metas: list[FeatureMeta], eta: int) -> Ranking:
     """Impurity importances restricted to mutable features, top-eta published."""
-    mutable = _mutable(metas)
-    if len(mutable) < eta:
-        raise ValueError(f"need at least {eta} mutable features, have {len(mutable)}")
+    mutable = _mutable(metas, eta)
     ordered = sorted(((float(importances[m.index]), m) for m in mutable),
                      key=lambda kv: (-kv[0], kv[1].index))
     entries = [(m.index, m.name, score) for score, m in ordered]
@@ -95,9 +101,7 @@ def rfr_ranking(importances, metas: list[FeatureMeta], eta: int) -> Ranking:
 
 def rsr_ranking(metas: list[FeatureMeta], eta: int, seed: int) -> Ranking:
     """Uniform random eta-subset of the mutable features."""
-    mutable = _mutable(metas)
-    if len(mutable) < eta:
-        raise ValueError(f"need at least {eta} mutable features, have {len(mutable)}")
+    mutable = _mutable(metas, eta)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x757]))
     picked = rng.choice([m.index for m in mutable], size=eta, replace=False)
     entries = [(int(j), metas[int(j)].name, 1.0) for j in sorted(picked)]

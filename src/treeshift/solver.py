@@ -257,7 +257,7 @@ def _tree_value(positive_probs, n_leaves: int, config: SolverConfig) -> tuple[fl
         return None, False
     if config.objective == MIN_PATH:
         return min(positive_probs), True
-    if config.objective != KAPPA_PATH:  # max_path and min_distance: optimistic per-tree bound
+    if config.objective != KAPPA_PATH:  # max_path: optimistic per-tree bound
         return max(positive_probs), True
     values = sorted(positive_probs)
     if not config.positive_leaves_only:

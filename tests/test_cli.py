@@ -227,6 +227,25 @@ def test_probs_schema_that_disagrees_with_the_forest_is_a_usage_error(tmp_path, 
     assert not (tmp_path / "probs").exists()
 
 
+@pytest.mark.parametrize("etas", ["-1", "1,-1"])
+def test_simulate_negative_eta_is_a_usage_error(tmp_path, etas):
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    ranking = tmp_path / "r.csv"
+    ranking.write_text("feature,score,rank\nA,1,1\nS,0.5,2\n")
+    rc = main(["simulate", "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), "--ranking", str(ranking), "--etas", etas,
+               "--target-class", "1", "--reps", "5", "-o", str(tmp_path / "sim.csv")])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_rank_negative_eta_is_a_usage_error(tmp_path):
+    forest_path, *_ = _firefighter_files(tmp_path)
+    assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "-1",
+                 "-o", str(tmp_path / "r.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_probs_negative_effort_level_count_is_a_usage_error(tmp_path):
     forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
     rc = main(["probs", "--forest", str(forest_path), "--data", str(csv_path),

@@ -91,6 +91,19 @@ def test_load_csv_reports_every_bad_cell_in_order(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    # one NaN would turn the whole normalized column into NaN
+    csv = _write_csv(tmp_path / "d.csv", (
+        "age,water,smoker,note,status\n"
+        "10,1.0,no,a,obese\n"
+        f"20,{cell},no,b,obese\n"
+    ))
+    with pytest.raises(ValueError) as err:
+        load_csv(csv, SCHEMA)
+    assert str(err.value) == f"CSV rejected:\nrow 1: water value {cell!r} is not finite"
+
+
 def test_split_sizes_and_partition():
     ds = synth_generate(30, 3, seed=1)
     small = ds.subset(np.arange(9))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -22,6 +23,22 @@ def _single_feature_forest(threshold=0.5, classes=(0, 1), weight=1.0):
     tree = Tree(0, [Node(0, 0, threshold, 1, 2)], [Leaf(1, classes[0]), Leaf(2, classes[1])],
                 weight=weight)
     return Forest([tree], [FeatureMeta(0, "x0", mutable=True, beneficial="increase")])
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_tree_weight_must_be_finite_and_nonnegative(weight):
+    with pytest.raises(ForestFormatError, match="tree weight must be finite and nonnegative"):
+        _single_feature_forest(weight=weight)
+
+
+def test_forest_document_with_nan_weight_rejected():
+    # a NaN weight made predict((0.9,)) return class 0 while 2 of 3 trees voted 1
+    forest = Forest([_single_feature_forest().trees[0]] * 3,
+                    _single_feature_forest().feature_metas)
+    doc = forest_to_dict(forest)
+    doc["trees"][1]["weight"] = float("nan")
+    with pytest.raises(ForestFormatError, match="tree 1: tree weight"):
+        forest_from_dict(json.loads(json.dumps(doc)))
 
 
 def test_predict_firefighter_left_right_path():

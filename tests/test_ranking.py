@@ -114,6 +114,25 @@ def test_ranking_rejects_increasing_scores():
         Ranking("m", 1, [(1, "a", 0.1), (2, "b", 0.5)])
 
 
+def test_negative_eta_rejected():
+    # eta = -1 used to publish every feature but the last
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        Ranking("m", -1, [(1, "a", 0.5), (2, "b", 0.1)])
+    with pytest.raises(ValueError, match="eta must be in 0..3"):
+        rfr_ranking(np.ones(4) / 4, METAS, eta=-1)
+    with pytest.raises(ValueError, match="eta must be in 0..3"):
+        rsr_ranking(METAS, eta=-1, seed=0)
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        effort_ranking([_sol((0, 1, 0, 0))], METAS, eta=-1)
+
+
+def test_top_rejects_a_negative_count():
+    ranking = Ranking("m", 1, [(1, "a", 0.5), (2, "b", 0.1)])
+    assert ranking.top(0) == []
+    with pytest.raises(ValueError, match="cannot take the top -1 features"):
+        ranking.top(-1)
+
+
 def test_ranking_csv_round_trip(tmp_path):
     sols = [_sol((0, 1, 0, 1)), _sol((0, 1, 0, 0))]
     ranking = effort_ranking(sols, METAS, eta=2)
