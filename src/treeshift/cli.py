@@ -66,8 +66,7 @@ def _load_pipeline_inputs(args):
     schema = DatasetSchema.from_json(args.schema)
     dataset = load_csv(args.data, schema)
     if dataset.feature_metas != forest.feature_metas:
-        raise ValueError("the schema's features differ from the forest's (count, name, kind, "
-                         "mutability or direction)")
+        raise ValueError("the schema's features differ from the forest's in count or metadata")
     return forest, dataset
 
 

@@ -66,14 +66,14 @@ def _simulate(forest: Forest, cohort, target_class: int, n_reps: int, seed: int,
 
 def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
                     spec: PerturbationSpec, n_reps: int = 100, seed: int = 0) -> SimulationResult:
-    """Perturb every perturbable feature (effort on the given set), then re-predict.
+    """Perturb every feature that moves (effort on the given set), then re-predict.
 
     One RNG stream per individual, keyed by (seed, its feature values), draws
     all n_reps replications of each feature in turn. Returns the mean
     percentage of replications landing in the target class, averaged over
     individuals.
     """
-    rules = spec.rules(forest)
+    metas, rules = forest.feature_metas, spec.rules(forest)
     effort_set = set(effort_features)
     out_of_range = sorted(j for j in effort_set if not 0 <= j < forest.num_features)
     if out_of_range:
@@ -81,7 +81,6 @@ def simulate_cohort(forest: Forest, cohort, target_class: int, effort_features,
     no_effort = sorted(j for j in effort_set if not rules[j][1])
     if no_effort:
         raise ValueError(f"effort on features {no_effort}, which cannot take effort")
-    metas = forest.feature_metas
 
     def draw(j, value, rng):
         return _perturb_samples(value, metas[j], spec, int(j in effort_set), rng, n_reps)

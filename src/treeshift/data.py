@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +139,11 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                 raw[i, j] = recode[value]
             else:
                 try:
-                    raw[i, j] = float(value)
+                    raw[i, j] = number = float(value)
                 except ValueError:
                     errors.append(f"row {i}: {col.name} value {value!r} is not numeric")
                     continue
-                if not np.isfinite(raw[i, j]):
+                if not math.isfinite(number):
                     errors.append(f"row {i}: {col.name} value {value!r} is not finite")
         labels[i] = 1 if row[target.name] in target.positive_labels else 0
     if errors:

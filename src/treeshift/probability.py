@@ -39,9 +39,12 @@ class FeaturePerturbation:
 
 
 def change_rule(meta: FeatureMeta, fp: FeaturePerturbation) -> tuple[bool, bool]:
-    """(moves, takes effort): the change model's one per-feature rule. A feature moves
-    iff the spec gives its kind's parameter (``sigma`` if continuous, ``p_majority``
-    if binary); it takes effort iff it moves and its FeatureMeta is mutable."""
+    """(moves, takes effort) of one feature: the change model's one per-feature rule.
+
+    A feature moves iff the spec gives its kind's parameter (``sigma`` if
+    continuous, ``p_majority`` if binary); it takes effort iff it moves and
+    its FeatureMeta is mutable.
+    """
     moves = (fp.sigma if meta.kind == CONTINUOUS else fp.p_majority) is not None
     return moves, moves and meta.mutable
 

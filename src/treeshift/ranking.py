@@ -61,7 +61,6 @@ class Ranking:
 
 
 def _mutable(metas: list[FeatureMeta], eta: int) -> list[FeatureMeta]:
-    """The mutable features, of which eta are to be published."""
     mutable = [m for m in metas if m.mutable]
     if not 0 <= eta <= len(mutable):
         raise ValueError(f"eta must be in 0..{len(mutable)}, the mutable features, got {eta}")
