@@ -214,13 +214,15 @@ def _cmd_rank(args, argv, started) -> int:
 
 
 def _cmd_simulate(args, argv, started) -> int:
+    etas = [int(e) for e in args.etas.split(",")]
+    if min(etas) < 0:
+        raise ValueError(f"--etas must be nonnegative, got {args.etas}")
     forest, dataset = _load_pipeline_inputs(args)
     spec = PerturbationSpec.from_dataset(dataset, seed=args.seed)
     rows = _off_target_rows(forest, dataset, args.target_class)
     if not rows:
         raise ValueError("no off-target individuals in the data")
     cohort = [dataset.X[i] for i in rows]
-    etas = [int(e) for e in args.etas.split(",")]
     raw: dict[tuple[str, int], float] = {}
     method = "baseline"
     if args.ranking:

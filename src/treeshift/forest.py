@@ -149,6 +149,7 @@ class Forest:
         self.feature_metas = list(feature_metas)
         self.num_features = len(feature_metas)
         self._leaf_geometry: dict[float, LeafGeometry] = {}
+        self._target_paths: dict[int, TargetPaths] = {}
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
                 if not 0 <= node.feature < self.num_features:
@@ -240,6 +241,15 @@ class Forest:
             self._leaf_geometry[epsilon] = geometry
         return geometry
 
+    def target_paths(self, target_class: int) -> TargetPaths:
+        """The paths to one class's leaves as padded index arrays, built once per class
+        and shared, read-only, by every caller."""
+        paths = self._target_paths.get(target_class)
+        if paths is None:
+            paths = _target_paths(self.trees, target_class)
+            self._target_paths[target_class] = paths
+        return paths
+
 
 class LeafGeometry(NamedTuple):
     """The leaf boxes of a forest at one epsilon and which of them meet.
@@ -286,6 +296,40 @@ def _leaf_geometry(trees, domains, epsilon) -> LeafGeometry:
         compatible.append({leaf_id: rows[g + k] for k, leaf_id in enumerate(tree_boxes)})
         g += len(tree_boxes)
     return LeafGeometry(boxes, tuple(bit), tuple(compatible))
+
+
+class TargetPaths(NamedTuple):
+    """The root-to-leaf paths of one class's leaves, padded to one length.
+
+    Row l of each array is leaf l of ``leaves``, taken tree by tree, and column
+    k is step k of its path from the root. Past a path's end a step names
+    ``len(nodes)``, which is no node, goes right and reads feature 0.
+    """
+
+    leaves: tuple[tuple[int, ...], ...]   # per tree, its leaf ids of the class, ascending
+    nodes: tuple[tuple[int, int], ...]    # the (tree, node id) pairs the paths pass, each once
+    node: np.ndarray      # [l, k]: the position in ``nodes`` of step k's node
+    feature: np.ndarray   # [l, k]: the feature that node splits on
+    right: np.ndarray     # [l, k]: the path goes right there
+
+
+def _target_paths(trees, target_class) -> TargetPaths:
+    leaves = tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
+                                if leaf.predicted_class == target_class)) for tree in trees)
+    depth = max([1] + [trees[t].depth for t, ids in enumerate(leaves) if ids])
+    paths = [[(t, node_id, went_right) for node_id, went_right in trees[t].paths[leaf_id]]
+             for t, ids in enumerate(leaves) for leaf_id in ids]
+    nodes = tuple(dict.fromkeys((t, node_id) for path in paths for t, node_id, _ in path))
+    position = {key: i for i, key in enumerate(nodes)}
+    pad = [(len(nodes), 0, True)]
+    steps = np.array([[(position[t, node_id], trees[t].nodes[node_id].feature, went_right)
+                       for t, node_id, went_right in path] + pad * (depth - len(path))
+                      for path in paths], dtype=np.intp).reshape(len(paths), depth, 3)
+    node, feature, right = (np.ascontiguousarray(steps[..., i]) for i in range(3))
+    right = right.astype(bool)
+    for array in (node, feature, right):
+        array.flags.writeable = False
+    return TargetPaths(leaves, nodes, node, feature, right)
 
 
 class _FlatTrees(NamedTuple):

@@ -75,11 +75,12 @@ def effort_ranking(solutions: list[Solution], metas: list[FeatureMeta], eta: int
     the effort units instead. Infeasible and timed-out solutions are excluded
     (and counted in ``excluded``).
     """
+    mutable = _mutable(metas, eta)
     usable = [s for s in solutions if s.status == "optimal" and s.effort is not None]
     excluded = len(solutions) - len(usable)
     if not usable:
         raise ValueError("no feasible solutions to rank")
-    scores = {m.index: 0.0 for m in metas if m.mutable}
+    scores = {m.index: 0.0 for m in mutable}
     for sol in usable:
         for j, e in enumerate(sol.effort):
             if e >= 1 and j in scores:

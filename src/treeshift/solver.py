@@ -12,28 +12,44 @@ Four objectives over a shared search space:
 * ``min_distance`` - classical closest feasible point under a weighted
   L1/L2/Linf cost; the only objective that honors unequal tree weights.
 
-Probabilistic objectives are solved by enumerating effort allocations
-(outermost; their count is small at the intended scale) and running a
-branch-and-bound over essential-tree sets and leaf choices. Trees are visited
-by best value first, candidates of a tree by value. Each allocation's path
-probabilities come from one numpy gather over every target leaf, multiplied
-root to leaf in the order ``path_probability`` uses, so they are bit-identical
-to it (``_path_products``). Feasibility is tested with
-the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a leaf can
-join the chosen ones iff its bit is set in ``allowed``, the AND of their
-bitsets, and the joint box is built only for an incumbent. All accumulation
-happens in log space, and an incumbent is replaced only by a strictly better
-plan, so among equal plans the first one visited wins. Every cut below drops
-only subtrees with no strictly better plan, so it changes the nodes explored,
-never the answer:
+Probabilistic objectives are solved by scoring every effort allocation (their
+count is small at the intended scale) and running a branch-and-bound over
+essential-tree sets and leaf choices per allocation. An allocation's bound is
+the log values of its m best trees added best first; no plan of it scores
+higher. Allocations are visited by bound, highest first, ties to the lower
+index, in passes of falling threshold (an anytime bound as in Veritas, Devos,
+Meert & Davis 2021, with cost-threshold deepening as in IDA*, Korf 1985).
+Pass k = 1, 2, ... searches the allocations whose bound is above
+``T_k = top - k * STEP`` (``STEP`` = 1 nat, ``top`` the highest bound) and
+keeps only plans above ``max(T_k, incumbent)``. A pass that keeps a plan ends
+the search with the optimum; one that keeps none proves the optimum is at
+most ``T_k``. Once ``T_k`` is below the lowest finite bound the threshold is
+dropped, and that last pass searches every allocation and keeps a plan at
+log -inf too.
+
+Ties are broken by a rule that does not depend on the visit order: plans
+compare by (log objective, -allocation index), where allocations are indexed
+in lexicographic order, so among equal plans the lowest allocation wins; an
+allocation below the incumbent's index is searched even when its bound only
+equals the incumbent. Inside one allocation the first plan the DFS visits
+wins. Trees are visited by best value first, candidates of a tree by value.
+Each allocation's path probabilities come from one numpy gather over every
+target leaf, multiplied root to leaf in the order ``path_probability`` uses,
+so they are bit-identical to it (``_path_products``). Feasibility is tested
+with the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a
+leaf can join the chosen ones iff its bit is set in ``allowed``, the AND of
+their bitsets, and the joint box is built only for an incumbent. All
+accumulation happens in log space. Every cut below drops only subtrees with
+no plan that the threshold and the tie rule would keep, so it changes the
+nodes explored, never the answer:
 
 * Forward check: a remaining tree counts toward the bound only if ``allowed``
   still meets its target leaves. If fewer than the missing votes remain, the
   node is cut; otherwise the bound adds the best log values of the first
-  qualifying trees to the running log one at a time, in visit order. A
-  completion adds, in the same order, values no higher term by term, and
-  rounding is monotone, so the bound never rounds below a completion's sum
-  and needs no tolerance.
+  qualifying trees to the running log one at a time, in visit order; at the
+  root that is the allocation's bound. A completion adds, in the same order,
+  values no higher term by term, and rounding is monotone, so the bound never
+  rounds below a completion's sum and needs no tolerance.
 * Sibling dominance: what a candidate leaves open is ``allowed`` ANDed with
   its bitset, restricted to the candidate leaves of the trees after it. A
   candidate that leaves open a subset of what an earlier-tried sibling left
@@ -52,8 +68,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .forest import (DEFAULT_EPSILON, Forest, _intersect, _target_wins, boxes_intersect,
-                     leaf_box, leaf_of)
+from .forest import (DEFAULT_EPSILON, Forest, TargetPaths, _intersect, _target_wins,
+                     boxes_intersect, leaf_box, leaf_of)
 from .probability import NodeProbabilityTable
 
 MAX_PATH = "max_path"
@@ -64,6 +80,7 @@ OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 
 _NEG_INF = float("-inf")
 ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
+STEP = 1.0   # nats the path search's threshold falls per pass
 
 
 class _Timeout(Exception):
@@ -199,40 +216,27 @@ def path_probability(forest: Forest, tree_index: int, leaf_id: int,
     return prob
 
 
-def _path_products(forest: Forest, table: NodeProbabilityTable, leaves):
-    """A function of the effort vector: per tree, the path probabilities of its ids in
-    ``leaves`` (one list of leaf ids per tree), bit-for-bit ``path_probability``'s.
+def _path_products(table: NodeProbabilityTable, paths: TargetPaths):
+    """A function of the effort vector: per tree, the path probabilities of its leaves in
+    ``paths.leaves``, bit-for-bit ``path_probability``'s.
 
     ``q[l, k, e]`` is step k of leaf l's path at effort level e (``row[e]`` going right,
-    ``1.0 - row[e]`` going left, 1.0 past the path's end) and ``feat[l, k]`` the step's
-    feature, so an effort costs one gather and one product per step, root to leaf.
+    ``1.0 - row[e]`` going left, 1.0 past the path's end), so an effort costs one gather
+    and one product per step, root to leaf. The paths are the forest's, built once per
+    target class; only the table rows are gathered here.
     """
-    depth = max([1] + [forest.trees[t].depth for t, ids in enumerate(leaves) if ids])
     width = table.E + 1
-    rows, feat, right = [], [], []
-    for t, ids in enumerate(leaves):
-        tree = forest.trees[t]
-        for leaf in ids:
-            path = tree.paths[leaf]
-            for node_id, went_right in path:
-                rows.append(table.probs[(t, node_id)])
-                feat.append(tree.nodes[node_id].feature)
-                right.append(went_right)
-            pad = depth - len(path)
-            rows += [(1.0,) * width] * pad
-            feat += [0] * pad
-            right += [True] * pad
-    rows = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
-    rows = rows.reshape(-1, width)
-    q = np.where(np.array(right, dtype=bool)[:, None], rows, 1.0 - rows).reshape(-1)
-    feat = np.array(feat, dtype=np.intp).reshape(-1, depth)
+    rows = np.array([table.probs[key] for key in paths.nodes] + [(1.0,) * width], dtype=float)
+    steps = rows[paths.node]
+    q = np.where(paths.right[..., None], steps, 1.0 - steps).reshape(-1)
+    feat = paths.feature
     base = np.arange(feat.size, dtype=np.intp).reshape(feat.shape) * width
-    bounds = list(itertools.pairwise(itertools.accumulate(map(len, leaves), initial=0)))
+    bounds = list(itertools.pairwise(itertools.accumulate(map(len, paths.leaves), initial=0)))
 
     def probs(effort) -> list[list[float]]:
         steps = q[base + np.asarray(effort, dtype=np.intp)[feat]]
         prob = steps[:, 0].copy()
-        for k in range(1, depth):
+        for k in range(1, feat.shape[1]):
             prob *= steps[:, k]   # elementwise, in path order: no reduction reorders it
         flat = prob.tolist()
         return [flat[a:b] for a, b in bounds]
@@ -246,8 +250,10 @@ def _resolve_kappa(config: SolverConfig, n_leaves: int) -> int:
     return config.kappa
 
 
-def _tree_value(positive_probs, n_leaves: int, config: SolverConfig) -> tuple[float | None, bool]:
-    """One tree's (value, mu-eligible) from its target leaves' path probabilities.
+def _tree_value(positive_probs, n_leaves: int, kappa: int,
+                config: SolverConfig) -> tuple[float | None, bool]:
+    """One tree's (value, mu-eligible) from its target leaves' path probabilities, where
+    ``kappa`` is the tree's ``_resolve_kappa(config, n_leaves)``.
 
     The other ``n_leaves - len(positive_probs)`` leaves carry the 1.0 cap in
     the theta vector; path probabilities never exceed 1, so appending the caps
@@ -262,7 +268,7 @@ def _tree_value(positive_probs, n_leaves: int, config: SolverConfig) -> tuple[fl
     values = sorted(positive_probs)
     if not config.positive_leaves_only:
         values += [1.0] * (n_leaves - len(values))
-    idx = min(_resolve_kappa(config, n_leaves), len(values))
+    idx = min(kappa, len(values))
     return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
 
 
@@ -397,7 +403,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
         raise ValueError("probabilistic search needs a path objective")
     _check_problem(forest, instance, table, config)
-    allocations = _allocations(forest, instance)
+    allocations = list(_allocations(forest, instance))
     if pinned is not None:
         pinned = tuple(pinned)
         allocations = [a for a in allocations if a == pinned]
@@ -408,26 +414,31 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     bit, compatible = geometry.bit, geometry.compatible
     # only target-class leaves bind table rows: the other leaves enter the per-tree
     # values as 1.0 caps, never through a path product
-    target = [sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
-                     if leaf.predicted_class == instance.target_class) for tree in forest.trees]
-    leaf_probs = _path_products(forest, table, target)
+    paths = forest.target_paths(instance.target_class)
+    target = paths.leaves
+    leaf_probs = _path_products(table, paths)
+    kappas = [_resolve_kappa(config, len(tree.leaves)) for tree in forest.trees]
     # per tree, the bits of its target leaves (its candidates): the tree can still vote
     # target iff the running ``allowed`` meets this mask
     target_mask = [sum(bit[t][leaf] for leaf in target[t]) for t in range(forest.num_trees)]
 
-    def search_allocation(effort, run):
+    def tree_values(effort):
+        """The target leaves' path probabilities per tree, and the values of the trees
+        that can vote target."""
         probs = leaf_probs(effort)
-        values = {}   # tree -> its value, for the trees that can vote target
+        values = {}
         for t, tree in enumerate(forest.trees):
-            value, eligible = _tree_value(probs[t], len(tree.leaves), config)
+            value, eligible = _tree_value(probs[t], len(tree.leaves), kappas[t], config)
             if eligible:
                 values[t] = value
-        if len(values) < m:
-            return
+        return probs, values
+
+    def search_allocation(index, cut, run):
+        """Search one allocation, keeping only plans that score above ``cut`` (None: any)."""
+        effort = allocations[index]
+        probs, values = tree_values(effort)
         order = sorted(values, key=lambda t: (-values[t], t))
         best_log = [_log(values[t]) for t in order]
-        if run.best is not None and _add_up(0.0, best_log[:m]) <= run.score:
-            return
         n = len(order)
         masks = [target_mask[t] for t in order]
         rows = list(zip(masks, best_log))
@@ -435,7 +446,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         def forward_check(i, need, allowed, cur_log):
             """The best log values of the first ``need`` trees from position i that still
             have an allowed leaf, or None if fewer trees have one or if cur_log plus those
-            values, added one at a time, cannot beat the incumbent."""
+            values, added one at a time, is not above the cut."""
             logs = []
             for mask, log_value in itertools.islice(rows, i, None):
                 if allowed & mask:
@@ -443,7 +454,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                     cur_log += log_value
                     need -= 1
                     if not need:
-                        return logs if run.best is None or cur_log > run.score else None
+                        return logs if cut is None or cur_log > cut else None
             return None
 
         # later[i]: the bits of the candidate leaves of the trees after position i, the
@@ -458,13 +469,15 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         chosen: list[tuple[int, int, float]] = []
 
         def dfs(i, k, allowed, cur_log):
+            nonlocal cut
             run.nodes += 1
             run.check()
             if k == m:
-                if run.best is None or cur_log > run.score:
+                if cut is None or cur_log > cut:
                     run.keep(cur_log, {t: leaf for t, leaf, _ in chosen},
                              boxes_intersect([geometry.boxes[t][leaf] for t, leaf, _ in chosen]),
                              effort, {t: v for t, _, v in chosen})
+                    cut = cur_log   # in one allocation, the first plan visited wins a tie
                 return
             logs = forward_check(i, m - k, allowed, cur_log)
             if logs is None:
@@ -481,7 +494,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
             rest = logs[1:]   # logs[0] is tree i's own best value
             left_open = []   # what each sibling tried so far leaves open
             for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:
-                if run.best is not None and _add_up(cur_log + log_value, rest) <= run.score:
+                if cut is not None and _add_up(cur_log + log_value, rest) <= cut:
                     break  # candidates sorted by value: the rest can only do worse
                 if not allowed & leaf_bit:
                     continue
@@ -499,9 +512,41 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
 
     def search(run):
-        for effort in allocations:
+        scored = []   # (bound, index) of every allocation with enough trees to vote target
+        for index, effort in enumerate(allocations):
             run.check()
-            search_allocation(effort, run)
+            values = tree_values(effort)[1]
+            if len(values) >= m:
+                # the allocation cut's bound: the m best log values, added best first
+                best = sorted(values.values(), reverse=True)[:m]
+                scored.append((_add_up(0.0, map(_log, best)), index))
+        if not scored:
+            return
+        scored.sort(key=lambda s: (-s[0], s[1]))   # best bound first, ties to the lower index
+        top = scored[0][0]
+        # the lowest finite bound; with none, the first pass is the last
+        lowest = min((b for b, _ in scored if b > _NEG_INF), default=math.inf)
+        best_index = None   # the incumbent's allocation
+        for k in itertools.count(1):
+            threshold = top - k * STEP
+            if threshold < lowest:
+                threshold = None   # the last pass: no threshold, a plan at log -inf counts too
+            for bound, index in scored:
+                if threshold is not None and bound <= threshold:
+                    break
+                if run.best is None:
+                    cut = threshold
+                elif index > best_index:
+                    cut = run.score
+                else:   # a lower index wins a tie: a plan equal to the incumbent replaces it
+                    cut = math.nextafter(run.score, _NEG_INF) if run.score > _NEG_INF else None
+                if cut is None or bound > cut:
+                    before = run.best
+                    search_allocation(index, cut, run)
+                    if run.best is not before:
+                        best_index = index
+            if run.best is not None or threshold is None:
+                return
 
     return _Run(forest, instance, config).finish(search)
 
@@ -828,7 +873,8 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
             positive = {leaf_id: path_probability(forest, t, leaf_id, table, effort)
                         for leaf_id, leaf in tree.leaves.items()
                         if leaf.predicted_class == instance.target_class}
-            value, eligible = _tree_value(positive.values(), len(tree.leaves), config)
+            value, eligible = _tree_value(positive.values(), len(tree.leaves),
+                                          _resolve_kappa(config, len(tree.leaves)), config)
             if config.objective == MAX_PATH:
                 value = positive.get(leaves[t])
             if config.objective == KAPPA_PATH and not eligible:

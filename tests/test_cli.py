@@ -239,6 +239,19 @@ def test_simulate_negative_eta_is_a_usage_error(tmp_path, etas):
     assert not (tmp_path / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("etas", ["-1", "-1,-5", "2,-1"])
+def test_simulate_baseline_negative_eta_is_a_usage_error(tmp_path, capsys, etas):
+    # without --ranking the etas used to reach only the CSV header
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    rc = main(["simulate", "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), f"--etas={etas}", "--target-class", "1",
+               "--reps", "5", "-o", str(tmp_path / "sim.csv")])
+    assert rc == EXIT_USAGE
+    assert "--etas must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+    assert not (tmp_path / "sim.csv.manifest.json").exists()
+
+
 def test_rank_negative_eta_is_a_usage_error(tmp_path):
     forest_path, *_ = _firefighter_files(tmp_path)
     assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "-1",

@@ -17,14 +17,13 @@ from treeshift.solver import _path_products
 from helpers import assert_matches_oracle, make_random_instance
 
 
-def _target_leaves(forest, target_class):
-    return [sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
-                   if leaf.predicted_class == target_class) for tree in forest.trees]
-
-
 def _assert_exact(forest, table, target_class, E, eta):
-    leaves = _target_leaves(forest, target_class)
-    probs = _path_products(forest, table, leaves)
+    paths = forest.target_paths(target_class)
+    leaves = paths.leaves
+    assert leaves == tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
+                                        if leaf.predicted_class == target_class))
+                           for tree in forest.trees)
+    probs = _path_products(table, paths)
     mask = [m.mutable for m in forest.feature_metas]
     efforts = list(enumerate_effort_allocations(forest.num_features, E, eta, mask))
     assert efforts
@@ -76,7 +75,11 @@ def test_edge_cases(E, target_class):
 
 def test_edge_cases_without_any_target_leaf():
     forest, table = _edge_forest()
-    probs = _path_products(forest, table, [[] for _ in forest.trees])
+    no_class_1 = Forest([tree for tree in forest.trees
+                         if all(leaf.predicted_class == 0 for leaf in tree.leaves.values())] * 4,
+                        forest.feature_metas)
+    table = NodeProbabilityTable(0, 2, {(t, 0): table.probs[(2, 0)] for t in range(4)})
+    probs = _path_products(table, no_class_1.target_paths(1))
     assert probs((1, 0)) == [[], [], [], []]
 
 

@@ -122,8 +122,16 @@ def test_negative_eta_rejected():
         rfr_ranking(np.ones(4) / 4, METAS, eta=-1)
     with pytest.raises(ValueError, match="eta must be in 0..3"):
         rsr_ranking(METAS, eta=-1, seed=0)
-    with pytest.raises(ValueError, match="eta must be nonnegative"):
+    with pytest.raises(ValueError, match="eta must be in 0..3"):
         effort_ranking([_sol((0, 1, 0, 0))], METAS, eta=-1)
+
+
+def test_effort_ranking_rejects_more_features_than_are_mutable():
+    # eta = 4 used to give a ranking whose top() has 3 features
+    sols = [_sol((0, 1, 0, 0))]
+    assert effort_ranking(sols, METAS, eta=3).top() == [1, 2, 3]
+    with pytest.raises(ValueError, match="eta must be in 0..3, the mutable features, got 4"):
+        effort_ranking(sols, METAS, eta=4)
 
 
 def test_top_rejects_a_negative_count():

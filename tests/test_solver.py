@@ -12,9 +12,9 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        path_probability, solve, solve_kappa_path, solve_max_path,
                        solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
-from treeshift.solver import _tree_value
+from treeshift.solver import STEP, _resolve_kappa, _tree_value, majority_threshold
 
-from helpers import assert_matches_oracle
+from helpers import assert_matches_oracle, make_random_instance
 
 TOL = 1e-9
 
@@ -167,7 +167,7 @@ def test_profile_min_path_effort_a(firefighter):
     probs = _target_probs(forest, 0, table, (0, 1))
     assert probs == {LEAF_YES_LEFT: pytest.approx(0.36, abs=TOL),
                      LEAF_YES_RIGHT: pytest.approx(0.32, abs=TOL)}
-    value, eligible = _tree_value(probs.values(), 4, _cfg(MIN_PATH))
+    value, eligible = _tree_value(probs.values(), 4, 1, _cfg(MIN_PATH))
     assert value == pytest.approx(0.32, abs=TOL) and eligible
 
 
@@ -175,7 +175,7 @@ def test_profile_kappa_two_order_statistic(firefighter):
     # the theta vector is the target probabilities then a 1.0 cap per other leaf
     forest, table = firefighter
     probs = _target_probs(forest, 0, table, (0, 1)).values()
-    theta = [_tree_value(probs, 4, _cfg(KAPPA_PATH, kappa=k, mu=0.0))[0] for k in range(1, 5)]
+    theta = [_tree_value(probs, 4, k, _cfg(KAPPA_PATH, kappa=k, mu=0.0))[0] for k in range(1, 5)]
     assert theta == pytest.approx([0.32, 0.36, 1.0, 1.0], abs=TOL)
 
 
@@ -185,7 +185,7 @@ def test_profile_never_positive_tree():
     table = NodeProbabilityTable(0, 1, {})
     probs = _target_probs(forest, 0, table, (0,))
     assert probs == {}
-    assert _tree_value(probs.values(), 1, _cfg(MIN_PATH)) == (None, False)
+    assert _tree_value(probs.values(), 1, 1, _cfg(MIN_PATH)) == (None, False)
 
 
 # --- firefighter golden solves -------------------------------------------------------
@@ -398,6 +398,139 @@ def test_forward_check_cuts_a_leaf_that_empties_the_other_trees():
     # 8 c + e, incumbent 0.24; 9 c with tree 2 excluded, no tree left; 10 trees 0 and 1
     # excluded, one tree left.
     assert sol.nodes_explored == 10
+
+
+# --- allocation order: best bound first, the tie rule and threshold descent -------------
+
+
+def _with_unused_feature(case):
+    """The case with one more mutable feature that no tree splits on: each allocation with
+    effort there ties exactly with the one that has none."""
+    metas = case.forest.feature_metas + [
+        FeatureMeta(case.forest.num_features, "unused", mutable=True, beneficial="increase")]
+    instance = ProblemInstance(x0=case.instance.x0 + (0.5,),
+                               target_class=case.instance.target_class,
+                               eta=max(1, case.instance.eta), E=max(1, case.instance.E))
+    return SimpleNamespace(seed=case.seed, forest=Forest(case.forest.trees, metas),
+                           table=case.table, instance=instance)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH, KAPPA_PATH])
+def test_exact_ties_between_allocations_go_to_the_lower_index(seed, objective):
+    case = _with_unused_feature(make_random_instance(seed))
+    kw = dict(kappa=2, mu=0.0) if objective == KAPPA_PATH else {}
+    sol, oracle = assert_matches_oracle(case, objective, **kw)   # objectives within 1e-9
+    assert sol.effort == oracle.effort
+    if sol.found:
+        # the twin with effort on the unused feature has a higher index and the same value
+        assert sol.effort[-1] == 0
+
+
+def _two_feature_tie():
+    """Three trees over a, b in [0, 1]; two of them must vote 1.
+
+    Trees 0 and 1 vote 1 for a < 0.5, with 0.8 and 0.7 at no effort. Tree 2 votes 1
+    at A (a < 0.5, b < 0.5) and at B (a >= 0.5, b >= 0.5); B meets neither tree 0's nor
+    tree 1's target leaf. Effort on b lifts B to 0.81, so allocation (0, 1) has the
+    highest bound, log 0.81 + log 0.8, and is searched first, but its best plan is
+    trees 0 and 1 again, log 0.8 + log 0.7, added in the same order. That equals the
+    bound, and the optimum, of allocation (0, 0), which has the lower index.
+    """
+    metas = [FeatureMeta(0, "a", mutable=True, beneficial="increase"),
+             FeatureMeta(1, "b", mutable=True, beneficial="increase")]
+    split_a = [Node(0, 0, 0.5, 1, 2)]
+    trees = [Tree(0, split_a, [Leaf(1, 1), Leaf(2, 0)]),
+             Tree(0, split_a, [Leaf(1, 1), Leaf(2, 0)]),
+             Tree(0, [Node(0, 1, 0.5, 1, 2), Node(1, 0, 0.5, 3, 4), Node(2, 0, 0.5, 5, 6)],
+                  [Leaf(3, 1), Leaf(4, 0), Leaf(5, 0), Leaf(6, 1)])]
+    table = NodeProbabilityTable(0, 1, {(0, 0): (0.2, 0.6), (1, 0): (0.3, 0.7),
+                                        (2, 0): (0.5, 0.9), (2, 1): (0.1, 0.5),
+                                        (2, 2): (0.9, 0.95)})
+    instance = ProblemInstance(x0=(0.2, 0.2), target_class=1, eta=1, E=1)
+    return SimpleNamespace(seed="two-feature tie", forest=Forest(trees, metas), table=table,
+                           instance=instance)
+
+
+def test_lower_index_with_an_equal_bound_searched_later_still_wins():
+    sol, oracle = assert_matches_oracle(_two_feature_tie(), MAX_PATH)
+    assert sol.effort == oracle.effort == (0, 0)
+    assert sol.log_objective == math.log(0.8) + math.log(0.7)
+    assert sol.essential_trees == (0, 1)
+
+
+def _allocation_bounds(case, config):
+    """Each allocation's bound from the definitions: the m best per-tree values' logs,
+    added best first (allocations with fewer than m eligible trees are left out)."""
+    forest, instance, table = case.forest, case.instance, case.table
+    m = majority_threshold(forest.num_trees)
+    bounds = []
+    mask = [meta.mutable for meta in forest.feature_metas]
+    for effort in enumerate_effort_allocations(forest.num_features, instance.E, instance.eta,
+                                               mask):
+        values = []
+        for t, tree in enumerate(forest.trees):
+            probs = [path_probability(forest, t, leaf_id, table, effort)
+                     for leaf_id, leaf in sorted(tree.leaves.items())
+                     if leaf.predicted_class == instance.target_class]
+            value, eligible = _tree_value(probs, len(tree.leaves),
+                                          _resolve_kappa(config, len(tree.leaves)), config)
+            if eligible:
+                values.append(value)
+        if len(values) >= m:
+            log_bound = 0.0
+            for value in sorted(values, reverse=True)[:m]:
+                log_bound += math.log(value) if value > 0.0 else -math.inf
+            bounds.append(log_bound)
+    return bounds
+
+
+@pytest.mark.parametrize("seed, objective", [(21, MAX_PATH), (42, MIN_PATH),
+                                             (299, KAPPA_PATH)])
+def test_a_later_pass_finds_the_optimum_the_first_pass_misses(seed, objective):
+    case = make_random_instance(seed)
+    kw = dict(kappa=case.kappa, mu=case.mu) if objective == KAPPA_PATH else {}
+    sol, oracle = assert_matches_oracle(case, objective, **kw)
+    assert sol.effort == oracle.effort
+    bounds = _allocation_bounds(case, _cfg(objective, **kw))
+    lowest = min(b for b in bounds if b > -math.inf)
+    # nothing above the first pass's threshold, but more than the lowest finite bound:
+    # a pass with a finite threshold finds it
+    assert lowest < sol.log_objective <= max(bounds) - STEP
+
+
+def _descent_to_the_last_pass(zero_leaf_class):
+    """One feature x, levels 0..2, eta 2; two of three trees must vote 1.
+
+    The target leaves with a positive path probability, x >= 0.5 (tree 0, 1.0), x < 0.3
+    (tree 1) and 0.3 <= x < 0.5 (tree 2), meet pairwise nowhere. Allocation (0,) has
+    the bound log 1.0 + log 0.5, (1,) about log 1.0 + log 0.04, and (2,) is -inf.
+    Tree 0's leaf x < 0.5 has path probability 0; voting ``zero_leaf_class`` there, it
+    makes plans at log -inf with tree 1 or 2 when that class is 1, and none otherwise.
+    """
+    meta = [FeatureMeta(0, "x", mutable=True, beneficial="increase")]
+    trees = [Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, zero_leaf_class), Leaf(2, 1)]),
+             Tree(0, [Node(0, 0, 0.3, 1, 2)], [Leaf(1, 1), Leaf(2, 0)]),
+             Tree(0, [Node(0, 0, 0.3, 1, 2), Node(2, 0, 0.5, 3, 4)],
+                  [Leaf(1, 0), Leaf(3, 1), Leaf(4, 0)])]
+    table = NodeProbabilityTable(0, 2, {(0, 0): (1.0, 1.0, 1.0), (1, 0): (0.5, 0.96, 1.0),
+                                        (2, 0): (0.5, 0.5, 0.5), (2, 2): (0.5, 0.95, 1.0)})
+    instance = ProblemInstance(x0=(0.65,), target_class=1, eta=2, E=2)
+    return SimpleNamespace(seed="descent", forest=Forest(trees, meta), table=table,
+                           instance=instance)
+
+
+@pytest.mark.parametrize("zero_leaf_class, status", [(1, "optimal"), (0, "infeasible")])
+def test_descent_ends_when_no_finite_pass_finds_a_plan(zero_leaf_class, status):
+    # a threshold that never fell below the lowest finite bound would search forever:
+    # the time limit turns that into a timeout
+    case = _descent_to_the_last_pass(zero_leaf_class)
+    sol, oracle = assert_matches_oracle(case, MAX_PATH, time_limit=10.0)
+    assert sol.status == status
+    bounds = _allocation_bounds(case, _cfg(MAX_PATH))
+    assert bounds[2] == -math.inf and bounds[0] - bounds[1] > STEP
+    if status == "optimal":
+        assert sol.objective == 0.0 and sol.effort == oracle.effort == (0,)
 
 
 # --- min distance ---------------------------------------------------------------------
