@@ -150,6 +150,7 @@ class Forest:
         self.num_features = len(feature_metas)
         self._leaf_geometry: dict[float, LeafGeometry] = {}
         self._target_paths: dict[int, TargetPaths] = {}
+        self._scoring_plans: dict[tuple[int, int, int], ScoringPlan] = {}
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
                 if not 0 <= node.feature < self.num_features:
@@ -250,6 +251,18 @@ class Forest:
             self._target_paths[target_class] = paths
         return paths
 
+    def scoring_plan(self, target_class: int, E: int, eta: int) -> ScoringPlan:
+        """The effort allocations grouped per tree by their effort at the features on the
+        tree's paths to the class's leaves, built once per (class, E, eta) and shared,
+        read-only, by every caller."""
+        key = (target_class, E, eta)
+        plan = self._scoring_plans.get(key)
+        if plan is None:
+            mutable = [meta.mutable for meta in self.feature_metas]
+            plan = _scoring_plan(self.trees, mutable, target_class, E, eta)
+            self._scoring_plans[key] = plan
+        return plan
+
 
 class LeafGeometry(NamedTuple):
     """The leaf boxes of a forest at one epsilon and which of them meet.
@@ -330,6 +343,78 @@ def _target_paths(trees, target_class) -> TargetPaths:
     for array in (node, feature, right):
         array.flags.writeable = False
     return TargetPaths(leaves, nodes, node, feature, right)
+
+
+def enumerate_effort_allocations(d: int, E: int, eta: int, mutable_mask=None):
+    """All effort vectors with sum <= eta, entries in 0..E, zero on immutables.
+
+    Yields each exactly once, in lexicographic order (all-zero vector first).
+    """
+    mask = list(mutable_mask) if mutable_mask is not None else [True] * d
+    if len(mask) != d:
+        raise ValueError("mutable_mask length must equal d")
+    prefix = [0] * d
+
+    def rec(j, remaining):
+        if j == d:
+            yield tuple(prefix)
+            return
+        cap = min(E, remaining) if mask[j] else 0
+        for e in range(cap + 1):
+            prefix[j] = e
+            yield from rec(j + 1, remaining - e)
+        prefix[j] = 0
+
+    yield from rec(0, eta)
+
+
+class ScoringPlan(NamedTuple):
+    """A forest's effort allocations for one (target class, E, eta), grouped tree by tree.
+
+    A tree's value under an allocation depends only on the allocation's effort at the
+    features on the tree's paths to the class's leaves, its signature there. Pair p is
+    one tree together with one of its signatures; pairs are numbered tree by tree.
+    """
+
+    allocations: tuple[tuple[int, ...], ...]   # in lexicographic order
+    effort: np.ndarray   # [a, j]: allocation a's effort at feature j
+    pair: np.ndarray     # [a, t]: the pair of tree t and allocation a's signature there
+    tree: np.ndarray     # [p]: pair p's tree
+    first: np.ndarray    # [p]: the first allocation with pair p's signature
+
+
+def _scoring_plan(trees, mutable, target_class, E, eta) -> ScoringPlan:
+    d = len(mutable)
+    allocations = tuple(enumerate_effort_allocations(d, E, eta, mutable))
+    effort = np.array(allocations, dtype=np.intp).reshape(len(allocations), d)
+    width = E + 1
+    pair = np.empty((len(allocations), len(trees)), dtype=np.int32)
+    tree_of, first = [], []
+    for t, tree in enumerate(trees):
+        features = sorted({tree.nodes[node_id].feature
+                           for leaf_id, leaf in tree.leaves.items()
+                           if leaf.predicted_class == target_class
+                           for node_id, _ in tree.paths[leaf_id]})
+        # the signature as one mixed-radix integer; before it could pass int64, the keys
+        # so far are renumbered densely (fewer than the allocations), so it stays exact
+        key, size = np.zeros(len(allocations), dtype=np.int64), 1
+        for j in features:
+            if not mutable[j]:
+                continue   # no allocation puts effort there
+            if size * width > 1 << 63:
+                key = np.unique(key, return_inverse=True)[1].reshape(-1)
+                size = len(allocations)
+            key = key * width + effort[:, j]
+            size *= width
+        _, index, inverse = np.unique(key, return_index=True, return_inverse=True)
+        pair[:, t] = inverse.reshape(-1) + len(first)
+        first.extend(index.tolist())
+        tree_of.extend([t] * len(index))
+    plan = ScoringPlan(allocations, effort, pair, np.array(tree_of, dtype=np.intp),
+                       np.array(first, dtype=np.intp))
+    for array in plan[1:]:
+        array.flags.writeable = False
+    return plan
 
 
 class _FlatTrees(NamedTuple):

@@ -16,9 +16,22 @@ Probabilistic objectives are solved by scoring every effort allocation (their
 count is small at the intended scale) and running a branch-and-bound over
 essential-tree sets and leaf choices per allocation. An allocation's bound is
 the log values of its m best trees added best first; no plan of it scores
-higher. Allocations are visited by bound, highest first, ties to the lower
-index, in passes of falling threshold (an anytime bound as in Veritas, Devos,
-Meert & Davis 2021, with cost-threshold deepening as in IDA*, Korf 1985).
+higher. A tree's value depends only on the allocation's effort at the
+features on the tree's target paths, so the forest's scoring plan
+(``Forest.scoring_plan``) groups the allocations per tree by that signature,
+and a solve scores each distinct (tree, signature) pair once: one gather of
+its leaves' path probabilities (``_path_products``), a block of pairs at a
+time, then ``_tree_value`` and ``math.log`` on each pair (``_score_pairs``).
+The bounds are computed in numpy (``_bounds``): each allocation's per-tree
+logs are sorted, and the m best are added best first, a column at a time,
+with elementwise float64 adds starting from 0.0. That is ``_add_up``'s order
+on the same ``math.log`` values, and IEEE addition rounds the same in numpy
+as in Python, so every bound is bit-identical to the scalar sum the
+allocation cut starts from.
+
+Allocations are visited by bound, highest first, ties to the lower index, in
+passes of falling threshold (an anytime bound as in Veritas, Devos, Meert &
+Davis 2021, with cost-threshold deepening as in IDA*, Korf 1985).
 Pass k = 1, 2, ... searches the allocations whose bound is above
 ``T_k = top - k * STEP`` (``STEP`` = 1 nat, ``top`` the highest bound) and
 keeps only plans above ``max(T_k, incumbent)``. A pass that keeps a plan ends
@@ -33,11 +46,10 @@ in lexicographic order, so among equal plans the lowest allocation wins; an
 allocation below the incumbent's index is searched even when its bound only
 equals the incumbent. Inside one allocation the first plan the DFS visits
 wins. Trees are visited by best value first, candidates of a tree by value.
-Each allocation's path probabilities come from one numpy gather over every
-target leaf, multiplied root to leaf in the order ``path_probability`` uses,
-so they are bit-identical to it (``_path_products``). Feasibility is tested
-with the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``): a
-leaf can join the chosen ones iff its bit is set in ``allowed``, the AND of
+Path probabilities are multiplied root to leaf in the order
+``path_probability`` uses, so they are bit-identical to it. Feasibility is
+tested with the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``):
+a leaf can join the chosen ones iff its bit is set in ``allowed``, the AND of
 their bitsets, and the joint box is built only for an incumbent. All
 accumulation happens in log space. Every cut below drops only subtrees with
 no plan that the threshold and the tie rule would keep, so it changes the
@@ -69,7 +81,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .forest import (DEFAULT_EPSILON, Forest, TargetPaths, _intersect, _target_wins,
-                     boxes_intersect, leaf_box, leaf_of)
+                     boxes_intersect, enumerate_effort_allocations, leaf_box, leaf_of)
 from .probability import NodeProbabilityTable
 
 MAX_PATH = "max_path"
@@ -81,6 +93,7 @@ OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 _NEG_INF = float("-inf")
 ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
 STEP = 1.0   # nats the path search's threshold falls per pass
+_SCORE_BLOCK = 256   # (tree, signature) pairs gathered together when scoring allocations
 
 
 class _Timeout(Exception):
@@ -181,29 +194,6 @@ def majority_threshold(num_trees: int) -> int:
     return num_trees // 2 + 1
 
 
-def enumerate_effort_allocations(d: int, E: int, eta: int, mutable_mask=None):
-    """All effort vectors with sum <= eta, entries in 0..E, zero on immutables.
-
-    Yields each exactly once, in lexicographic order (all-zero vector first).
-    """
-    mask = list(mutable_mask) if mutable_mask is not None else [True] * d
-    if len(mask) != d:
-        raise ValueError("mutable_mask length must equal d")
-    prefix = [0] * d
-
-    def rec(j, remaining):
-        if j == d:
-            yield tuple(prefix)
-            return
-        cap = min(E, remaining) if mask[j] else 0
-        for e in range(cap + 1):
-            prefix[j] = e
-            yield from rec(j + 1, remaining - e)
-        prefix[j] = 0
-
-    yield from rec(0, eta)
-
-
 def path_probability(forest: Forest, tree_index: int, leaf_id: int,
                      table: NodeProbabilityTable, effort) -> float:
     """Product of effort-adjusted branch probabilities along the leaf's path."""
@@ -217,13 +207,13 @@ def path_probability(forest: Forest, tree_index: int, leaf_id: int,
 
 
 def _path_products(table: NodeProbabilityTable, paths: TargetPaths):
-    """A function of the effort vector: per tree, the path probabilities of its leaves in
-    ``paths.leaves``, bit-for-bit ``path_probability``'s.
+    """A function of (tree, effort vector) pairs: per pair, the path probabilities of the
+    tree's leaves in ``paths.leaves``, bit-for-bit ``path_probability``'s.
 
     ``q[l, k, e]`` is step k of leaf l's path at effort level e (``row[e]`` going right,
-    ``1.0 - row[e]`` going left, 1.0 past the path's end), so an effort costs one gather
-    and one product per step, root to leaf. The paths are the forest's, built once per
-    target class; only the table rows are gathered here.
+    ``1.0 - row[e]`` going left, 1.0 past the path's end), so a pair costs one gather
+    and one product per step, root to leaf, over its tree's leaves. The paths are the
+    forest's, built once per target class; only the table rows are gathered here.
     """
     width = table.E + 1
     rows = np.array([table.probs[key] for key in paths.nodes] + [(1.0,) * width], dtype=float)
@@ -231,15 +221,23 @@ def _path_products(table: NodeProbabilityTable, paths: TargetPaths):
     q = np.where(paths.right[..., None], steps, 1.0 - steps).reshape(-1)
     feat = paths.feature
     base = np.arange(feat.size, dtype=np.intp).reshape(feat.shape) * width
-    bounds = list(itertools.pairwise(itertools.accumulate(map(len, paths.leaves), initial=0)))
+    sizes = np.array([len(ids) for ids in paths.leaves], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
 
-    def probs(effort) -> list[list[float]]:
-        steps = q[base + np.asarray(effort, dtype=np.intp)[feat]]
+    def probs(trees, efforts) -> list[list[float]]:
+        trees = np.asarray(trees, dtype=np.intp)
+        counts = sizes[trees]
+        ends = np.cumsum(counts)
+        pair = np.repeat(np.arange(len(trees)), counts)
+        # gather row r is the pair's leaf number r - (the pair's first row), so its row in
+        # the paths is that plus the first row of the pair's tree
+        leaf = np.arange(len(pair)) + np.repeat(starts[trees] - (ends - counts), counts)
+        steps = q[base[leaf] + np.asarray(efforts, dtype=np.intp)[pair[:, None], feat[leaf]]]
         prob = steps[:, 0].copy()
         for k in range(1, feat.shape[1]):
             prob *= steps[:, k]   # elementwise, in path order: no reduction reorders it
         flat = prob.tolist()
-        return [flat[a:b] for a, b in bounds]
+        return [flat[a:b] for a, b in itertools.pairwise([0] + ends.tolist())]
 
     return probs
 
@@ -398,16 +396,63 @@ class _Run:
                         wall_time=time.monotonic() - self.start, **content)
 
 
+def _score_pairs(forest, plan, leaf_probs, config, needed, check):
+    """Per (tree, signature) pair of the plan: the tree's value, whether it can vote
+    target, and then its log value (-inf if it cannot). Only the ``needed`` pairs are
+    scored, a block of them per gather, calling ``check()`` before each block."""
+    n_leaves = [len(tree.leaves) for tree in forest.trees]
+    kappas = [_resolve_kappa(config, n) for n in n_leaves]
+    value = [None] * len(plan.tree)
+    eligible = [False] * len(plan.tree)
+    log = [_NEG_INF] * len(plan.tree)
+    for a in range(0, len(needed), _SCORE_BLOCK):
+        check()
+        block = needed[a:a + _SCORE_BLOCK]
+        trees = plan.tree[block]
+        for p, t, probs in zip(block.tolist(), trees.tolist(),
+                               leaf_probs(trees, plan.effort[plan.first[block]])):
+            value[p], eligible[p] = _tree_value(probs, n_leaves[t], kappas[t], config)
+            if eligible[p]:
+                log[p] = _log(value[p])
+    return value, eligible, log
+
+
+def _bounds(plan, indices, scores, m):
+    """The (bound, index) pairs of the allocations at ``indices`` with at least m trees that
+    can vote target, best bound first, ties to the lower index; ``scores`` are the pairs'
+    from ``_score_pairs``.
+
+    A bound is the m best per-tree log values added best first, the allocation cut's
+    bound: the logs are sorted per allocation and added a column at a time, elementwise
+    in float64, so each bound is bit-for-bit ``_add_up(0.0, best logs)``. A tree that
+    cannot vote target has log -inf; it can displace only a log -inf, so the sum is the
+    same.
+    """
+    _, eligible, log = scores
+    pair = plan.pair[indices]
+    logs = np.array(log)[pair]
+    logs.sort(axis=1)
+    bound = np.zeros(len(indices))
+    for k in range(1, m + 1):
+        bound += logs[:, -k]
+    keep = np.flatnonzero(np.array(eligible)[pair].sum(axis=1) >= m)
+    keep = keep[np.lexsort((keep, -bound[keep]))]
+    return list(zip(bound[keep].tolist(), indices[keep].tolist()))
+
+
 def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     """Best max/min/kappa path solution over every allocation, or over the pinned effort only."""
     if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
         raise ValueError("probabilistic search needs a path objective")
     _check_problem(forest, instance, table, config)
-    allocations = list(_allocations(forest, instance))
-    if pinned is not None:
+    plan = forest.scoring_plan(instance.target_class, instance.E, instance.eta)
+    allocations = plan.allocations
+    if pinned is None:
+        indices = np.arange(len(allocations))
+    else:
         pinned = tuple(pinned)
-        allocations = [a for a in allocations if a == pinned]
-        if not allocations:
+        indices = np.array([i for i, a in enumerate(allocations) if a == pinned], dtype=np.intp)
+        if not indices.size:
             raise ValueError(f"effort {pinned} is not an allocation of the instance")
     m = majority_threshold(forest.num_trees)
     geometry = forest.leaf_geometry(instance.epsilon)
@@ -417,28 +462,20 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     paths = forest.target_paths(instance.target_class)
     target = paths.leaves
     leaf_probs = _path_products(table, paths)
-    kappas = [_resolve_kappa(config, len(tree.leaves)) for tree in forest.trees]
     # per tree, the bits of its target leaves (its candidates): the tree can still vote
     # target iff the running ``allowed`` meets this mask
     target_mask = [sum(bit[t][leaf] for leaf in target[t]) for t in range(forest.num_trees)]
 
-    def tree_values(effort):
-        """The target leaves' path probabilities per tree, and the values of the trees
-        that can vote target."""
-        probs = leaf_probs(effort)
-        values = {}
-        for t, tree in enumerate(forest.trees):
-            value, eligible = _tree_value(probs[t], len(tree.leaves), kappas[t], config)
-            if eligible:
-                values[t] = value
-        return probs, values
-
-    def search_allocation(index, cut, run):
+    def search_allocation(index, cut, run, scores):
         """Search one allocation, keeping only plans that score above ``cut`` (None: any)."""
+        pair_value, pair_eligible, pair_log = scores
         effort = allocations[index]
-        probs, values = tree_values(effort)
+        pair_ids = plan.pair[index].tolist()
+        values = {t: pair_value[p] for t, p in enumerate(pair_ids) if pair_eligible[p]}
         order = sorted(values, key=lambda t: (-values[t], t))
-        best_log = [_log(values[t]) for t in order]
+        best_log = [pair_log[pair_ids[t]] for t in order]
+        if config.objective == MAX_PATH:
+            probs = leaf_probs(range(forest.num_trees), [effort] * forest.num_trees)
         n = len(order)
         masks = [target_mask[t] for t in order]
         rows = list(zip(masks, best_log))
@@ -512,17 +549,12 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
 
     def search(run):
-        scored = []   # (bound, index) of every allocation with enough trees to vote target
-        for index, effort in enumerate(allocations):
-            run.check()
-            values = tree_values(effort)[1]
-            if len(values) >= m:
-                # the allocation cut's bound: the m best log values, added best first
-                best = sorted(values.values(), reverse=True)[:m]
-                scored.append((_add_up(0.0, map(_log, best)), index))
+        # a pinned allocation needs only its own pairs, one per tree
+        needed = np.arange(len(plan.tree)) if pinned is None else plan.pair[indices[0]]
+        scores = _score_pairs(forest, plan, leaf_probs, config, needed, run.check)
+        scored = _bounds(plan, indices, scores, m)
         if not scored:
             return
-        scored.sort(key=lambda s: (-s[0], s[1]))   # best bound first, ties to the lower index
         top = scored[0][0]
         # the lowest finite bound; with none, the first pass is the last
         lowest = min((b for b, _ in scored if b > _NEG_INF), default=math.inf)
@@ -542,7 +574,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                     cut = math.nextafter(run.score, _NEG_INF) if run.score > _NEG_INF else None
                 if cut is None or bound > cut:
                     before = run.best
-                    search_allocation(index, cut, run)
+                    search_allocation(index, cut, run, scores)
                     if run.best is not before:
                         best_index = index
             if run.best is not None or threshold is None:
