@@ -203,7 +203,8 @@ def _chain_forest(d):
     chain = Tree(0, [Node(j, j, 0.5, d + j, j + 1 if j + 1 < d else 2 * d) for j in range(d)],
                  [Leaf(d + j, j % 2) for j in range(d)] + [Leaf(2 * d, 1)])
     stump = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])
-    probs = {(0, j): tuple(round(float(p), 4) for p in rng.uniform(0.5, 1.0, 3)) for j in range(d)}
+    probs = {(0, j): tuple(round(float(p), 4) for p in rng.uniform(0.5, 1.0, 3))
+             for j in range(d)}
     probs[(1, 0)] = (0.3, 0.6, 0.9)
     return Forest([chain, stump], metas), NodeProbabilityTable(0, 2, probs)
 
@@ -213,7 +214,8 @@ def test_signature_keys_stay_exact_past_int64():
     forest, table = _chain_forest(40)
     assert 3 ** 40 > 2 ** 63
     plan = forest.scoring_plan(1, 2, 2)
-    assert len(set(plan.pair[:, 0].tolist())) == len(plan.allocations) == 1 + 40 * 2 + 40 * 39 // 2
+    assert len(plan.allocations) == 1 + 40 * 2 + 40 * 39 // 2
+    assert len(set(plan.pair[:, 0].tolist())) == len(plan.allocations)   # all distinct
     for config in (SolverConfig(objective=MAX_PATH),
                    SolverConfig(objective=KAPPA_PATH, kappa=3, mu=0.0)):
         _assert_scores_exact(forest, table, config, 1, 2, 2)
