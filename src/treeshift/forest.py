@@ -271,12 +271,15 @@ class LeafGeometry(NamedTuple):
     ``compatible[t][leaf_id]`` is the OR of the bits of the leaves in other
     trees whose boxes meet that leaf's box. Closed intervals that meet
     pairwise share a point, so leaves from distinct trees have a nonempty
-    joint box iff every pair of them is compatible.
+    joint box iff every pair of them is compatible. ``lo`` and ``hi`` hold the
+    same boxes as (leaves, features) arrays, one row per leaf in bit order.
     """
 
     boxes: tuple[dict[int, tuple], ...]   # per tree, {leaf_id: box as (lo, hi) pairs}
     bit: tuple[dict[int, int], ...]       # per tree, {leaf_id: the leaf's own bit}
     compatible: tuple[dict[int, int], ...]  # per tree, {leaf_id: bitset of compatible leaves}
+    lo: np.ndarray                        # lo[g, j]: leaf g's lower bound on feature j
+    hi: np.ndarray                        # hi[g, j]: its upper bound
 
 
 def _leaf_geometry(trees, domains, epsilon) -> LeafGeometry:
@@ -308,7 +311,7 @@ def _leaf_geometry(trees, domains, epsilon) -> LeafGeometry:
         bit.append({leaf_id: 1 << (g + k) for k, leaf_id in enumerate(tree_boxes)})
         compatible.append({leaf_id: rows[g + k] for k, leaf_id in enumerate(tree_boxes)})
         g += len(tree_boxes)
-    return LeafGeometry(boxes, tuple(bit), tuple(compatible))
+    return LeafGeometry(boxes, tuple(bit), tuple(compatible), lo.T, hi.T)
 
 
 class TargetPaths(NamedTuple):

@@ -67,7 +67,10 @@ nodes explored, never the answer:
   candidate that leaves open a subset of what an earlier-tried sibling left
   open is skipped: that sibling's value is no lower, so each completion of
   the skipped one is matched, term by term, by a completion visited earlier.
-* ``solve_min_distance`` has its own box and vote-counting bounds.
+* ``solve_min_distance`` has its own distance and vote-counting bounds. It
+  carries per-feature residuals down its DFS instead of boxes; the residual
+  lemma in its docstring is why every distance it compares is the one of the
+  intersected box, bit for bit.
 """
 from __future__ import annotations
 
@@ -281,13 +284,17 @@ def choose_point(box, x0):
     return tuple(min(max(x, lo), hi) for x, (lo, hi) in zip(x0, box))
 
 
+# a distance from its per-feature residuals w_j * |x_j - x0_j|; each is monotone in
+# every residual, also in floating point
+_MEASURES = {
+    "l1": math.fsum,
+    "l2": lambda residuals: math.sqrt(math.fsum(r * r for r in residuals)),
+    "linf": lambda residuals: max(residuals, default=0.0),
+}
+
+
 def _distance(x0, x, weights, kind: str) -> float:
-    residuals = [w * abs(a - b) for w, a, b in zip(weights, x, x0)]
-    if kind == "l1":
-        return math.fsum(residuals)
-    if kind == "l2":
-        return math.sqrt(math.fsum(r * r for r in residuals))
-    return max(residuals, default=0.0)
+    return _MEASURES[kind]([w * abs(a - b) for w, a, b in zip(weights, x, x0)])
 
 
 def _box_distance(x0, box, weights, kind: str) -> float:
@@ -624,65 +631,102 @@ def _weighted_vote_ok(forest, votes, target) -> bool:
     return _target_wins(w_target, w_other, target)
 
 
+def _leaf_residuals(geometry, x0, weights):
+    """Per tree, {leaf_id: the leaf box's residuals ``w_j * |clamp(x0_j, lo_j, hi_j) - x0_j|``},
+    from one numpy pass over the leaf boxes; numpy's clip, subtraction, abs and product
+    round as the scalar clamp and ``_distance`` do."""
+    x = np.array(x0, dtype=float)
+    gaps = np.abs(np.clip(x, geometry.lo, geometry.hi) - x)
+    rows = iter((np.array(weights, dtype=float) * gaps).tolist())   # bit order, tree by tree
+    return [{leaf_id: tuple(next(rows)) for leaf_id in tree_boxes} for tree_boxes in geometry.boxes]
+
+
 def solve_min_distance(forest, instance, config=None) -> Solution:
     """Closest point (weighted L1/L2/Linf) classified into the target class.
 
     Branch and bound over full leaf combinations, tree by tree, nearest child
-    first. A leaf is tried only if the leaf bitsets allow it, so every box
-    built is nonempty. x is the clamp of x0 onto the final box (the exact
-    minimizer). A node is cut when no completion can be strictly nearer than
-    the incumbent, so ties keep the first optimum visited:
+    first. A leaf is tried only if the leaf bitsets allow it, so the chosen
+    leaves' boxes always meet. x is the clamp of x0 onto the final box (the
+    exact minimizer), and the box is built only for an incumbent.
 
-    * Box bound: the distance from x0 to the running box. Boxes only shrink
-      along the search, and intersection, clamping, |a - b|, weighting, fsum,
-      sqrt and max are each monotone in floating point, so no completion's
-      computed distance is lower.
+    The search carries residuals, not boxes. A closed box's residual on
+    feature j is ``w_j * |clamp(x0_j, lo_j, hi_j) - x0_j|``, and its distance
+    is fsum, sqrt of fsum of squares, or max of the residuals
+    (``_MEASURES``). Residual lemma: for boxes that meet, the residuals of
+    their intersection are the elementwise max of theirs, bit for bit. Meeting
+    boxes cannot leave x0_j below one box and above another, so the
+    intersection's residual comes from its largest lower bound (or its
+    smallest upper one), and the rounding of ``- x0_j`` and of ``* w_j`` (for
+    ``w_j >= 0``) is monotone, so it commutes with that max. So each leaf's
+    residuals are computed once per solve, a node's are the max of its
+    parent's and its leaf's, and every distance below equals the one computed
+    from the intersected box.
+
+    A node is cut when no completion can be strictly nearer than the
+    incumbent, so ties keep the first optimum visited:
+
+    * Distance bound: the node's distance. Residuals only grow along the
+      search, and each measure is monotone in floating point, so no
+      completion's computed distance is lower.
     * Vote bound, while target votes are missing: a remaining tree can supply
-      its vote only through an allowed target leaf, and the final box lies in
-      the running box intersected with that leaf. If the trees that have such
-      a leaf nearer to x0 than the incumbent (any such leaf, without an
-      incumbent) cannot make ``_target_wins`` true, the node is cut. Their
-      weights are added in tree order from the running target weight, as the
-      final vote adds them; adding a nonnegative weight never lowers a float
-      sum, so no subset of them can win where all of them do not.
+      its vote only through an allowed target leaf, and the final residuals
+      are at least the node's maxed with that leaf's. If the trees that have
+      such a leaf nearer to x0 than the incumbent (any such leaf, without an
+      incumbent) cannot make ``_target_wins`` true, the node is cut. A tree's
+      target leaves are scanned nearest first by their own distance, which
+      no maxed distance is below, so the scan stops at the first leaf that
+      alone reaches the incumbent. The trees' weights are added in tree order
+      from the running target weight, as the final vote adds them; adding a
+      nonnegative weight never lowers a float sum, so no subset of them can
+      win where all of them do not.
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
     weights = _distance_weights(forest, config)
+    measure = _MEASURES[config.distance]
     x0, target = instance.x0, instance.target_class
-    boxes, bit, compatible = forest.leaf_geometry(instance.epsilon)
+    geometry = forest.leaf_geometry(instance.epsilon)
+    boxes, bit, compatible = geometry.boxes, geometry.bit, geometry.compatible
     R = forest.num_trees
     total = 0.0
     for tree in reversed(forest.trees):
         total += tree.weight
-    target_leaves = [[(bit[u][leaf_id], boxes[u][leaf_id]) for leaf_id, leaf in tree.leaves.items()
-                      if leaf.predicted_class == target] for u, tree in enumerate(forest.trees)]
+    residuals = _leaf_residuals(geometry, x0, weights)
+    # per tree, its target leaves as (own distance, bit, residuals), nearest first
+    target_leaves = [sorted((measure(res), bit[u][leaf_id], res)
+                            for leaf_id, res in residuals[u].items()
+                            if tree.leaves[leaf_id].predicted_class == target)
+                     for u, tree in enumerate(forest.trees)]
+    root = [tuple(dom) for dom in forest.domains]
     combo: list[int] = []
 
-    def could_vote(run, u, box, allowed):
-        """Has tree u an allowed target leaf whose box meets the running box closer to x0
-        than the incumbent?"""
-        for leaf_bit, target_box in target_leaves[u]:
-            if allowed & leaf_bit and (run.best is None or _box_distance(
-                    x0, _intersect(box, target_box), weights, config.distance) < run.score):
+    def could_vote(run, u, res, allowed):
+        """Has tree u an allowed target leaf that, maxed with the node's residuals, is
+        closer to x0 than the incumbent?"""
+        for own, leaf_bit, leaf_res in target_leaves[u]:
+            if run.best is not None and own >= run.score:
+                return False   # this leaf and every later one is at least as far
+            if allowed & leaf_bit and (run.best is None
+                                       or measure(map(max, res, leaf_res)) < run.score):
                 return True
         return False
 
-    def dfs(run, t, box, allowed, w_target, dist):
+    def dfs(run, t, res, allowed, w_target, dist):
         run.nodes += 1
         run.check()
         if run.best is not None and dist >= run.score:
             return
         if t == R:
             if _target_wins(w_target, total - w_target, target):
-                run.keep(dist, dict(enumerate(combo)), box)
+                run.keep(dist, dict(enumerate(combo)),
+                         boxes_intersect([root] + [boxes[u][leaf] for u, leaf in enumerate(combo)]))
             return
         if not _target_wins(w_target, total - w_target, target):
             # target votes are missing: count the trees that can still vote target closer
             # to x0 than the incumbent, adding their weights in tree order like the final vote
             w = w_target
             for u in range(t, R):
-                if could_vote(run, u, box, allowed):
+                if could_vote(run, u, res, allowed):
                     w += forest.trees[u].weight
                     if _target_wins(w, total - w, target):
                         break
@@ -692,18 +736,20 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         for leaf_id, leaf in forest.trees[t].leaves.items():
             if not allowed & bit[t][leaf_id]:
                 continue
-            nb = _intersect(box, boxes[t][leaf_id])
-            children.append((_box_distance(x0, nb, weights, config.distance), leaf_id, nb, leaf))
-        for child_dist, leaf_id, nb, leaf in sorted(children, key=lambda c: (c[0], c[1])):
+            child = tuple(map(max, res, residuals[t][leaf_id]))
+            children.append((measure(child), leaf_id, child, leaf))
+        for child_dist, leaf_id, child, leaf in sorted(children, key=lambda c: (c[0], c[1])):
             combo.append(leaf_id)
-            dfs(run, t + 1, nb, allowed & compatible[t][leaf_id],
+            dfs(run, t + 1, child, allowed & compatible[t][leaf_id],
                 w_target + (forest.trees[t].weight if leaf.predicted_class == target else 0.0),
                 child_dist)
             combo.pop()
 
-    root = [tuple(dom) for dom in forest.domains]
-    return _Run(forest, instance, config).finish(
-        lambda run: dfs(run, 0, root, -1, 0.0, _box_distance(x0, root, weights, config.distance)))
+    root_res = tuple(w * 0.0 for w in weights)   # x0 lies in the domains
+    solution = _Run(forest, instance, config).finish(
+        lambda run: dfs(run, 0, root_res, -1, 0.0, measure(root_res)))
+    del dfs   # it refers to itself: drop the cycle so the residuals are freed now, not by a gc
+    return solution
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -819,13 +865,15 @@ def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
 
 
 def objectives_close(a, b, tol: float = 1e-9) -> bool:
-    """Equality in linear or log space, whichever is meaningful at the scale."""
+    """Equality up to ``tol``: in log space when both values are positive, so that a
+    path objective of 1e-13 is not matched by one ten times smaller; in linear space
+    otherwise (an objective of 0.0)."""
     if a is None or b is None:
         return a is b
     if a == b:
         return True
-    if a > 0 and b > 0 and abs(math.log(a) - math.log(b)) <= tol:
-        return True
+    if a > 0 and b > 0:
+        return abs(math.log(a) - math.log(b)) <= tol
     return abs(a - b) <= tol
 
 

@@ -211,6 +211,11 @@ def test_leaf_boxes_table_matches_leaf_box():
                 assert set(table[t]) == set(tree.leaves)
                 for leaf_id in tree.leaves:
                     assert table[t][leaf_id] == tuple(leaf_box(tree, leaf_id, forest.domains, eps))
+            # the same boxes as arrays, one row per leaf in bit order
+            geometry = forest.leaf_geometry(eps)
+            rows = [box for tree_boxes in table for box in tree_boxes.values()]
+            assert geometry.lo.tolist() == [[lo for lo, _ in box] for box in rows]
+            assert geometry.hi.tolist() == [[hi for _, hi in box] for box in rows]
 
 
 def test_leaf_compatibility_bits_match_intersect():

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,12 +8,13 @@ import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
                        Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
-                       SolverConfig, Tree, brute_force_oracle, choose_point,
-                       enumerate_effort_allocations, evaluate_allocation,
-                       path_probability, solve, solve_kappa_path, solve_max_path,
-                       solve_min_distance, solve_min_path, verify_solution)
+                       SolverConfig, Tree, boxes_intersect, brute_force_oracle,
+                       choose_point, enumerate_effort_allocations, evaluate_allocation,
+                       objectives_close, path_probability, solve, solve_kappa_path,
+                       solve_max_path, solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
-from treeshift.solver import STEP, _resolve_kappa, _tree_value, majority_threshold
+from treeshift.solver import (_MEASURES, STEP, _distance, _leaf_residuals, _resolve_kappa,
+                              _tree_value, majority_threshold)
 
 from helpers import assert_matches_oracle, make_random_instance
 
@@ -599,6 +601,47 @@ def test_min_distance_infeasible():
     assert solve_min_distance(forest, instance).status == "infeasible"
 
 
+def _residuals(x0, box, weights):
+    """The definition: per feature, the weighted gap between x0 and the box."""
+    return [w * abs(min(max(x, lo), hi) - x) for w, x, (lo, hi) in zip(weights, x0, box)]
+
+
+def test_residual_lemma_intersection_takes_the_elementwise_max():
+    # boxes that pairwise meet (all contain one point per feature), with bounds drawn from
+    # a small pool so that endpoints are shared and x0 often lies on a bound
+    rng = random.Random(0)
+    for _ in range(2000):
+        d, n = rng.randint(1, 5), rng.randint(1, 5)
+        weights = [rng.choice((0.0, 1.0, rng.uniform(0.0, 3.0))) for _ in range(d)]
+        x0, boxes = [], [[] for _ in range(n)]
+        for _ in range(d):
+            pool = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+            common = rng.choice(pool)
+            x0.append(rng.choice(pool + [rng.uniform(-3.0, 3.0)]))
+            for box in boxes:
+                box.append((rng.choice([v for v in pool if v <= common]),
+                            rng.choice([v for v in pool if v >= common])))
+        joint = boxes_intersect(boxes)
+        assert joint is not None
+        maxed = [max(col) for col in zip(*(_residuals(x0, box, weights) for box in boxes))]
+        assert maxed == _residuals(x0, joint, weights)
+        for kind, measure in _MEASURES.items():
+            assert measure(maxed) == _distance(x0, choose_point(joint, x0), weights, kind)
+
+
+def test_leaf_residuals_match_the_definition():
+    for seed in range(12):
+        case = make_random_instance(seed)
+        forest, x0 = case.forest, case.instance.x0
+        geometry = forest.leaf_geometry(case.instance.epsilon)
+        weights = tuple(float(j % 3) * 0.75 for j in range(forest.num_features))   # zeros too
+        residuals = _leaf_residuals(geometry, x0, weights)
+        for t, tree_boxes in enumerate(geometry.boxes):
+            assert residuals[t].keys() == tree_boxes.keys()
+            for leaf_id, box in tree_boxes.items():
+                assert list(residuals[t][leaf_id]) == _residuals(x0, box, weights), (seed, t)
+
+
 # --- choose_point -----------------------------------------------------------------------
 
 
@@ -680,6 +723,31 @@ def test_verify_recomputes_kappa_values(firefighter, firefighter_instance,
     verdict = verify_solution(forest, firefighter_instance, table, sol,
                               _cfg(KAPPA_PATH, kappa=2, mu=verify_mu))
     assert verdict.failures == [failure]
+
+
+def test_objectives_close_compares_positive_values_in_log_space():
+    # an absolute 1e-9 would accept any two objectives below 1e-9, such as the r51 max_path
+    # optimum and a tenth of it
+    assert not objectives_close(5.290192232884195e-13, 5.290192232884195e-14)
+    assert objectives_close(5.290192232884195e-13, 5.290192232884195e-13 * (1 + 1e-12))
+    assert objectives_close(0.0, 0.0) and objectives_close(None, None)
+    assert not objectives_close(0.0, None)
+
+
+@pytest.mark.parametrize("config", [_cfg(MAX_PATH), _cfg(KAPPA_PATH, kappa=2, mu=0.0)],
+                         ids=[MAX_PATH, KAPPA_PATH])
+def test_verify_rejects_small_objective_off_by_tenfold(firefighter, firefighter_instance, config):
+    # 41 copies of the firefighter tree: the optimum, 0.36 ** 21, is below 1e-9
+    forest, table = firefighter
+    copies = Forest(forest.trees * 41, forest.feature_metas)
+    table41 = NodeProbabilityTable(0, 1, {(t, node): row for t in range(41)
+                                          for (_, node), row in table.probs.items()})
+    sol = solve(copies, firefighter_instance, table41, config)
+    assert sol.status == "optimal" and 0.0 < sol.objective < 1e-9
+    assert verify_solution(copies, firefighter_instance, table41, sol, config).passed
+    forged = replace(sol, objective=sol.objective / 10)
+    verdict = verify_solution(copies, firefighter_instance, table41, forged, config)
+    assert verdict.failures == ["objective mismatch"]
 
 
 def test_verify_reports_repeated_essential_tree(firefighter, firefighter_instance):
