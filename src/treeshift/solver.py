@@ -554,6 +554,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
             dfs(i + 1, k, allowed, cur_log)
 
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
+        del dfs   # it refers to itself: drop the cycle so the candidate lists are freed now
 
     def search(run):
         # a pinned allocation needs only its own pairs, one per tree

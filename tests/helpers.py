@@ -169,3 +169,45 @@ def make_weighted_distance_case(seed: int):
     weights = tuple(round(float(w), 2) for w in rng.uniform(0.5, 2.0, forest.num_features))
     kind = str(rng.choice(["l1", "l2", "linf"]))
     return forest, case.instance, weights, kind
+
+
+def _reference_gini(counts) -> float:
+    total = counts[0] + counts[1]
+    if total == 0:
+        return 0.0
+    p1 = counts[1] / total
+    return 2.0 * p1 * (1.0 - p1)
+
+
+def reference_best_split(X, y, rows, feature_pool, rng, k):
+    """CART split search with one mask per threshold, the reference for ``_best_split``.
+
+    Same contract: draw the feature subset first, then return the smallest
+    ``(weighted Gini, feature, midpoint threshold)`` key that sends rows both
+    ways, or None.
+    """
+    chosen = rng.choice(feature_pool, size=min(k, len(feature_pool)), replace=False)
+    best = None
+    for j in sorted(chosen):
+        col = X[rows, j]
+        values = np.unique(col)
+        if len(values) < 2:
+            continue
+        mids = (values[:-1] + values[1:]) / 2.0
+        for thr in mids:
+            right = col >= thr
+            n_right = int(right.sum())
+            n_left = len(rows) - n_right
+            if n_left == 0 or n_right == 0:
+                continue
+            y_here = y[rows]
+            right_ones = int(y_here[right].sum())
+            left_ones = int(y_here.sum()) - right_ones
+            score = (
+                n_left * _reference_gini((n_left - left_ones, left_ones))
+                + n_right * _reference_gini((n_right - right_ones, right_ones))
+            ) / len(rows)
+            key = (score, j, thr)
+            if best is None or key < best:
+                best = key
+    return best

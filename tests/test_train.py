@@ -3,6 +3,9 @@ import pytest
 
 from treeshift import (Dataset, FeatureMeta, TrainConfig, TrainingError, accuracy,
                        forest_to_dict, impurity_importances, synth_generate, train)
+from treeshift.train import _best_split
+
+from helpers import reference_best_split
 
 
 def _toy_dataset():
@@ -56,6 +59,57 @@ def test_synthetic_accuracy():
     ds = synth_generate(600, 8, seed=2, label_noise=0.0)
     forest = train(ds, TrainConfig(num_trees=9, max_depth=4, seed=0))
     assert accuracy(forest, ds) >= 0.9
+
+
+def _random_column(rng, n):
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return rng.random(n)
+    if kind == 1:
+        return rng.integers(0, 4, n) / 4.0  # repeated values
+    if kind == 2:
+        return rng.integers(0, 2, n).astype(float)
+    if kind == 3:
+        return np.full(n, rng.random())
+    v = rng.random()
+    # adjacent doubles, alone or among other values: their midpoint often rounds down to v
+    col = np.where(rng.random(n) < 0.5, v, np.nextafter(v, 2.0))
+    if kind == 5:
+        col = np.where(rng.random(n) < 0.3, rng.random(n), col)
+    return col
+
+
+def _random_split_problem(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B17]))
+    n = int(rng.integers(1, 30))
+    d = int(rng.integers(1, 6))
+    X = np.column_stack([_random_column(rng, n) for _ in range(d)])
+    y = rng.integers(0, 2, n) if rng.random() < 0.8 else np.full(n, int(rng.integers(0, 2)))
+    if rng.random() < 0.5:
+        rows = np.sort(rng.integers(0, n, n))  # bootstrap-style duplicate rows
+    else:
+        rows = np.arange(n)
+    return X, y, rows, int(rng.integers(1, d + 1))
+
+
+def test_best_split_matches_per_threshold_reference():
+    outcomes = {"split": 0, "none": 0, "rounded down": 0}
+    for seed in range(1200):
+        X, y, rows, k = _random_split_problem(seed)
+        pool = np.arange(X.shape[1])
+        rng_fast = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        fast = _best_split(X, y, rows, pool, rng_fast, k)
+        ref = reference_best_split(X, y, rows, pool, rng_ref, k)
+        assert fast == ref, (seed, fast, ref)
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        outcomes["none" if ref is None else "split"] += 1
+        for col in X.T:
+            values = np.unique(col)
+            if np.any((values[:-1] + values[1:]) / 2.0 == values[:-1]):
+                outcomes["rounded down"] += 1
+                break
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_importances_single_feature():
