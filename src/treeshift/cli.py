@@ -287,14 +287,7 @@ def _cmd_replay(args, argv, started) -> int:
     return main(manifest["argv"])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treeshift",
-        description="Effort-allocation feature shifts for tree ensembles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a forest and write it as JSON")
+def _train_arguments(p) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--trees", type=int, default=25)
@@ -303,9 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bootstrap", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("probs", help="estimate per-individual branch probabilities")
+
+def _probs_arguments(p) -> None:
     p.add_argument("--forest", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
@@ -316,9 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.set_defaults(func=_cmd_probs)
 
-    p = sub.add_parser("shift", help="solve for an optimal feature shift")
+
+def _shift_arguments(p) -> None:
     p.add_argument("--forest", required=True)
     p.add_argument("--probs")
     p.add_argument("--data", required=True)
@@ -335,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_shift)
 
-    p = sub.add_parser("rank", help="build a feature ranking")
+
+def _rank_arguments(p) -> None:
     p.add_argument("--forest", required=True)
     p.add_argument("--solutions", help="directory of solution JSON files")
     p.add_argument("--importances", help="importances CSV from train")
@@ -347,9 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", help="also write an SVG bar chart")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("simulate", help="evaluate a ranking on a cohort")
+
+def _simulate_arguments(p) -> None:
     p.add_argument("--forest", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
@@ -362,21 +355,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="also compute the feasible-to-change baseline")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("demo", help="run a built-in fixture end to end")
-    p.add_argument("fixture", nargs="?", default="firefighter")
-    p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("replay", help="re-run a manifest")
-    p.add_argument("manifest")
-    p.set_defaults(func=_cmd_replay)
+# subcommand: (help line, its handler, the function that adds its arguments)
+_SUBCOMMANDS = {
+    "train": ("train a forest and write it as JSON", _cmd_train, _train_arguments),
+    "probs": ("estimate per-individual branch probabilities", _cmd_probs, _probs_arguments),
+    "shift": ("solve for an optimal feature shift", _cmd_shift, _shift_arguments),
+    "rank": ("build a feature ranking", _cmd_rank, _rank_arguments),
+    "simulate": ("evaluate a ranking on a cohort", _cmd_simulate, _simulate_arguments),
+    "demo": ("run a built-in fixture end to end", _cmd_demo,
+             lambda p: p.add_argument("fixture", nargs="?", default="firefighter")),
+    "replay": ("re-run a manifest", _cmd_replay, lambda p: p.add_argument("manifest")),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser; with ``command``, one that holds that subcommand's parser alone.
+
+    Once argv[0] names a subcommand, argparse reads no other subcommand's parser, and the
+    metavar keeps every name in the top-level usage, so each output is the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="treeshift",
+        description="Effort-allocation feature shifts for tree ensembles",
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if command else None)
+    for name in [command] if command else _SUBCOMMANDS:
+        help_line, handler, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

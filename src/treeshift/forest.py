@@ -17,6 +17,7 @@ import numpy as np
 
 DEFAULT_EPSILON = 1e-6
 _GEOMETRY_BLOCK = 1 << 16   # elements of one block of the leaf-compatibility build
+_SIGNATURE_CHUNK = 4096   # (pair, target leaf) rows keyed together when finding leaf signatures
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -259,7 +260,7 @@ class Forest:
         plan = self._scoring_plans.get(key)
         if plan is None:
             mutable = [meta.mutable for meta in self.feature_metas]
-            plan = _scoring_plan(self.trees, mutable, target_class, E, eta)
+            plan = _scoring_plan(mutable, self.target_paths(target_class), E, eta)
             self._scoring_plans[key] = plan
         return plan
 
@@ -372,49 +373,94 @@ def enumerate_effort_allocations(d: int, E: int, eta: int, mutable_mask=None):
 
 
 class ScoringPlan(NamedTuple):
-    """A forest's effort allocations for one (target class, E, eta), grouped tree by tree.
+    """A forest's effort allocations for one (target class, E, eta), grouped tree by tree
+    and target leaf by target leaf.
 
     A tree's value under an allocation depends only on the allocation's effort at the
     features on the tree's paths to the class's leaves, its signature there. Pair p is
-    one tree together with one of its signatures; pairs are numbered tree by tree.
+    one tree together with one of its signatures; pairs are numbered tree by tree. A
+    target leaf's path probability depends only on the effort at the features on its own
+    path: a leaf signature is one target leaf together with its effort level at each step
+    of its path. Pairs share leaf signatures, so a solve computes each product once and
+    reads a pair's leaves through ``slot``.
     """
 
     allocations: tuple[tuple[int, ...], ...]   # in lexicographic order
-    effort: np.ndarray   # [a, j]: allocation a's effort at feature j
     pair: np.ndarray     # [a, t]: the pair of tree t and allocation a's signature there
     tree: np.ndarray     # [p]: pair p's tree
-    first: np.ndarray    # [p]: the first allocation with pair p's signature
+    leaf: np.ndarray     # [s]: leaf signature s's row in the class's ``TargetPaths``
+    level: np.ndarray    # [s, k]: its effort level at step k of the path (0 past the end)
+    slot: np.ndarray     # [p, k]: the leaf signature of pair p's k-th target leaf, -1 past the last
 
 
-def _scoring_plan(trees, mutable, target_class, E, eta) -> ScoringPlan:
+def _unique_rows(key, size, columns, width):
+    """np.unique's first indices and inverse of the rows of (key, *columns), key in
+    0..size-1 and each column in 0..width-1, read as one mixed-radix integer; before it
+    could pass int64, the keys so far are renumbered densely, so it stays exact."""
+    for column in columns:
+        if size * width > 1 << 63:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            size = len(key)
+        key = key * width + column
+        size *= width
+    _, index, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return index, inverse.reshape(-1)
+
+
+def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
     d = len(mutable)
     allocations = tuple(enumerate_effort_allocations(d, E, eta, mutable))
     effort = np.array(allocations, dtype=np.intp).reshape(len(allocations), d)
     width = E + 1
-    pair = np.empty((len(allocations), len(trees)), dtype=np.int32)
+    sizes = np.array([len(ids) for ids in paths.leaves], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    real = paths.node < len(paths.nodes)   # the steps before each path's end
+    pair = np.empty((len(allocations), len(sizes)), dtype=np.int32)
     tree_of, first = [], []
-    for t, tree in enumerate(trees):
-        features = sorted({tree.nodes[node_id].feature
-                           for leaf_id, leaf in tree.leaves.items()
-                           if leaf.predicted_class == target_class
-                           for node_id, _ in tree.paths[leaf_id]})
-        # the signature as one mixed-radix integer; before it could pass int64, the keys
-        # so far are renumbered densely (fewer than the allocations), so it stays exact
-        key, size = np.zeros(len(allocations), dtype=np.int64), 1
-        for j in features:
-            if not mutable[j]:
-                continue   # no allocation puts effort there
-            if size * width > 1 << 63:
-                key = np.unique(key, return_inverse=True)[1].reshape(-1)
-                size = len(allocations)
-            key = key * width + effort[:, j]
-            size *= width
-        _, index, inverse = np.unique(key, return_index=True, return_inverse=True)
-        pair[:, t] = inverse.reshape(-1) + len(first)
-        first.extend(index.tolist())
+    for t, (a, b) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())):
+        features = np.unique(paths.feature[a:b][real[a:b]]).tolist()
+        # no allocation puts effort on an immutable feature
+        index, inverse = _unique_rows(np.zeros(len(allocations), dtype=np.int64), 1,
+                                      (effort[:, j] for j in features if mutable[j]), width)
+        pair[:, t] = inverse + len(first)
+        first.extend(index.tolist())   # the first allocation with each signature
         tree_of.extend([t] * len(index))
-    plan = ScoringPlan(allocations, effort, pair, np.array(tree_of, dtype=np.intp),
-                       np.array(first, dtype=np.intp))
+    tree_of = np.array(tree_of, dtype=np.intp)
+    first = np.array(first, dtype=np.intp)
+
+    # the leaf signatures of every (pair, target leaf) row, keyed a chunk of whole trees at
+    # a time: a leaf belongs to one tree, so no signature spans two chunks. A row's levels
+    # are read from one flat table of the allocations' levels, whose column d holds 0s for
+    # the steps past each path's end.
+    level_table = np.zeros((len(allocations), d + 1),
+                           dtype=np.int8 if E <= np.iinfo(np.int8).max else np.intp)
+    level_table[:, :d] = effort
+    level_table = level_table.reshape(-1)
+    column = np.where(real, paths.feature, d)
+    pair_count = np.bincount(tree_of, minlength=len(sizes))
+    pair_end = np.cumsum(pair_count)
+    row_end = np.cumsum(pair_count * sizes)
+    slot = np.full((len(tree_of), max(1, int(sizes.max(initial=0)))), -1, dtype=np.int32)
+    leaf_parts, level_parts, count = [], [], 0
+    t0 = 0
+    while t0 < len(sizes):
+        t1 = max(t0 + 1, int(np.searchsorted(
+            row_end, row_end[t0] - pair_count[t0] * sizes[t0] + _SIGNATURE_CHUNK, side="right")))
+        pairs = np.arange(pair_end[t0] - pair_count[t0], pair_end[t1 - 1])
+        per_pair = sizes[tree_of[pairs]]
+        row_pair = np.repeat(pairs, per_pair)
+        k = np.arange(len(row_pair)) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+        leaf = starts[tree_of[row_pair]] + k
+        level = level_table[(first[row_pair] * (d + 1))[:, None] + column[leaf]]
+        index, inverse = _unique_rows((leaf - starts[t0]).astype(np.int64),
+                                      int(sizes[t0:t1].sum()), level.T, width)
+        slot[row_pair, k] = inverse + count
+        leaf_parts.append(leaf[index])
+        level_parts.append(level[index])
+        count += len(index)
+        t0 = t1
+    plan = ScoringPlan(allocations, pair, tree_of, np.concatenate(leaf_parts).astype(np.int32),
+                       np.concatenate(level_parts), slot)
     for array in plan[1:]:
         array.flags.writeable = False
     return plan

@@ -9,6 +9,7 @@ threshold and cuts variance.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,11 +111,17 @@ def _perturb_samples(value, meta, spec, effort, rng, n):
 
 @dataclass
 class NodeProbabilityTable:
-    """Right-branch probability per (tree, node) at every effort level 0..E."""
+    """Right-branch probability per (tree, node) at every effort level 0..E.
+
+    A table is immutable once built, so it remembers the forests it has passed
+    ``validate_against`` for.
+    """
 
     individual: int
     E: int
     probs: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
+    _valid_for: weakref.WeakSet = field(default_factory=weakref.WeakSet, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.E < 0:
@@ -125,10 +132,20 @@ class NodeProbabilityTable:
             if any(not 0.0 <= p <= 1.0 for p in row):
                 raise TableFormatError(f"tree {t} node {node_id}: probability outside [0, 1]")
 
+    def __getstate__(self):   # pickling (worker processes) drops the per-process cache
+        return {key: value for key, value in self.__dict__.items() if key != "_valid_for"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _valid_for=weakref.WeakSet())
+
     def right_prob(self, tree_index: int, node_id: int, effort: int) -> float:
         return self.probs[(tree_index, node_id)][effort]
 
     def validate_against(self, forest: Forest) -> None:
+        """Raise TableFormatError unless the table covers exactly the forest's nodes and
+        effort leaves immutable features' probabilities unchanged; checked once per forest."""
+        if forest in self._valid_for:
+            return
         expected = {
             (t, node_id)
             for t, tree in enumerate(forest.trees)
@@ -145,6 +162,7 @@ class NodeProbabilityTable:
                 raise TableFormatError(
                     f"tree {t} node {node_id}: effort changes an immutable feature's probabilities"
                 )
+        self._valid_for.add(forest)
 
     def to_dict(self) -> dict:
         return {

@@ -17,17 +17,23 @@ count is small at the intended scale) and running a branch-and-bound over
 essential-tree sets and leaf choices per allocation. An allocation's bound is
 the log values of its m best trees added best first; no plan of it scores
 higher. A tree's value depends only on the allocation's effort at the
-features on the tree's target paths, so the forest's scoring plan
-(``Forest.scoring_plan``) groups the allocations per tree by that signature,
-and a solve scores each distinct (tree, signature) pair once: one gather of
-its leaves' path probabilities (``_path_products``), a block of pairs at a
-time, then ``_tree_value`` and ``math.log`` on each pair (``_score_pairs``).
+features on the tree's target paths, and a target leaf's path probability
+only on the effort along its own path, so the forest's scoring plan
+(``Forest.scoring_plan``) groups the allocations per tree into (tree,
+signature) pairs and the pairs' target leaves into distinct leaf signatures.
+A solve computes each leaf signature's product once (``_path_products``) and
+values each pair once by one batch rule, shared with the verifier
+(``_tree_values``): a block of pairs gathers its leaves' products into a
+padded matrix, sorts the rows and selects the order statistic, with
+``math.fsum`` deciding mu wherever the float64 cumsum is too near it to tell.
+Logs are taken with ``math.log``, as the DFS takes them (``_score_pairs``).
 The bounds are computed in numpy (``_bounds``): each allocation's per-tree
 logs are sorted, and the m best are added best first, a column at a time,
 with elementwise float64 adds starting from 0.0. That is ``_add_up``'s order
 on the same ``math.log`` values, and IEEE addition rounds the same in numpy
 as in Python, so every bound is bit-identical to the scalar sum the
-allocation cut starts from.
+allocation cut starts from. A pinned solve builds no plan: its one
+allocation's pairs are the trees, every target leaf its own signature.
 
 Allocations are visited by bound, highest first, ties to the lower index, in
 passes of falling threshold (an anytime bound as in Veritas, Devos, Meert &
@@ -96,7 +102,7 @@ OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 _NEG_INF = float("-inf")
 ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
 STEP = 1.0   # nats the path search's threshold falls per pass
-_SCORE_BLOCK = 256   # (tree, signature) pairs gathered together when scoring allocations
+_SCORE_BLOCK = 1024   # (tree, signature) pairs valued together when scoring allocations
 
 
 class _Timeout(Exception):
@@ -210,37 +216,28 @@ def path_probability(forest: Forest, tree_index: int, leaf_id: int,
 
 
 def _path_products(table: NodeProbabilityTable, paths: TargetPaths):
-    """A function of (tree, effort vector) pairs: per pair, the path probabilities of the
-    tree's leaves in ``paths.leaves``, bit-for-bit ``path_probability``'s.
+    """A function of leaf signatures ``(leaf, level)``: per row r, the path probability of
+    leaf ``leaf[r]`` of ``paths`` with effort level ``level[r, k]`` at step k of its path,
+    bit-for-bit ``path_probability``'s.
 
     ``q[l, k, e]`` is step k of leaf l's path at effort level e (``row[e]`` going right,
-    ``1.0 - row[e]`` going left, 1.0 past the path's end), so a pair costs one gather
-    and one product per step, root to leaf, over its tree's leaves. The paths are the
-    forest's, built once per target class; only the table rows are gathered here.
+    ``1.0 - row[e]`` going left, 1.0 past the path's end, whatever the level), so the rows
+    cost one gather and one elementwise product per step, root to leaf. The paths are
+    the forest's, built once per target class; only the table rows are gathered here.
     """
     width = table.E + 1
     rows = np.array([table.probs[key] for key in paths.nodes] + [(1.0,) * width], dtype=float)
     steps = rows[paths.node]
     q = np.where(paths.right[..., None], steps, 1.0 - steps).reshape(-1)
-    feat = paths.feature
-    base = np.arange(feat.size, dtype=np.intp).reshape(feat.shape) * width
-    sizes = np.array([len(ids) for ids in paths.leaves], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    depth = paths.node.shape[1]
 
-    def probs(trees, efforts) -> list[list[float]]:
-        trees = np.asarray(trees, dtype=np.intp)
-        counts = sizes[trees]
-        ends = np.cumsum(counts)
-        pair = np.repeat(np.arange(len(trees)), counts)
-        # gather row r is the pair's leaf number r - (the pair's first row), so its row in
-        # the paths is that plus the first row of the pair's tree
-        leaf = np.arange(len(pair)) + np.repeat(starts[trees] - (ends - counts), counts)
-        steps = q[base[leaf] + np.asarray(efforts, dtype=np.intp)[pair[:, None], feat[leaf]]]
+    def probs(leaf, level) -> np.ndarray:
+        start = (np.asarray(leaf, dtype=np.intp)[:, None] * depth + np.arange(depth)) * width
+        steps = q[start + level]
         prob = steps[:, 0].copy()
-        for k in range(1, feat.shape[1]):
+        for k in range(1, depth):
             prob *= steps[:, k]   # elementwise, in path order: no reduction reorders it
-        flat = prob.tolist()
-        return [flat[a:b] for a, b in itertools.pairwise([0] + ends.tolist())]
+        return prob
 
     return probs
 
@@ -251,26 +248,54 @@ def _resolve_kappa(config: SolverConfig, n_leaves: int) -> int:
     return config.kappa
 
 
-def _tree_value(positive_probs, n_leaves: int, kappa: int,
-                config: SolverConfig) -> tuple[float | None, bool]:
-    """One tree's (value, mu-eligible) from its target leaves' path probabilities, where
-    ``kappa`` is the tree's ``_resolve_kappa(config, n_leaves)``.
+def _consecutive_slots(counts) -> np.ndarray:
+    """Row r numbers ``counts[r]`` entries, following those of row r-1, then holds -1s; at
+    least one column, so that every row can be read."""
+    counts = np.asarray(counts, dtype=np.intp)
+    k = np.arange(max(1, int(counts.max(initial=0))))
+    return np.where(k < counts[:, None], (np.cumsum(counts) - counts)[:, None] + k, -1)
 
-    The other ``n_leaves - len(positive_probs)`` leaves carry the 1.0 cap in
-    the theta vector; path probabilities never exceed 1, so appending the caps
-    to the sorted target probabilities gives the sorted theta vector.
+
+def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
+    """Per row r of ``slot``, one tree's (value, can vote target) from its target leaves'
+    path probabilities ``prob[slot[r]]`` (-1: no leaf), where the tree has ``n_leaves[r]``
+    leaves and ``kappa[r]`` is its ``_resolve_kappa(config, n_leaves[r])``.
+
+    ``max_path`` takes the largest probability (an optimistic bound) and ``min_path``
+    the smallest. ``kappa_path`` takes the kappa-th smallest entry of the theta vector,
+    the probabilities plus a 1.0 cap per other leaf (the probabilities alone with
+    ``positive_leaves_only``), and the tree can vote target iff the entries below it sum
+    to at least mu. A row without target leaves has value 0.0 and cannot vote target.
+
+    Path probabilities never exceed 1, so padding a row with 1.0 caps and sorting it gives
+    the sorted theta vector, whose first ``len(probabilities)`` entries are the sorted
+    probabilities; sorting and selection are exact. The sums come from a float64
+    cumsum; a row whose sum lies within its rounding bound of mu, plus one ulp of mu, is
+    summed again with ``math.fsum``. Elsewhere the exact sum lies on the cumsum's side of
+    mu by more than an ulp, so every decision is ``math.fsum``'s.
     """
-    if not positive_probs:
-        return None, False
-    if config.objective == MIN_PATH:
-        return min(positive_probs), True
-    if config.objective != KAPPA_PATH:  # max_path: optimistic per-tree bound
-        return max(positive_probs), True
-    values = sorted(positive_probs)
-    if not config.positive_leaves_only:
-        values += [1.0] * (n_leaves - len(values))
-    idx = min(kappa, len(values))
-    return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
+    count = (slot >= 0).sum(axis=1)
+    has = count > 0
+    if config.objective != KAPPA_PATH:
+        least = config.objective == MIN_PATH
+        vals = np.append(prob, math.inf if least else _NEG_INF)[slot]
+        return np.where(has, vals.min(axis=1) if least else vals.max(axis=1), 0.0), has
+    size = count if config.positive_leaves_only else n_leaves   # of the theta vector
+    col = np.maximum(np.minimum(kappa, size) - 1, 0)
+    missing = int(col.max(initial=0)) + 1 - slot.shape[1]
+    if missing > 0:   # the kappa-th entry lies among the caps past the longest row
+        slot = np.pad(slot, ((0, 0), (0, missing)), constant_values=-1)
+    vals = np.append(prob, 1.0)[slot]
+    vals.sort(axis=1)
+    rows = np.arange(len(vals))
+    below = np.where(col > 0, np.cumsum(vals, axis=1)[rows, col - 1], 0.0)
+    # a cumsum of n nonnegative terms lies within n * 2**-52 times itself of the exact sum
+    mu = config.mu
+    eligible = has & (below >= mu)
+    for r in np.flatnonzero(has & (np.abs(below - mu) <= col * 2.0 ** -52 * below
+                                   + math.ulp(mu))).tolist():
+        eligible[r] = math.fsum(vals[r, :col[r]].tolist()) >= mu
+    return np.where(has, vals[rows, col], 0.0), eligible
 
 
 def _log(v: float) -> float:
@@ -403,31 +428,31 @@ class _Run:
                         wall_time=time.monotonic() - self.start, **content)
 
 
-def _score_pairs(forest, plan, leaf_probs, config, needed, check):
-    """Per (tree, signature) pair of the plan: the tree's value, whether it can vote
-    target, and then its log value (-inf if it cannot). Only the ``needed`` pairs are
-    scored, a block of them per gather, calling ``check()`` before each block."""
-    n_leaves = [len(tree.leaves) for tree in forest.trees]
-    kappas = [_resolve_kappa(config, n) for n in n_leaves]
-    value = [None] * len(plan.tree)
-    eligible = [False] * len(plan.tree)
-    log = [_NEG_INF] * len(plan.tree)
-    for a in range(0, len(needed), _SCORE_BLOCK):
+def _score_pairs(forest, prob, slot, tree, config, check):
+    """Per pair: the tree's value, whether it can vote target, and then its log value
+    (-inf if it cannot), by ``_tree_values`` on the pair's row of ``slot`` into the leaf
+    products ``prob``; pair p is one of tree ``tree[p]``. A block of pairs at a time,
+    calling ``check()`` before each block."""
+    n_leaves = np.array([len(t.leaves) for t in forest.trees], dtype=np.intp)
+    kappas = np.array([_resolve_kappa(config, n) for n in n_leaves.tolist()], dtype=np.intp)
+    value = np.empty(len(tree))
+    eligible = np.empty(len(tree), dtype=bool)
+    for a in range(0, len(tree), _SCORE_BLOCK):
         check()
-        block = needed[a:a + _SCORE_BLOCK]
-        trees = plan.tree[block]
-        for p, t, probs in zip(block.tolist(), trees.tolist(),
-                               leaf_probs(trees, plan.effort[plan.first[block]])):
-            value[p], eligible[p] = _tree_value(probs, n_leaves[t], kappas[t], config)
-            if eligible[p]:
-                log[p] = _log(value[p])
+        block = slice(a, a + _SCORE_BLOCK)
+        trees = tree[block]
+        value[block], eligible[block] = _tree_values(prob, slot[block], n_leaves[trees],
+                                                     kappas[trees], config)
+    value, eligible = value.tolist(), eligible.tolist()
+    # _log inlined: math.log, as the DFS and the verifier take it
+    log = [math.log(v) if ok and v > 0.0 else _NEG_INF for v, ok in zip(value, eligible)]
     return value, eligible, log
 
 
-def _bounds(plan, indices, scores, m):
+def _bounds(pair, indices, scores, m):
     """The (bound, index) pairs of the allocations at ``indices`` with at least m trees that
-    can vote target, best bound first, ties to the lower index; ``scores`` are the pairs'
-    from ``_score_pairs``.
+    can vote target, best bound first, ties to the lower index; ``pair[a, t]`` is the pair
+    of allocation a and tree t, and ``scores`` are the pairs' from ``_score_pairs``.
 
     A bound is the m best per-tree log values added best first, the allocation cut's
     bound: the logs are sorted per allocation and added a column at a time, elementwise
@@ -436,7 +461,7 @@ def _bounds(plan, indices, scores, m):
     same.
     """
     _, eligible, log = scores
-    pair = plan.pair[indices]
+    pair = pair[indices]
     logs = np.array(log)[pair]
     logs.sort(axis=1)
     bound = np.zeros(len(indices))
@@ -447,28 +472,40 @@ def _bounds(plan, indices, scores, m):
     return list(zip(bound[keep].tolist(), indices[keep].tolist()))
 
 
+def _pinned_allocation(forest, instance, effort) -> tuple[int, ...]:
+    """The pinned effort as the instance's allocation it equals, or ValueError if none."""
+    effort = tuple(effort)
+    caps = [instance.E if meta.mutable else 0 for meta in forest.feature_metas]
+    if (len(effort) != len(caps) or sum(effort) > instance.eta
+            or not all(e in range(cap + 1) for e, cap in zip(effort, caps))):
+        raise ValueError(f"effort {effort} is not an allocation of the instance")
+    return tuple(int(e) for e in effort)
+
+
 def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     """Best max/min/kappa path solution over every allocation, or over the pinned effort only."""
     if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
         raise ValueError("probabilistic search needs a path objective")
     _check_problem(forest, instance, table, config)
-    plan = forest.scoring_plan(instance.target_class, instance.E, instance.eta)
-    allocations = plan.allocations
-    if pinned is None:
-        indices = np.arange(len(allocations))
-    else:
-        pinned = tuple(pinned)
-        indices = np.array([i for i, a in enumerate(allocations) if a == pinned], dtype=np.intp)
-        if not indices.size:
-            raise ValueError(f"effort {pinned} is not an allocation of the instance")
-    m = majority_threshold(forest.num_trees)
-    geometry = forest.leaf_geometry(instance.epsilon)
-    bit, compatible = geometry.bit, geometry.compatible
     # only target-class leaves bind table rows: the other leaves enter the per-tree
     # values as 1.0 caps, never through a path product
     paths = forest.target_paths(instance.target_class)
     target = paths.leaves
-    leaf_probs = _path_products(table, paths)
+    products = _path_products(table, paths)
+    if pinned is None:
+        plan = forest.scoring_plan(instance.target_class, instance.E, instance.eta)
+        allocations, pair, slot, pair_tree = plan.allocations, plan.pair, plan.slot, plan.tree
+        prob = products(plan.leaf, plan.level)   # per leaf signature
+    else:
+        # one allocation: its pairs are the trees, and every target leaf is its own signature
+        allocations = (_pinned_allocation(forest, instance, pinned),)
+        pair_tree = np.arange(forest.num_trees)
+        pair, slot = pair_tree[None, :], _consecutive_slots([len(ids) for ids in target])
+        prob = products(np.arange(len(paths.node)), np.array(allocations[0])[paths.feature])
+    indices = np.arange(len(allocations))
+    m = majority_threshold(forest.num_trees)
+    geometry = forest.leaf_geometry(instance.epsilon)
+    bit, compatible = geometry.bit, geometry.compatible
     # per tree, the bits of its target leaves (its candidates): the tree can still vote
     # target iff the running ``allowed`` meets this mask
     target_mask = [sum(bit[t][leaf] for leaf in target[t]) for t in range(forest.num_trees)]
@@ -477,12 +514,10 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         """Search one allocation, keeping only plans that score above ``cut`` (None: any)."""
         pair_value, pair_eligible, pair_log = scores
         effort = allocations[index]
-        pair_ids = plan.pair[index].tolist()
+        pair_ids = pair[index].tolist()
         values = {t: pair_value[p] for t, p in enumerate(pair_ids) if pair_eligible[p]}
         order = sorted(values, key=lambda t: (-values[t], t))
         best_log = [pair_log[pair_ids[t]] for t in order]
-        if config.objective == MAX_PATH:
-            probs = leaf_probs(range(forest.num_trees), [effort] * forest.num_trees)
         n = len(order)
         masks = [target_mask[t] for t in order]
         rows = list(zip(masks, best_log))
@@ -530,8 +565,9 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                 i += 1   # a tree with no allowed leaf left can only be passed over
             t = order[i]
             if cands[i] is None:
-                if config.objective == MAX_PATH:
-                    pairs = sorted(zip(probs[t], target[t]), key=lambda c: (-c[0], c[1]))
+                if config.objective == MAX_PATH:   # its leaves' products, read through slot
+                    probs = prob[slot[pair_ids[t], :len(target[t])]].tolist()
+                    pairs = sorted(zip(probs, target[t]), key=lambda c: (-c[0], c[1]))
                 else:
                     pairs = [(values[t], leaf) for leaf in target[t]]
                 cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf]) for v, leaf in pairs]
@@ -557,10 +593,8 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         del dfs   # it refers to itself: drop the cycle so the candidate lists are freed now
 
     def search(run):
-        # a pinned allocation needs only its own pairs, one per tree
-        needed = np.arange(len(plan.tree)) if pinned is None else plan.pair[indices[0]]
-        scores = _score_pairs(forest, plan, leaf_probs, config, needed, run.check)
-        scored = _bounds(plan, indices, scores, m)
+        scores = _score_pairs(forest, prob, slot, pair_tree, config, run.check)
+        scored = _bounds(pair, indices, scores, m)
         if not scored:
             return
         top = scored[0][0]
@@ -948,19 +982,22 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
         if not objectives_close(recomputed, solution.objective):
             failures.append("objective mismatch")
     elif "effort level bounds" not in failures:  # the table has no entry at such a level
+        positive = [{leaf_id: path_probability(forest, t, leaf_id, table, effort)
+                     for leaf_id, leaf in forest.trees[t].leaves.items()
+                     if leaf.predicted_class == instance.target_class} for t in essential]
+        n_leaves = [len(forest.trees[t].leaves) for t in essential]
+        values, eligible = _tree_values(
+            np.array([p for probs in positive for p in probs.values()], dtype=float),
+            _consecutive_slots([len(probs) for probs in positive]),
+            np.array(n_leaves, dtype=np.intp),
+            np.array([_resolve_kappa(config, n) for n in n_leaves], dtype=np.intp), config)
         logs = []
-        for t in essential:
-            tree = forest.trees[t]
-            positive = {leaf_id: path_probability(forest, t, leaf_id, table, effort)
-                        for leaf_id, leaf in tree.leaves.items()
-                        if leaf.predicted_class == instance.target_class}
-            value, eligible = _tree_value(positive.values(), len(tree.leaves),
-                                          _resolve_kappa(config, len(tree.leaves)), config)
+        for t, probs, value, ok in zip(essential, positive, values.tolist(), eligible.tolist()):
             if config.objective == MAX_PATH:
-                value = positive.get(leaves[t])
-            if config.objective == KAPPA_PATH and not eligible:
+                value = probs.get(leaves[t], 0.0)
+            if config.objective == KAPPA_PATH and not ok:
                 failures.append(f"mu eligibility (tree {t})")
-            logs.append(_log(value or 0.0))
+            logs.append(_log(value))
         recomputed = _exp(math.fsum(logs))
         if not objectives_close(recomputed, solution.objective):
             failures.append("objective mismatch")

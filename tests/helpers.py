@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random instances sized for exhaustive oracles."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,31 @@ def per_tree_value_chain(case, kappa):
                 continue
             idx = min(kappa, len(pos))
             assert pos[0] <= pos[idx - 1] <= pos[-1]
+
+
+def reference_tree_value(positive_probs, n_leaves: int, kappa: int, config):
+    """One tree's (value, mu-eligible) from its target leaves' path probabilities, one
+    sort per tree in Python: the reference for the solver's batch rule ``_tree_values``.
+    ``kappa`` is the tree's ``_resolve_kappa(config, n_leaves)``.
+
+    The other ``n_leaves - len(positive_probs)`` leaves carry the 1.0 cap in
+    the theta vector; path probabilities never exceed 1, so appending the caps
+    to the sorted target probabilities gives the sorted theta vector.
+    """
+    from treeshift import KAPPA_PATH, MIN_PATH
+
+    positive_probs = list(positive_probs)
+    if not positive_probs:
+        return None, False
+    if config.objective == MIN_PATH:
+        return min(positive_probs), True
+    if config.objective != KAPPA_PATH:  # max_path: optimistic per-tree bound
+        return max(positive_probs), True
+    values = sorted(positive_probs)
+    if not config.positive_leaves_only:
+        values += [1.0] * (n_leaves - len(values))
+    idx = min(kappa, len(values))
+    return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
 
 
 def make_weighted_distance_case(seed: int):

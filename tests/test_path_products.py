@@ -1,13 +1,18 @@
 """The path search's vectorised scoring is bit-for-bit the scalar definitions.
 
-``_path_products`` evaluates the target leaves' path probabilities of (tree,
-effort vector) pairs with one numpy gather and one product per path step.
+``_path_products`` evaluates target leaves' path probabilities, one row per (leaf,
+effort levels along its path), with one numpy gather and one product per path step.
 ``Forest.scoring_plan`` groups the allocations per tree by the effort at the
-features on the tree's target paths; the path search scores one pair per
-group (``_score_pairs``) and bounds every allocation in numpy (``_bounds``).
-These tests compare each value with ``==`` (no tolerance) against
-``path_probability``, ``_tree_value`` and ``_add_up``, allocation by allocation.
+features on the tree's target paths (pairs) and the pairs' target leaves by the
+effort along each leaf's own path (leaf signatures); the path search computes each
+leaf signature's product once, values every pair from them by one batch rule
+(``_tree_values``, through ``_score_pairs``) and bounds every allocation in numpy
+(``_bounds``). These tests compare each value with ``==`` (no tolerance) against
+``path_probability``, the one-tree-at-a-time reference ``reference_tree_value`` and
+``_add_up``, allocation by allocation.
 """
+import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -21,10 +26,10 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_PATH, FeatureMeta, Forest, Leaf
                        forest_to_dict, majority_threshold, path_probability, solve, split,
                        synth_generate, train)
 from treeshift import solver
-from treeshift.solver import (_add_up, _bounds, _log, _path_products, _resolve_kappa,
-                              _score_pairs, _tree_value)
+from treeshift.solver import (_add_up, _bounds, _consecutive_slots, _log, _path_products,
+                              _resolve_kappa, _score_pairs, _tree_values)
 
-from helpers import assert_matches_oracle, make_random_instance
+from helpers import assert_matches_oracle, make_random_instance, reference_tree_value
 
 
 def _assert_exact(forest, table, target_class, E, eta):
@@ -37,19 +42,19 @@ def _assert_exact(forest, table, target_class, E, eta):
     mask = [m.mutable for m in forest.feature_metas]
     efforts = list(enumerate_effort_allocations(forest.num_features, E, eta, mask))
     assert efforts
-    trees = range(forest.num_trees)
-    every_pair = []
+    rows = np.arange(len(paths.node))
+    every_row = []
     for effort in efforts:
-        got = probs(trees, [effort] * forest.num_trees)
-        want = [[path_probability(forest, t, leaf_id, table, effort) for leaf_id in ids]
-                for t, ids in enumerate(leaves)]
+        got = probs(rows, np.array(effort)[paths.feature]).tolist()
+        want = [path_probability(forest, t, leaf_id, table, effort)
+                for t, ids in enumerate(leaves) for leaf_id in ids]
         assert got == want, f"effort {effort}"
-        assert all(type(p) is float for tree_probs in got for p in tree_probs)
-        every_pair += want
-    # every (tree, effort) pair in one gather, trees in a different order per effort
-    order = [(t, effort) for effort in efforts for t in trees]
-    got = probs([t for t, _ in order], [effort for _, effort in order])
-    assert got == every_pair
+        assert all(type(p) is float for p in got)
+        every_row.append(want)
+    # every (leaf, effort) row in one gather, the leaves in reverse order per effort
+    got = probs(np.concatenate([rows[::-1]] * len(efforts)),
+                np.concatenate([np.array(effort)[paths.feature][::-1] for effort in efforts]))
+    assert got.tolist() == [p for want in every_row for p in want[::-1]]
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -96,8 +101,17 @@ def test_edge_cases_without_any_target_leaf():
                          if all(leaf.predicted_class == 0 for leaf in tree.leaves.values())] * 4,
                         forest.feature_metas)
     table = NodeProbabilityTable(0, 2, {(t, 0): table.probs[(2, 0)] for t in range(4)})
-    probs = _path_products(table, no_class_1.target_paths(1))
-    assert probs(range(4), [(1, 0)] * 4) == [[], [], [], []]
+    paths = no_class_1.target_paths(1)
+    assert paths.node.shape == (0, 1)
+    probs = _path_products(table, paths)
+    assert probs(np.arange(0), np.zeros((0, 1), dtype=np.int8)).tolist() == []
+    plan = no_class_1.scoring_plan(1, 1, 1)
+    assert plan.leaf.size == 0 and plan.level.shape == (0, 1) and (plan.slot == -1).all()
+    for objective in (MAX_PATH, MIN_PATH, KAPPA_PATH):
+        value, eligible, log = _score_pairs(no_class_1, probs(plan.leaf, plan.level), plan.slot,
+                                            plan.tree, SolverConfig(objective=objective),
+                                            lambda: None)
+        assert not any(eligible) and set(value) == {0.0} and set(log) == {-math.inf}
 
 
 @pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH, KAPPA_PATH])
@@ -122,21 +136,38 @@ def _configs(case):
 
 def _assert_plan_groups(forest, plan, target_class):
     """Two allocations share a tree's pair iff they agree at the features on the tree's
-    paths to target leaves; each pair names its tree and its first allocation."""
-    assert plan.effort.tolist() == [list(a) for a in plan.allocations]
+    paths to target leaves; pairs are numbered tree by tree. The k-th target leaf of a
+    pair is a leaf signature (its row in the target paths, the effort levels along its
+    path), each signature once."""
+    paths = forest.target_paths(target_class)
+    depth = paths.node.shape[1]
+    signatures = {}
+    for a, effort in enumerate(plan.allocations):
+        row = 0
+        for t, ids in enumerate(paths.leaves):
+            slot = plan.slot[plan.pair[a, t]].tolist()
+            assert all(s == -1 for s in slot[len(ids):])
+            for k, leaf_id in enumerate(ids):
+                path = forest.trees[t].paths[leaf_id]
+                levels = [effort[forest.trees[t].nodes[node_id].feature] for node_id, _ in path]
+                key = (row + k, tuple(levels + [0] * (depth - len(path))))
+                assert signatures.setdefault(key, slot[k]) == slot[k]
+            row += len(ids)
+    assert sorted(signatures.values()) == list(range(len(plan.leaf)))   # each one, once
+    for (leaf, levels), s in signatures.items():
+        assert plan.leaf[s] == leaf and tuple(plan.level[s].tolist()) == levels
+    assert plan.tree.tolist() == sorted(plan.tree.tolist())
     for t, tree in enumerate(forest.trees):
         features = sorted({tree.nodes[node_id].feature
                            for leaf_id, leaf in tree.leaves.items()
                            if leaf.predicted_class == target_class
                            for node_id, _ in tree.paths[leaf_id]})
-        first = {}
-        for a, effort in enumerate(plan.allocations):
-            first.setdefault(tuple(effort[j] for j in features), a)
-        ids = plan.pair[:, t].tolist()
-        assert len(set(ids)) == len(first)
-        for effort, p in zip(plan.allocations, ids):
+        groups = {}
+        for effort, p in zip(plan.allocations, plan.pair[:, t].tolist()):
             assert plan.tree[p] == t
-            assert plan.first[p] == first[tuple(effort[j] for j in features)]
+            signature = tuple(effort[j] for j in features)
+            assert groups.setdefault(p, signature) == signature
+        assert len(set(groups.values())) == len(groups)   # one pair per signature
 
 
 def _assert_scores_exact(forest, table, config, target_class, E, eta):
@@ -147,14 +178,19 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
     _assert_plan_groups(forest, plan, target_class)
     m = majority_threshold(forest.num_trees)
     target = forest.target_paths(target_class).leaves
+    prob = _path_products(table, forest.target_paths(target_class))(plan.leaf, plan.level)
     want_values, want_bounds = [], []
     for a, effort in enumerate(plan.allocations):
         row, values = [], []
         for t, tree in enumerate(forest.trees):
             probs = [path_probability(forest, t, leaf_id, table, effort) for leaf_id in target[t]]
-            value, eligible = _tree_value(probs, len(tree.leaves),
-                                          _resolve_kappa(config, len(tree.leaves)), config)
-            row.append((value, eligible, _log(value) if eligible else -math.inf))
+            assert prob[plan.slot[plan.pair[a, t], :len(probs)]].tolist() == probs
+            value, eligible = reference_tree_value(probs, len(tree.leaves),
+                                                   _resolve_kappa(config, len(tree.leaves)),
+                                                   config)
+            # a tree without target leaves has value 0.0 in the batch rule
+            row.append((0.0 if value is None else value, eligible,
+                        _log(value) if eligible else -math.inf))
             if eligible:
                 values.append(value)
         want_values.append(row)
@@ -163,17 +199,15 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
             want_bounds.append((_add_up(0.0, map(_log, best)), a))
     want_bounds.sort(key=lambda s: (-s[0], s[1]))
     indices = np.arange(len(plan.allocations))
-    leaf_probs = _path_products(table, forest.target_paths(target_class))
     for block in (2, solver._SCORE_BLOCK):   # a pair's scores do not depend on its block
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_SCORE_BLOCK", block)
-            scores = _score_pairs(forest, plan, leaf_probs, config, np.arange(len(plan.tree)),
-                                  lambda: None)
+            scores = _score_pairs(forest, prob, plan.slot, plan.tree, config, lambda: None)
         value, eligible, log = scores
         for a, row in enumerate(want_values):
             got = [(value[p], eligible[p], log[p]) for p in plan.pair[a].tolist()]
             assert got == row, f"{config.objective} allocation {plan.allocations[a]}"
-        assert _bounds(plan, indices, scores, m) == want_bounds
+        assert _bounds(plan.pair, indices, scores, m) == want_bounds
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -263,3 +297,113 @@ def test_forests_never_share_a_plan():
     frozen = Forest(forest.trees, metas)
     assert all(effort[0] == 0 for effort in frozen.scoring_plan(0, 1, 2).allocations)
     assert any(effort[0] == 1 for effort in forest.scoring_plan(0, 1, 2).allocations)
+
+
+# --- pinned solves and the batch rule ---------------------------------------------------
+
+# sha256 over the 198 pinned documents below (without wall_time), as the pinned solve gave
+# them when it scored through the forest's scoring plan
+PINNED_DIGEST = "cd0560ad1a81ea882092a26c14c3bb4b0a0aae2fc1d87616a35e924cd9f61afb"
+
+
+def test_pinned_solves_build_no_plan():
+    # every allocation at eta 2, E 1, of the first three off-target rows of the seed-0 desk
+    # forest, each pinned on a freshly loaded copy of the forest
+    tr, _ = split(synth_generate(600, 8, seed=0), 2 / 3, seed=0)
+    forest = train(tr, TrainConfig(num_trees=9, max_depth=4, seed=0))
+    spec = PerturbationSpec.from_dataset(tr, num_samples=1000, seed=0)
+    rows = [i for i in range(tr.num_rows) if forest.predict(tr.X[i])[0] != 0][:3]
+    configs = [SolverConfig(objective=MAX_PATH), SolverConfig(objective=MIN_PATH),
+               SolverConfig(objective=KAPPA_PATH, kappa_fraction=0.5, mu=1e-6)]
+    mask = [m.mutable for m in forest.feature_metas]
+    digest, count = hashlib.sha256(), 0
+    for row in rows:
+        table = estimate_node_probabilities(forest, tr.X[row], spec, E=1, individual=row)
+        instance = ProblemInstance(x0=tuple(tr.X[row]), target_class=0, eta=2, E=1)
+        for effort in enumerate_effort_allocations(forest.num_features, 1, 2, mask):
+            for config in configs:
+                fresh = forest_from_dict(forest_to_dict(forest))
+                doc = evaluate_allocation(fresh, instance, table, config, effort).to_dict()
+                assert fresh._scoring_plans == {}
+                del doc["wall_time"]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                count += 1
+    assert count == 198
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _random_tree_rows(rng, n_rows):
+    """(target probabilities, leaf count) of random trees: ties, empty rows, single-leaf
+    trees and many small values."""
+    rows = []
+    for _ in range(n_rows):
+        n = int(rng.integers(0, 9))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            probs = rng.choice([0.0, 0.125, 0.25, 0.5, 1.0], n)   # ties
+        elif kind == 1:
+            probs = np.round(rng.random(n), 1)
+        else:
+            probs = rng.random(n) ** int(rng.integers(1, 8))
+        rows.append((probs.tolist(), n + int(rng.integers(0 if n else 1, 4))))
+    return rows + [([], 1), ([0.3], 1), ([1.0], 1), ([0.0], 1)]
+
+
+def _rows_near_mu(rng, mu, n_rows):
+    """Rows whose kappa-1 smallest probabilities sum to within an ulp or two of mu, either
+    side, and their kappa."""
+    rows = []
+    for _ in range(n_rows):
+        j = int(rng.integers(1, 10))
+        below = rng.uniform(0.0, mu / j, j - 1).tolist()
+        below.append(mu - math.fsum(below) + int(rng.integers(-1, 2)) * math.ulp(mu))
+        probs = below + rng.uniform(0.9, 1.0, int(rng.integers(1, 4))).tolist()
+        rng.shuffle(probs)
+        rows.append((probs, len(probs) + int(rng.integers(0, 3)), j + 1))
+    return rows
+
+
+def _assert_batch_is_reference(rows, config):
+    """_tree_values on (probabilities, leaf count, kappa) rows, all in one block, equals
+    reference_tree_value row by row."""
+    prob = np.array([p for probs, _, _ in rows for p in probs], dtype=float)
+    slot = _consecutive_slots([len(probs) for probs, _, _ in rows])
+    value, eligible = _tree_values(prob, slot, np.array([n for _, n, _ in rows]),
+                                   np.array([kappa for _, _, kappa in rows]), config)
+    for (probs, n_leaves, kappa), v, ok in zip(rows, value.tolist(), eligible.tolist()):
+        got = (v if probs else None, ok)
+        assert got == reference_tree_value(probs, n_leaves, kappa, config), (probs, n_leaves,
+                                                                              kappa, config)
+
+
+def test_batch_rule_is_the_reference_on_random_trees():
+    rng = np.random.default_rng(2024)
+    configs = [SolverConfig(objective=MIN_PATH), SolverConfig(objective=MAX_PATH)]
+    configs += [SolverConfig(objective=KAPPA_PATH, mu=mu, positive_leaves_only=only)
+                for only in (False, True) for mu in (0.0, 1e-6, 0.2, 0.7)]
+    checked = 0
+    for config in configs:
+        # kappa up to three past the leaf count
+        rows = [(probs, n, int(rng.integers(1, n + 4)))
+                for probs, n in _random_tree_rows(rng, 200)]
+        _assert_batch_is_reference(rows, config)
+        checked += len(rows)
+    assert checked >= 2000
+
+
+def test_batch_rule_decides_mu_as_fsum_does():
+    # rows whose float64 cumsum lands within an ulp or two of mu: where the cumsum and the
+    # exact sum disagree about mu, only the fsum fallback gives the reference's answer
+    rng = np.random.default_rng(7)
+    disagree = 0
+    for mu in rng.uniform(0.05, 0.85, 4).tolist():
+        rows = _rows_near_mu(rng, mu, 150)
+        for only in (False, True):
+            _assert_batch_is_reference(
+                rows, SolverConfig(objective=KAPPA_PATH, mu=mu, positive_leaves_only=only))
+        for probs, _, kappa in rows:
+            total = 0.0
+            for p in sorted(probs)[:kappa - 1]:
+                total += p   # the cumsum's order
+            disagree += (total >= mu) != (math.fsum(sorted(probs)[:kappa - 1]) >= mu)
+    assert disagree >= 10

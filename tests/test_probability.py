@@ -1,12 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from treeshift import (BINARY, FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
-                       NodeProbabilityTable, PerturbationSpec, TableFormatError,
-                       TrainConfig, Tree, estimate_node_probabilities, load_table,
-                       save_table, split, synth_generate, train)
+                       NodeProbabilityTable, PerturbationSpec, ProblemInstance,
+                       TableFormatError, TrainConfig, Tree, estimate_node_probabilities,
+                       load_table, save_table, solve, split, synth_generate, train)
 from treeshift.fixtures import firefighter_forest, firefighter_table
 from treeshift.probability import _perturb_samples, change_rule
 
@@ -287,6 +288,54 @@ def test_table_missing_node_rejected():
     broken = NodeProbabilityTable(0, 1, {k: v for k, v in table.probs.items() if k != (0, 2)})
     with pytest.raises(TableFormatError):
         broken.validate_against(firefighter_forest())
+
+
+def _forest_with_one_more_node():
+    """The firefighter forest with its leaf 3 split once more, into leaves 7 and 8: a
+    table of the firefighter forest misses that node."""
+    forest = firefighter_forest()
+    tree = forest.trees[0]
+    grown = Tree(tree.root, list(tree.nodes.values()) + [Node(3, 0, 0.3, 7, 8)],
+                 [leaf for leaf in tree.leaves.values() if leaf.id != 3]
+                 + [Leaf(7, 0), Leaf(8, 0)])
+    return Forest([grown], forest.feature_metas)
+
+
+def test_a_table_validates_once_per_forest():
+    table, forest = firefighter_table(), firefighter_forest()
+    table.validate_against(forest)
+    table.probs.clear()   # tables are immutable: this shows the check is not repeated
+    table.validate_against(forest)
+    with pytest.raises(TableFormatError, match="missing"):
+        table.validate_against(firefighter_forest())   # another forest is checked anew
+
+
+def test_a_mismatched_table_is_rejected_every_time():
+    table = firefighter_table()
+    for _ in range(2):   # a failed check is not remembered as a pass
+        with pytest.raises(TableFormatError, match="missing"):
+            table.validate_against(_forest_with_one_more_node())
+
+
+def test_a_validated_table_is_still_rejected_by_a_mismatched_forest():
+    table, forest = firefighter_table(), firefighter_forest()
+    table.validate_against(forest)
+    grown = _forest_with_one_more_node()
+    with pytest.raises(TableFormatError, match="missing"):
+        table.validate_against(grown)
+    instance = ProblemInstance(x0=(0.5, 0.5), target_class=1, eta=1, E=1)
+    assert solve(forest, instance, table).found
+    with pytest.raises(TableFormatError, match="missing"):
+        solve(grown, instance, table)
+    table.validate_against(forest)
+
+
+def test_pickled_table_forgets_its_forests():
+    table, forest = firefighter_table(), firefighter_forest()
+    table.validate_against(forest)
+    again = pickle.loads(pickle.dumps(table))   # as from a worker process
+    assert again == table and len(again._valid_for) == 0
+    again.validate_against(forest)
 
 
 @pytest.mark.parametrize("row, message", [

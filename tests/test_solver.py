@@ -13,10 +13,10 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        objectives_close, path_probability, solve, solve_kappa_path,
                        solve_max_path, solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
-from treeshift.solver import (_MEASURES, STEP, _distance, _leaf_residuals, _resolve_kappa,
-                              _tree_value, majority_threshold)
+from treeshift.solver import (_MEASURES, STEP, _consecutive_slots, _distance, _leaf_residuals,
+                              _resolve_kappa, _tree_values, majority_threshold)
 
-from helpers import assert_matches_oracle, make_random_instance
+from helpers import assert_matches_oracle, make_random_instance, reference_tree_value
 
 TOL = 1e-9
 
@@ -164,12 +164,24 @@ def _target_probs(forest, t, table, effort, target_class=1):
             if leaf.predicted_class == target_class}
 
 
+def _batch_tree_value(probs, n_leaves, kappa, config):
+    """One tree's (value, eligible) by the solver's batch rule, held to the reference;
+    a tree without target leaves is (None, False) in the reference's terms."""
+    probs = list(probs)
+    values, eligible = _tree_values(np.array(probs, dtype=float),
+                                    _consecutive_slots([len(probs)]), np.array([n_leaves]),
+                                    np.array([kappa]), config)
+    got = (values.tolist()[0] if probs else None, eligible.tolist()[0])
+    assert got == reference_tree_value(probs, n_leaves, kappa, config)
+    return got
+
+
 def test_profile_min_path_effort_a(firefighter):
     forest, table = firefighter
     probs = _target_probs(forest, 0, table, (0, 1))
     assert probs == {LEAF_YES_LEFT: pytest.approx(0.36, abs=TOL),
                      LEAF_YES_RIGHT: pytest.approx(0.32, abs=TOL)}
-    value, eligible = _tree_value(probs.values(), 4, 1, _cfg(MIN_PATH))
+    value, eligible = _batch_tree_value(probs.values(), 4, 1, _cfg(MIN_PATH))
     assert value == pytest.approx(0.32, abs=TOL) and eligible
 
 
@@ -177,7 +189,8 @@ def test_profile_kappa_two_order_statistic(firefighter):
     # the theta vector is the target probabilities then a 1.0 cap per other leaf
     forest, table = firefighter
     probs = _target_probs(forest, 0, table, (0, 1)).values()
-    theta = [_tree_value(probs, 4, k, _cfg(KAPPA_PATH, kappa=k, mu=0.0))[0] for k in range(1, 5)]
+    theta = [_batch_tree_value(probs, 4, k, _cfg(KAPPA_PATH, kappa=k, mu=0.0))[0]
+             for k in range(1, 5)]
     assert theta == pytest.approx([0.32, 0.36, 1.0, 1.0], abs=TOL)
 
 
@@ -187,7 +200,7 @@ def test_profile_never_positive_tree():
     table = NodeProbabilityTable(0, 1, {})
     probs = _target_probs(forest, 0, table, (0,))
     assert probs == {}
-    assert _tree_value(probs.values(), 1, 1, _cfg(MIN_PATH)) == (None, False)
+    assert _batch_tree_value(probs.values(), 1, 1, _cfg(MIN_PATH)) == (None, False)
 
 
 # --- firefighter golden solves -------------------------------------------------------
@@ -475,7 +488,7 @@ def _allocation_bounds(case, config):
             probs = [path_probability(forest, t, leaf_id, table, effort)
                      for leaf_id, leaf in sorted(tree.leaves.items())
                      if leaf.predicted_class == instance.target_class]
-            value, eligible = _tree_value(probs, len(tree.leaves),
+            value, eligible = reference_tree_value(probs, len(tree.leaves),
                                           _resolve_kappa(config, len(tree.leaves)), config)
             if eligible:
                 values.append(value)
