@@ -38,6 +38,15 @@ class DatasetSchema:
         targets = [c for c in self.columns if c.role == "target"]
         if len(targets) != 1:
             raise ValueError(f"schema needs exactly one target column, found {len(targets)}")
+        for c in self.columns:
+            for key, value in (c.recode or {}).items():
+                try:
+                    number = float(value)
+                except (TypeError, ValueError):
+                    number = math.nan
+                if not math.isfinite(number):   # a NaN would spoil the column's normalization
+                    raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
+                                     "is not a finite number")
 
     @property
     def target(self) -> ColumnSpec:
@@ -102,52 +111,67 @@ class Dataset:
 
 
 def load_csv(path, schema: DatasetSchema) -> Dataset:
-    """Read a CSV per the schema: filter rows, recode, binarize the target, normalize."""
+    """Read a CSV per the schema: filter rows, recode, binarize the target, normalize.
+
+    Blank lines are skipped and rows are dropped by their raw strings. Each
+    feature column is converted in one pass, by Python's ``float`` or its
+    recode map; only a column that fails is rescanned cell by cell, to list
+    its bad cells. The ``CSV rejected:`` error lists every bad cell and every
+    missing label, row by row.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in schema.columns:
-            if col.name not in header:
-                raise ValueError(f"schema column {col.name!r} missing from CSV header")
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    position = {}
+    for col in schema.columns:
+        if col.name not in header:
+            raise ValueError(f"schema column {col.name!r} missing from CSV header")
+        if header.count(col.name) > 1:
+            raise ValueError(f"CSV header repeats column {col.name!r}")
+        position[col.name] = header.index(col.name)
+    # a short row's missing cells read as None
+    width = max(position.values()) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
     target = schema.target
     feats = schema.feature_columns
-    droppable = [c for c in feats if c.drop_values]
-    rows = [
-        row for row in rows
-        if row[target.name] not in target.drop_labels
-        and not any(row[c.name] in c.drop_values for c in droppable)
-    ]
+    label_at = position[target.name]
+    droppable = [(position[c.name], c.drop_values) for c in feats if c.drop_values]
+    if target.drop_labels or droppable:
+        rows = [
+            row for row in rows
+            if row[label_at] not in target.drop_labels
+            and not any(row[at] in values for at, values in droppable)
+        ]
     if not rows:
         raise ValueError("CSV has no data rows")
 
-    recodes = [col.recode if col.recode is not None else (
-        {"0": 0.0, "1": 1.0} if col.kind == BINARY else None) for col in feats]
-    raw = np.empty((len(rows), len(feats)))
-    labels = np.empty(len(rows), dtype=int)
+    n = len(rows)
+    columns = list(zip(*rows))
+    raw = np.empty((n, len(feats)))
     errors = []
-    for i, row in enumerate(rows):
-        for j, (col, recode) in enumerate(zip(feats, recodes)):
-            value = row[col.name]
-            if value is None or value == "":
-                errors.append(f"row {i}: missing value in {col.name}")
-                continue
-            if recode is not None:
-                if value not in recode:
-                    errors.append(f"row {i}: {col.name} value {value!r} has no recode")
-                    continue
-                raw[i, j] = recode[value]
-            else:
-                try:
-                    raw[i, j] = number = float(value)
-                except ValueError:
-                    errors.append(f"row {i}: {col.name} value {value!r} is not numeric")
-                    continue
-                if not math.isfinite(number):
-                    errors.append(f"row {i}: {col.name} value {value!r} is not finite")
-        labels[i] = 1 if row[target.name] in target.positive_labels else 0
+    for j, col in enumerate(feats):
+        cells = columns[position[col.name]]
+        recode = col.recode if col.recode is not None else (
+            {"0": 0.0, "1": 1.0} if col.kind == BINARY else None)
+        # an empty cell is missing even where the recode map names it
+        convert = float if recode is None else {
+            key: float(value) for key, value in recode.items() if key != ""}.__getitem__
+        try:
+            raw[:, j] = values = np.fromiter(map(convert, cells), float, count=n)
+            valid = recode is not None or bool(np.isfinite(values).all())
+        except (ValueError, TypeError, KeyError):
+            valid = False
+        if not valid:
+            errors.extend(_cell_errors(cells, j, col.name, recode))
+    labels = columns[label_at]
+    errors.extend((i, len(feats), f"row {i}: missing value in {target.name}")
+                  for i, label in enumerate(labels) if label is None or label == "")
     if errors:
-        raise ValueError("CSV rejected:\n" + "\n".join(errors))
+        raise ValueError("CSV rejected:\n" + "\n".join(message for *_, message in sorted(errors)))
+    positive = frozenset(target.positive_labels)
+    labels = np.fromiter(map(positive.__contains__, labels), int, count=n)
 
     metas = []
     X = np.empty_like(raw)
@@ -171,6 +195,24 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             )
         )
     return Dataset(X, labels, metas)
+
+
+def _cell_errors(cells, j, name, recode):
+    """(row, column, message) for each bad cell of feature column j."""
+    for i, value in enumerate(cells):
+        if value is None or value == "":
+            yield i, j, f"row {i}: missing value in {name}"
+        elif recode is not None:
+            if value not in recode:
+                yield i, j, f"row {i}: {name} value {value!r} has no recode"
+        else:
+            try:
+                number = float(value)
+            except ValueError:
+                yield i, j, f"row {i}: {name} value {value!r} is not numeric"
+            else:
+                if not math.isfinite(number):
+                    yield i, j, f"row {i}: {name} value {value!r} is not finite"
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

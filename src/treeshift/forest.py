@@ -18,6 +18,7 @@ import numpy as np
 DEFAULT_EPSILON = 1e-6
 _GEOMETRY_BLOCK = 1 << 16   # elements of one block of the leaf-compatibility build
 _SIGNATURE_CHUNK = 4096   # (pair, target leaf) rows keyed together when finding leaf signatures
+_DENSE_KEYS = 1 << 16   # key spaces up to this size are deduplicated by marking, not sorting
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -187,27 +188,45 @@ class Forest:
 
     @cached_property
     def _flat(self) -> _FlatTrees:
-        feature, threshold, left, right, leaf_class, roots = [], [], [], [], [], []
-        for tree in self.trees:
-            ids = list(tree.nodes) + list(tree.leaves)
-            pos = {ident: len(feature) + k for k, ident in enumerate(ids)}
+        feature, threshold, left, right, leaf_class, roots, owner, ident = ([] for _ in range(8))
+        for t, tree in enumerate(self.trees):
+            ids = [*tree.nodes, *tree.leaves]
+            pos = dict(zip(ids, range(len(feature), len(feature) + len(ids))))
             roots.append(pos[tree.root])
-            for node in tree.nodes.values():
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                left.append(pos[node.left])
-                right.append(pos[node.right])
-                leaf_class.append(0)
-            for leaf in tree.leaves.values():
-                # a leaf routes to itself, so extra routing steps leave it in place
-                feature.append(0)
-                threshold.append(0.0)
-                left.append(pos[leaf.id])
-                right.append(pos[leaf.id])
-                leaf_class.append(leaf.predicted_class)
-        return _FlatTrees(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-                          np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                          np.array(leaf_class, dtype=np.intp), roots)
+            nodes, leaves = tree.nodes.values(), tree.leaves.values()
+            # a leaf routes to itself, so extra routing steps leave it in place
+            feature += [node.feature for node in nodes] + [0] * len(leaves)
+            threshold += [node.threshold for node in nodes] + [0.0] * len(leaves)
+            left += [pos[node.left] for node in nodes] + [pos[leaf.id] for leaf in leaves]
+            right += [pos[node.right] for node in nodes] + [pos[leaf.id] for leaf in leaves]
+            leaf_class += [0] * len(nodes) + [leaf.predicted_class for leaf in leaves]
+            owner += [t] * len(ids)
+            ident += ids
+        feature, left, right, leaf_class, owner, ident = (
+            np.array(column, dtype=np.intp)
+            for column in (feature, left, right, leaf_class, owner, ident))
+        return _FlatTrees(feature, np.array(threshold, dtype=float), left, right, leaf_class,
+                          roots, owner, ident)
+
+    @cached_property
+    def _leaf_paths(self) -> _LeafPaths:
+        """Every leaf's path from its root, read off one walk down all trees, level by level."""
+        flat = self._flat
+        n = len(flat.feature)
+        node = np.full((n, max(1, max(tree.depth for tree in self.trees))), n, dtype=np.intp)
+        right = np.zeros(node.shape, dtype=bool)
+        frontier = np.array(flat.roots, dtype=np.intp)
+        for k in range(node.shape[1]):
+            frontier = frontier[flat.left[frontier] != frontier]   # the level's nodes
+            parents = np.concatenate([frontier, frontier])
+            children = np.concatenate([flat.left[frontier], flat.right[frontier]])
+            node[children] = node[parents]
+            right[children] = right[parents]
+            node[children, k] = parents
+            right[flat.right[frontier], k] = True
+            frontier = children
+        leaves = np.flatnonzero(flat.left == np.arange(n))
+        return _LeafPaths(leaves, node[leaves], right[leaves])
 
     def predict_batch(self, X) -> np.ndarray:
         """Classes of the rows of X, exactly as :meth:`predict` gives them one at a time.
@@ -239,7 +258,7 @@ class Forest:
         """
         geometry = self._leaf_geometry.get(epsilon)
         if geometry is None:
-            geometry = _leaf_geometry(self.trees, self.domains, epsilon)
+            geometry = _leaf_geometry(self, epsilon)
             self._leaf_geometry[epsilon] = geometry
         return geometry
 
@@ -248,7 +267,7 @@ class Forest:
         and shared, read-only, by every caller."""
         paths = self._target_paths.get(target_class)
         if paths is None:
-            paths = _target_paths(self.trees, target_class)
+            paths = _target_paths(self, target_class)
             self._target_paths[target_class] = paths
         return paths
 
@@ -273,46 +292,73 @@ class LeafGeometry(NamedTuple):
     trees whose boxes meet that leaf's box. Closed intervals that meet
     pairwise share a point, so leaves from distinct trees have a nonempty
     joint box iff every pair of them is compatible. ``lo`` and ``hi`` hold the
-    same boxes as (leaves, features) arrays, one row per leaf in bit order.
+    boxes as (leaves, features) arrays, one row per leaf in bit order; a leaf's
+    box as Python pairs is made when :meth:`box` first reads it, since a solve
+    reads few of them.
     """
 
-    boxes: tuple[dict[int, tuple], ...]   # per tree, {leaf_id: box as (lo, hi) pairs}
     bit: tuple[dict[int, int], ...]       # per tree, {leaf_id: the leaf's own bit}
     compatible: tuple[dict[int, int], ...]  # per tree, {leaf_id: bitset of compatible leaves}
     lo: np.ndarray                        # lo[g, j]: leaf g's lower bound on feature j
     hi: np.ndarray                        # hi[g, j]: its upper bound
+    boxes: tuple[dict[int, tuple], ...]   # per tree, {leaf_id: box} of the leaves read so far
+
+    def box(self, t: int, leaf_id: int) -> tuple[tuple[float, float], ...]:
+        """The box of leaf ``leaf_id`` of tree t: the (lo, hi) pairs :func:`leaf_box`
+        gives, one per feature."""
+        box = self.boxes[t].get(leaf_id)
+        if box is None:
+            g = self.bit[t][leaf_id].bit_length() - 1   # leaf g owns bit g
+            box = self.boxes[t][leaf_id] = tuple(zip(self.lo[g].tolist(), self.hi[g].tolist()))
+        return box
 
 
-def _leaf_geometry(trees, domains, epsilon) -> LeafGeometry:
-    boxes = tuple(
-        {leaf_id: tuple(leaf_box(tree, leaf_id, domains, epsilon)) for leaf_id in tree.leaves}
-        for tree in trees
-    )
-    sizes = [len(tree_boxes) for tree_boxes in boxes]
-    n, d = sum(sizes), len(domains)
-    flat_boxes = [box for tree_boxes in boxes for box in tree_boxes.values()]
-    lo, hi = (np.fromiter((box[j][end] for j in range(d) for box in flat_boxes),
-                          dtype=float, count=n * d).reshape(d, n) for end in (0, 1))
-    owner = np.repeat(np.arange(len(trees)), sizes)
+def _leaf_geometry(forest, epsilon) -> LeafGeometry:
+    trees, domains, flat = forest.trees, forest.domains, forest._flat
+    leaves, node, right = forest._leaf_paths
+    n, d = len(leaves), len(domains)
+    # (features, leaves): each bound starts at the domain and is tightened by every real
+    # step of the leaf's path that splits on its feature, as leaf_box tightens it
+    lo, hi = (np.repeat(np.array([dom[end] for dom in domains], dtype=float)[:, None], n, axis=1)
+              for end in (0, 1))
+    g, k = np.nonzero(node < len(flat.feature))
+    at, went_right = node[g, k], right[g, k]
+    split, threshold = flat.feature[at], flat.threshold[at]
+    np.maximum.at(lo, (split[went_right], g[went_right]), threshold[went_right])
+    went_left = ~went_right
+    np.minimum.at(hi, (split[went_left], g[went_left]), threshold[went_left] - epsilon)
+    if not epsilon > 0 or (lo > hi).any():
+        for tree in trees:   # raises leaf_box's error for the first bad leaf
+            for leaf_id in tree.leaves:
+                leaf_box(tree, leaf_id, domains, epsilon)
+    owner = flat.tree[leaves]
     rows = []
-    # a block of rows at a time, so that no n x n temporary is made
+    # a block of rows at a time, so that no n x n temporary is made. Closed intervals meet
+    # iff each starts at or before the other ends; when one block holds every row, the
+    # second test is the first one transposed.
     step = max(1, _GEOMETRY_BLOCK // n)
     for a in range(0, n, step):
         b = min(a + step, n)
         meets = owner[a:b, None] != owner
         test = np.empty_like(meets)
-        for j in range(d):   # closed intervals meet iff each starts at or before the other ends
+        for j in range(d):
             meets &= np.less_equal(lo[j, a:b, None], hi[j], out=test)
-            meets &= np.greater_equal(hi[j, a:b, None], lo[j], out=test)
+        if b - a == n:
+            meets = meets & meets.T
+        else:
+            for j in range(d):
+                meets &= np.greater_equal(hi[j, a:b, None], lo[j], out=test)
         packed = np.packbits(meets, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     # leaves are numbered tree by tree, in each tree's leaf order; leaf g owns bit g
-    bit, compatible, g = [], [], 0
-    for tree_boxes in boxes:
-        bit.append({leaf_id: 1 << (g + k) for k, leaf_id in enumerate(tree_boxes)})
-        compatible.append({leaf_id: rows[g + k] for k, leaf_id in enumerate(tree_boxes)})
-        g += len(tree_boxes)
-    return LeafGeometry(boxes, tuple(bit), tuple(compatible), lo.T, hi.T)
+    bits = [1 << i for i in range(n)]
+    bit, compatible, start = [], [], 0
+    for tree in trees:
+        end = start + len(tree.leaves)
+        bit.append(dict(zip(tree.leaves, bits[start:end])))
+        compatible.append(dict(zip(tree.leaves, rows[start:end])))
+        start = end
+    return LeafGeometry(tuple(bit), tuple(compatible), lo.T, hi.T, tuple({} for _ in trees))
 
 
 class TargetPaths(NamedTuple):
@@ -330,23 +376,30 @@ class TargetPaths(NamedTuple):
     right: np.ndarray     # [l, k]: the path goes right there
 
 
-def _target_paths(trees, target_class) -> TargetPaths:
-    leaves = tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
-                                if leaf.predicted_class == target_class)) for tree in trees)
-    depth = max([1] + [trees[t].depth for t, ids in enumerate(leaves) if ids])
-    paths = [[(t, node_id, went_right) for node_id, went_right in trees[t].paths[leaf_id]]
-             for t, ids in enumerate(leaves) for leaf_id in ids]
-    nodes = tuple(dict.fromkeys((t, node_id) for path in paths for t, node_id, _ in path))
-    position = {key: i for i, key in enumerate(nodes)}
-    pad = [(len(nodes), 0, True)]
-    steps = np.array([[(position[t, node_id], trees[t].nodes[node_id].feature, went_right)
-                       for t, node_id, went_right in path] + pad * (depth - len(path))
-                      for path in paths], dtype=np.intp).reshape(len(paths), depth, 3)
-    node, feature, right = (np.ascontiguousarray(steps[..., i]) for i in range(3))
-    right = right.astype(bool)
-    for array in (node, feature, right):
+def _target_paths(forest, target_class) -> TargetPaths:
+    flat = forest._flat
+    leaves, node, right = forest._leaf_paths
+    owner, ident = flat.tree[leaves], flat.ident[leaves]
+    rows = np.flatnonzero(flat.leaf_class[leaves] == target_class)
+    rows = rows[np.lexsort((ident[rows], owner[rows]))]
+    ends = np.cumsum(np.bincount(owner[rows], minlength=forest.num_trees)).tolist()
+    ids = ident[rows].tolist()
+    leaf_ids = tuple(tuple(ids[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    depth = max([1] + [tree.depth for tree, own in zip(forest.trees, leaf_ids) if own])
+    steps = node[rows, :depth]
+    real = steps < len(flat.feature)
+    # the nodes the paths pass, each once, in the order the paths first reach them
+    passed, first = np.unique(steps[real], return_index=True)
+    passed = passed[np.argsort(first, kind="stable")]
+    number = np.full(len(flat.feature) + 1, len(passed), dtype=np.intp)
+    number[passed] = np.arange(len(passed))
+    nodes = tuple(zip(flat.tree[passed].tolist(), flat.ident[passed].tolist()))
+    paths = TargetPaths(leaf_ids, nodes, number[steps],
+                        np.where(real, flat.feature.take(steps, mode="clip"), 0),
+                        right[rows, :depth] | ~real)
+    for array in paths[2:]:
         array.flags.writeable = False
-    return TargetPaths(leaves, nodes, node, feature, right)
+    return paths
 
 
 def enumerate_effort_allocations(d: int, E: int, eta: int, mutable_mask=None):
@@ -357,19 +410,13 @@ def enumerate_effort_allocations(d: int, E: int, eta: int, mutable_mask=None):
     mask = list(mutable_mask) if mutable_mask is not None else [True] * d
     if len(mask) != d:
         raise ValueError("mutable_mask length must equal d")
-    prefix = [0] * d
-
-    def rec(j, remaining):
-        if j == d:
-            yield tuple(prefix)
-            return
-        cap = min(E, remaining) if mask[j] else 0
-        for e in range(cap + 1):
-            prefix[j] = e
-            yield from rec(j + 1, remaining - e)
-        prefix[j] = 0
-
-    yield from rec(0, eta)
+    # every prefix with the budget it leaves, extended one feature at a time
+    prefixes = [((), eta)]
+    for movable in mask:
+        prefixes = [(prefix + (e,), left - e) for prefix, left in prefixes
+                    for e in range(min(E, left) + 1 if movable else 1)]
+    for prefix, _ in prefixes:
+        yield prefix
 
 
 class ScoringPlan(NamedTuple):
@@ -396,15 +443,24 @@ class ScoringPlan(NamedTuple):
 def _unique_rows(key, size, columns, width):
     """np.unique's first indices and inverse of the rows of (key, *columns), key in
     0..size-1 and each column in 0..width-1, read as one mixed-radix integer; before it
-    could pass int64, the keys so far are renumbered densely, so it stays exact."""
+    could pass int64, the keys so far are renumbered densely, so it stays exact. A small
+    key space is marked instead of sorted, with the same result."""
     for column in columns:
         if size * width > 1 << 63:
             key = np.unique(key, return_inverse=True)[1].reshape(-1)
             size = len(key)
         key = key * width + column
         size *= width
-    _, index, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return index, inverse.reshape(-1)
+    if size > max(_DENSE_KEYS, 4 * len(key)):
+        _, index, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return index, inverse.reshape(-1)
+    # a small key space: mark each key's first row instead of sorting the rows
+    first = np.full(size, len(key), dtype=np.intp)
+    np.minimum.at(first, key, np.arange(len(key)))
+    present = np.flatnonzero(first < len(key))
+    number = np.empty(size, dtype=np.intp)
+    number[present] = np.arange(len(present))
+    return first[present], number[key]
 
 
 def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
@@ -415,19 +471,17 @@ def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
     sizes = np.array([len(ids) for ids in paths.leaves], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     real = paths.node < len(paths.nodes)   # the steps before each path's end
-    pair = np.empty((len(allocations), len(sizes)), dtype=np.int32)
-    tree_of, first = [], []
-    for t, (a, b) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())):
-        features = np.unique(paths.feature[a:b][real[a:b]]).tolist()
-        # no allocation puts effort on an immutable feature
-        index, inverse = _unique_rows(np.zeros(len(allocations), dtype=np.int64), 1,
-                                      (effort[:, j] for j in features if mutable[j]), width)
-        pair[:, t] = inverse + len(first)
-        first.extend(index.tolist())   # the first allocation with each signature
-        tree_of.extend([t] * len(index))
-    tree_of = np.array(tree_of, dtype=np.intp)
-    first = np.array(first, dtype=np.intp)
-
+    R, A = len(sizes), len(allocations)
+    # a tree's signature: the allocation's effort at the mutable features on its target
+    # paths (no allocation puts effort on an immutable feature), keyed below the tree for
+    # all (tree, allocation) rows at once; an unused feature adds a 0 digit
+    uses = np.zeros((R, d), dtype=bool)
+    uses[np.repeat(np.arange(R), sizes)[np.nonzero(real)[0]], paths.feature[real]] = True
+    index, inverse = _unique_rows(np.repeat(np.arange(R, dtype=np.int64), A), R,
+                                  ((uses[:, j, None] * effort[:, j]).reshape(-1)
+                                   for j in range(d) if mutable[j] and uses[:, j].any()), width)
+    pair = np.ascontiguousarray(inverse.reshape(R, A).T, dtype=np.int32)
+    tree_of, first = np.divmod(index, A)   # the first allocation with each signature
     # the leaf signatures of every (pair, target leaf) row, keyed a chunk of whole trees at
     # a time: a leaf belongs to one tree, so no signature spans two chunks. A row's levels
     # are read from one flat table of the allocations' levels, whose column d holds 0s for
@@ -467,7 +521,8 @@ def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
 
 
 class _FlatTrees(NamedTuple):
-    """All trees' nodes and leaves in flat arrays; child and root entries index them."""
+    """All trees' nodes and leaves in flat arrays, tree by tree and in each tree its nodes,
+    then its leaves, in dict order; child and root entries index them."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -475,6 +530,16 @@ class _FlatTrees(NamedTuple):
     right: np.ndarray
     leaf_class: np.ndarray
     roots: list[int]
+    tree: np.ndarray    # the entry's tree
+    ident: np.ndarray   # its node or leaf id in that tree
+
+
+class _LeafPaths(NamedTuple):
+    """Every leaf's path from its root, one row per leaf in flat order (the leaf-bit order)."""
+
+    leaves: np.ndarray   # [g]: leaf g's flat entry
+    node: np.ndarray     # [g, k]: the flat entry of step k's node; len(flat) past the path's end
+    right: np.ndarray    # [g, k]: the path goes right there (False past the end)
 
 
 def _target_wins(w_target, w_other, target):

@@ -554,7 +554,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
             if k == m:
                 if cut is None or cur_log > cut:
                     run.keep(cur_log, {t: leaf for t, leaf, _ in chosen},
-                             boxes_intersect([geometry.boxes[t][leaf] for t, leaf, _ in chosen]),
+                             boxes_intersect([geometry.box(t, leaf) for t, leaf, _ in chosen]),
                              effort, {t: v for t, _, v in chosen})
                     cut = cur_log   # in one allocation, the first plan visited wins a tie
                 return
@@ -673,7 +673,7 @@ def _leaf_residuals(geometry, x0, weights):
     x = np.array(x0, dtype=float)
     gaps = np.abs(np.clip(x, geometry.lo, geometry.hi) - x)
     rows = iter((np.array(weights, dtype=float) * gaps).tolist())   # bit order, tree by tree
-    return [{leaf_id: tuple(next(rows)) for leaf_id in tree_boxes} for tree_boxes in geometry.boxes]
+    return [{leaf_id: tuple(next(rows)) for leaf_id in tree_bits} for tree_bits in geometry.bit]
 
 
 def solve_min_distance(forest, instance, config=None) -> Solution:
@@ -721,7 +721,7 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     measure = _MEASURES[config.distance]
     x0, target = instance.x0, instance.target_class
     geometry = forest.leaf_geometry(instance.epsilon)
-    boxes, bit, compatible = geometry.boxes, geometry.bit, geometry.compatible
+    bit, compatible = geometry.bit, geometry.compatible
     R = forest.num_trees
     total = 0.0
     for tree in reversed(forest.trees):
@@ -754,7 +754,8 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         if t == R:
             if _target_wins(w_target, total - w_target, target):
                 run.keep(dist, dict(enumerate(combo)),
-                         boxes_intersect([root] + [boxes[u][leaf] for u, leaf in enumerate(combo)]))
+                         boxes_intersect([root] + [geometry.box(u, leaf)
+                                                   for u, leaf in enumerate(combo)]))
             return
         if not _target_wins(w_target, total - w_target, target):
             # target votes are missing: count the trees that can still vote target closer
@@ -952,10 +953,10 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
         failures.append("essential tree repeated")
     box_trees = essential if config.objective != MIN_DISTANCE else tuple(range(forest.num_trees))
     tol = 1e-12
-    boxes = forest.leaf_geometry(instance.epsilon).boxes
+    geometry = forest.leaf_geometry(instance.epsilon)
     member_boxes = []
     for t in box_trees:
-        box = boxes[t][leaves[t]]
+        box = geometry.box(t, leaves[t])
         member_boxes.append(box)
         if any(not lo - tol <= x[j] <= hi + tol for j, (lo, hi) in enumerate(box)):
             failures.append(f"box intersection (tree {t})")

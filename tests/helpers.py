@@ -1,13 +1,16 @@
 """Shared test utilities: seeded random instances sized for exhaustive oracles."""
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from treeshift import (FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable,
+from treeshift import (Dataset, FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable,
                        ProblemInstance, Tree)
+from treeshift.forest import (_GEOMETRY_BLOCK, _SIGNATURE_CHUNK, BINARY, ScoringPlan, TargetPaths,
+                              _unique_rows, enumerate_effort_allocations, leaf_box)
 
 TABLE_E = 2  # tables always cover effort levels 0..2 so E-monotonicity can be probed
 
@@ -237,3 +240,199 @@ def reference_best_split(X, y, rows, feature_pool, rng, k):
             if best is None or key < best:
                 best = key
     return best
+
+
+def reference_load_csv(path, schema):
+    """``load_csv`` one row dict and one cell at a time, the reference for the
+    column-wise loader.
+
+    Same contract: skip blank lines, drop rows by their raw strings, reject a
+    repeated schema column and every missing, unrecoded, non-numeric or
+    non-finite feature cell and every missing label, row by row, then
+    min-max normalize the continuous columns.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in schema.columns:
+            if col.name not in header:
+                raise ValueError(f"schema column {col.name!r} missing from CSV header")
+            if header.count(col.name) > 1:
+                raise ValueError(f"CSV header repeats column {col.name!r}")
+        rows = list(reader)
+    target = schema.target
+    feats = schema.feature_columns
+    droppable = [c for c in feats if c.drop_values]
+    rows = [
+        row for row in rows
+        if row[target.name] not in target.drop_labels
+        and not any(row[c.name] in c.drop_values for c in droppable)
+    ]
+    if not rows:
+        raise ValueError("CSV has no data rows")
+
+    recodes = [col.recode if col.recode is not None else (
+        {"0": 0.0, "1": 1.0} if col.kind == BINARY else None) for col in feats]
+    raw = np.empty((len(rows), len(feats)))
+    labels = np.empty(len(rows), dtype=int)
+    errors = []
+    for i, row in enumerate(rows):
+        for j, (col, recode) in enumerate(zip(feats, recodes)):
+            value = row[col.name]
+            if value is None or value == "":
+                errors.append(f"row {i}: missing value in {col.name}")
+                continue
+            if recode is not None:
+                if value not in recode:
+                    errors.append(f"row {i}: {col.name} value {value!r} has no recode")
+                    continue
+                raw[i, j] = recode[value]
+            else:
+                try:
+                    raw[i, j] = number = float(value)
+                except ValueError:
+                    errors.append(f"row {i}: {col.name} value {value!r} is not numeric")
+                    continue
+                if not math.isfinite(number):
+                    errors.append(f"row {i}: {col.name} value {value!r} is not finite")
+        label = row[target.name]
+        if label is None or label == "":
+            errors.append(f"row {i}: missing value in {target.name}")
+        labels[i] = 1 if label in target.positive_labels else 0
+    if errors:
+        raise ValueError("CSV rejected:\n" + "\n".join(errors))
+
+    X = np.empty_like(raw)
+    for j, col in enumerate(feats):
+        if col.kind == BINARY:
+            if not set(np.unique(raw[:, j])) <= {0.0, 1.0}:
+                raise ValueError(f"binary column {col.name} recodes outside {{0, 1}}")
+            X[:, j] = raw[:, j]
+        else:
+            lo, hi = float(raw[:, j].min()), float(raw[:, j].max())
+            if hi == lo:
+                hi = lo + 1.0
+            X[:, j] = (raw[:, j] - lo) / (hi - lo)
+    metas = [FeatureMeta(index=j, name=col.name, kind=col.kind, mutable=col.mutable,
+                         beneficial=col.beneficial) for j, col in enumerate(feats)]
+    return Dataset(X, labels, metas)
+
+
+def reference_leaf_geometry(trees, domains, epsilon):
+    """``Forest.leaf_geometry`` from one ``leaf_box`` call per leaf, the reference for
+    the level-by-level walk: per tree {leaf_id: its box}, then the geometry's ``bit``,
+    ``compatible``, ``lo`` and ``hi``."""
+    boxes = tuple(
+        {leaf_id: tuple(leaf_box(tree, leaf_id, domains, epsilon)) for leaf_id in tree.leaves}
+        for tree in trees
+    )
+    sizes = [len(tree_boxes) for tree_boxes in boxes]
+    n, d = sum(sizes), len(domains)
+    flat_boxes = [box for tree_boxes in boxes for box in tree_boxes.values()]
+    lo, hi = (np.fromiter((box[j][end] for j in range(d) for box in flat_boxes),
+                          dtype=float, count=n * d).reshape(d, n) for end in (0, 1))
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    rows = []
+    # a block of rows at a time, so that no n x n temporary is made
+    step = max(1, _GEOMETRY_BLOCK // n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        meets = owner[a:b, None] != owner
+        test = np.empty_like(meets)
+        for j in range(d):   # closed intervals meet iff each starts at or before the other ends
+            meets &= np.less_equal(lo[j, a:b, None], hi[j], out=test)
+            meets &= np.greater_equal(hi[j, a:b, None], lo[j], out=test)
+        packed = np.packbits(meets, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    # leaves are numbered tree by tree, in each tree's leaf order; leaf g owns bit g
+    bit, compatible, g = [], [], 0
+    for tree_boxes in boxes:
+        bit.append({leaf_id: 1 << (g + k) for k, leaf_id in enumerate(tree_boxes)})
+        compatible.append({leaf_id: rows[g + k] for k, leaf_id in enumerate(tree_boxes)})
+        g += len(tree_boxes)
+    return boxes, tuple(bit), tuple(compatible), lo.T, hi.T
+
+
+
+def reference_target_paths(trees, target_class):
+    """``Forest.target_paths`` from each tree's traced ``paths``, the reference for the
+    paths read off the level-by-level walk."""
+    leaves = tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
+                                if leaf.predicted_class == target_class)) for tree in trees)
+    depth = max([1] + [trees[t].depth for t, ids in enumerate(leaves) if ids])
+    paths = [[(t, node_id, went_right) for node_id, went_right in trees[t].paths[leaf_id]]
+             for t, ids in enumerate(leaves) for leaf_id in ids]
+    nodes = tuple(dict.fromkeys((t, node_id) for path in paths for t, node_id, _ in path))
+    position = {key: i for i, key in enumerate(nodes)}
+    pad = [(len(nodes), 0, True)]
+    steps = np.array([[(position[t, node_id], trees[t].nodes[node_id].feature, went_right)
+                       for t, node_id, went_right in path] + pad * (depth - len(path))
+                      for path in paths], dtype=np.intp).reshape(len(paths), depth, 3)
+    node, feature, right = (np.ascontiguousarray(steps[..., i]) for i in range(3))
+    right = right.astype(bool)
+    for array in (node, feature, right):
+        array.flags.writeable = False
+    return TargetPaths(leaves, nodes, node, feature, right)
+
+
+
+def reference_scoring_plan(mutable, paths, E, eta):
+    """``Forest.scoring_plan`` with one ``np.unique`` key per tree, the reference for the
+    key built for all trees at once."""
+    d = len(mutable)
+    allocations = tuple(enumerate_effort_allocations(d, E, eta, mutable))
+    effort = np.array(allocations, dtype=np.intp).reshape(len(allocations), d)
+    width = E + 1
+    sizes = np.array([len(ids) for ids in paths.leaves], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    real = paths.node < len(paths.nodes)   # the steps before each path's end
+    pair = np.empty((len(allocations), len(sizes)), dtype=np.int32)
+    tree_of, first = [], []
+    for t, (a, b) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())):
+        features = np.unique(paths.feature[a:b][real[a:b]]).tolist()
+        # no allocation puts effort on an immutable feature
+        index, inverse = _unique_rows(np.zeros(len(allocations), dtype=np.int64), 1,
+                                      (effort[:, j] for j in features if mutable[j]), width)
+        pair[:, t] = inverse + len(first)
+        first.extend(index.tolist())   # the first allocation with each signature
+        tree_of.extend([t] * len(index))
+    tree_of = np.array(tree_of, dtype=np.intp)
+    first = np.array(first, dtype=np.intp)
+
+    # the leaf signatures of every (pair, target leaf) row, keyed a chunk of whole trees at
+    # a time: a leaf belongs to one tree, so no signature spans two chunks. A row's levels
+    # are read from one flat table of the allocations' levels, whose column d holds 0s for
+    # the steps past each path's end.
+    level_table = np.zeros((len(allocations), d + 1),
+                           dtype=np.int8 if E <= np.iinfo(np.int8).max else np.intp)
+    level_table[:, :d] = effort
+    level_table = level_table.reshape(-1)
+    column = np.where(real, paths.feature, d)
+    pair_count = np.bincount(tree_of, minlength=len(sizes))
+    pair_end = np.cumsum(pair_count)
+    row_end = np.cumsum(pair_count * sizes)
+    slot = np.full((len(tree_of), max(1, int(sizes.max(initial=0)))), -1, dtype=np.int32)
+    leaf_parts, level_parts, count = [], [], 0
+    t0 = 0
+    while t0 < len(sizes):
+        t1 = max(t0 + 1, int(np.searchsorted(
+            row_end, row_end[t0] - pair_count[t0] * sizes[t0] + _SIGNATURE_CHUNK, side="right")))
+        pairs = np.arange(pair_end[t0] - pair_count[t0], pair_end[t1 - 1])
+        per_pair = sizes[tree_of[pairs]]
+        row_pair = np.repeat(pairs, per_pair)
+        k = np.arange(len(row_pair)) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+        leaf = starts[tree_of[row_pair]] + k
+        level = level_table[(first[row_pair] * (d + 1))[:, None] + column[leaf]]
+        index, inverse = _unique_rows((leaf - starts[t0]).astype(np.int64),
+                                      int(sizes[t0:t1].sum()), level.T, width)
+        slot[row_pair, k] = inverse + count
+        leaf_parts.append(leaf[index])
+        level_parts.append(level[index])
+        count += len(index)
+        t0 = t1
+    plan = ScoringPlan(allocations, pair, tree_of, np.concatenate(leaf_parts).astype(np.int32),
+                       np.concatenate(level_parts), slot)
+    for array in plan[1:]:
+        array.flags.writeable = False
+    return plan
+

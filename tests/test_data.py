@@ -3,6 +3,8 @@ import pytest
 
 from treeshift import ColumnSpec, DatasetSchema, load_csv, split, synth_generate
 
+from helpers import reference_load_csv
+
 
 def _write_csv(path, text):
     path.write_text(text, encoding="utf-8")
@@ -89,6 +91,114 @@ def test_load_csv_reports_every_bad_cell_in_order(tmp_path):
         "row 3: missing value in age\n"
         "row 3: water value 'abc' is not numeric"
     )
+
+
+def test_load_csv_rejects_missing_and_empty_labels(tmp_path):
+    # a missing label once read as class 0
+    schema = DatasetSchema([
+        ColumnSpec("a", beneficial="increase"),
+        ColumnSpec("label", role="target", positive_labels=("1",), drop_labels=("x",)),
+    ])
+    csv = _write_csv(tmp_path / "d.csv", "a,label\n0.1,1\n0.5\n0.9,\n0.2,x\n,\n")
+    with pytest.raises(ValueError) as err:
+        load_csv(csv, schema)
+    assert str(err.value) == (
+        "CSV rejected:\n"
+        "row 1: missing value in label\n"
+        "row 2: missing value in label\n"
+        "row 3: missing value in a\n"
+        "row 3: missing value in label"
+    )
+    # a dropped label drops its row first
+    csv = _write_csv(tmp_path / "e.csv", "a,label\n0.1,1\n0.2,x\n0.9,0\n")
+    assert load_csv(csv, schema).y.tolist() == [1, 0]
+
+
+def test_load_csv_rejects_a_repeated_schema_column(tmp_path):
+    schema = DatasetSchema([
+        ColumnSpec("a", beneficial="increase"),
+        ColumnSpec("label", role="target", positive_labels=("1",)),
+    ])
+    csv = _write_csv(tmp_path / "d.csv", "a,label,a\n0.1,1,0.9\n0.5,0,0.2\n")
+    with pytest.raises(ValueError, match="^CSV header repeats column 'a'$"):
+        load_csv(csv, schema)
+    # a repeated column the schema does not name is ignored
+    csv = _write_csv(tmp_path / "e.csv", "a,x,label,x\n0.1,,1,\n0.5,,0,\n")
+    assert load_csv(csv, schema).y.tolist() == [1, 0]
+
+
+_DIFF_SCHEMA = DatasetSchema([
+    ColumnSpec("num", beneficial="increase"),
+    ColumnSpec("ord", beneficial="decrease", recode={"lo": 0, "mid": 1.5, "hi": 3, "": 9},
+               drop_values=("skip",)),
+    ColumnSpec("flag", kind="binary", beneficial="to_one"),
+    ColumnSpec("smoker", kind="binary", mutable=False, recode={"yes": 1.0, "no": 0.0}),
+    ColumnSpec("age", mutable=False, drop_values=("-1",)),
+    ColumnSpec("note", role="drop"),
+    ColumnSpec("status", role="target", positive_labels=("bad", "1"), drop_labels=("?",)),
+])
+_CELLS = {
+    "num": ["0.5", "1e3", "-2", " 1.25 ", "7", "3.0", "nan", "inf", "-Infinity", "", "abc",
+            "1,5", "1_0", "+4"],
+    "ord": ["lo", "mid", "hi", "lo", "mid", "", "skip", "high"],
+    "flag": ["0", "1", "0", "1", "0.0", "", "2"],
+    "smoker": ["yes", "no", "yes", "no", "Yes", ""],
+    "age": ["30", "41.5", "18", "-1", "65", "  22", "", "NaN"],
+    "note": ["a", "b,c", "", "x y"],
+    "status": ["bad", "good", "1", "0", "?", "", "bad", "good"],
+}
+
+
+def _random_csv(rng):
+    """A CSV text over _DIFF_SCHEMA's columns, valid or not, from one generator."""
+    names = list(_CELLS) + ["extra"] * int(rng.integers(0, 2))
+    names = [names[i] for i in rng.permutation(len(names))]
+    if rng.random() < 0.03:
+        names.append(str(rng.choice(list(_CELLS))))   # a repeated column
+    if rng.random() < 0.03:
+        names.remove(str(rng.choice(list(_CELLS))))   # a missing column
+    bad = rng.random() < 0.4    # else only cells every column accepts
+    constant = {name: rng.random() < 0.15 for name in _CELLS}
+    lines = [",".join(names)]
+    for _ in range(int(rng.integers(0, 25))):
+        if rng.random() < 0.05:
+            lines.append("")
+            continue
+        cells = []
+        for name in names:
+            pool = _CELLS.get(name, ["e", ""])
+            if not bad:
+                pool = pool[:4] if name not in ("ord", "age", "status") else pool[:3]
+            cell = pool[0] if constant.get(name) else str(rng.choice(pool))
+            cells.append(f'"{cell}"' if "," in cell or rng.random() < 0.1 else cell)
+        if bad and rng.random() < 0.05:
+            cells = cells[:int(rng.integers(0, len(cells)))]   # a short row
+        if rng.random() < 0.05:
+            cells.append("surplus")   # a long row
+        lines.append(",".join(cells))
+    return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+
+
+def _load_or_error(load, path):
+    try:
+        ds = load(path, _DIFF_SCHEMA)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "data", (ds.X.dtype, ds.X.shape, ds.X.tobytes(), ds.y.dtype, ds.y.tobytes(),
+                    ds.feature_metas)
+
+
+def test_load_csv_matches_the_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(20261019)
+    kinds = {}
+    for case in range(600):
+        path = _write_csv(tmp_path / f"c{case}.csv", _random_csv(rng))
+        got, want = _load_or_error(load_csv, path), _load_or_error(reference_load_csv, path)
+        assert got == want, path.read_text()
+        kind = want[1].split("\n")[0] if want[0] == "error" else "data"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("data", 0) >= 150 and kinds.get("CSV rejected:", 0) >= 150, kinds
+    assert len(kinds) >= 5, kinds
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
@@ -180,6 +290,16 @@ def test_drop_values_filters_rows(tmp_path):
     ds = load_csv(csv, schema)
     assert ds.num_rows == 3
     assert list(ds.y) == [0, 1, 1]
+
+
+@pytest.mark.parametrize("value", [None, "abc", float("nan"), float("inf")])
+def test_schema_rejects_a_recode_value_that_is_not_a_finite_number(value):
+    # a null recode value once loaded its column as NaN
+    with pytest.raises(ValueError, match="^column grade: recode value .* for 'mid' is not a finite"):
+        DatasetSchema([
+            ColumnSpec("grade", beneficial="increase", recode={"low": 0, "mid": value}),
+            ColumnSpec("label", role="target", positive_labels=("1",)),
+        ])
 
 
 def test_binary_recode_outside_unit_rejected(tmp_path):

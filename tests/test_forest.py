@@ -204,16 +204,17 @@ def test_leaf_boxes_table_matches_leaf_box():
     for seed in range(12):
         forest = make_random_instance(seed).forest
         for eps in (1e-6, 1e-3):
-            table = forest.leaf_geometry(eps).boxes
-            assert forest.leaf_geometry(eps).boxes is table   # built once per epsilon
-            assert len(table) == forest.num_trees
-            for t, tree in enumerate(forest.trees):
-                assert set(table[t]) == set(tree.leaves)
-                for leaf_id in tree.leaves:
-                    assert table[t][leaf_id] == tuple(leaf_box(tree, leaf_id, forest.domains, eps))
-            # the same boxes as arrays, one row per leaf in bit order
             geometry = forest.leaf_geometry(eps)
-            rows = [box for tree_boxes in table for box in tree_boxes.values()]
+            assert forest.leaf_geometry(eps) is geometry   # built once per epsilon
+            assert len(geometry.bit) == forest.num_trees
+            for t, tree in enumerate(forest.trees):
+                assert set(geometry.bit[t]) == set(tree.leaves)
+                for leaf_id in tree.leaves:
+                    assert geometry.box(t, leaf_id) == tuple(
+                        leaf_box(tree, leaf_id, forest.domains, eps))
+            # the same boxes as arrays, one row per leaf in bit order
+            rows = [leaf_box(tree, leaf_id, forest.domains, eps) for tree in forest.trees
+                    for leaf_id in tree.leaves]
             assert geometry.lo.tolist() == [[lo for lo, _ in box] for box in rows]
             assert geometry.hi.tolist() == [[hi for _, hi in box] for box in rows]
 
@@ -230,7 +231,7 @@ def test_leaf_compatibility_bits_match_intersect():
             for (t, a_tree), (u, b_tree) in itertools.product(enumerate(forest.trees), repeat=2):
                 for a, b in itertools.product(a_tree.leaves, b_tree.leaves):
                     has_bit = bool(geometry.compatible[t][a] & geometry.bit[u][b])
-                    meets = t != u and _intersect(geometry.boxes[t][a], geometry.boxes[u][b]) is not None
+                    meets = t != u and _intersect(geometry.box(t, a), geometry.box(u, b)) is not None
                     assert has_bit == meets, (seed, eps, t, a, u, b)
                     outcomes.add(meets)
     assert outcomes == {True, False}
@@ -244,9 +245,9 @@ def test_touching_leaf_boxes_are_compatible():
     right = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])
     forest = Forest([left, right], [FeatureMeta(0, "f0", beneficial="increase")])
     geometry = forest.leaf_geometry(eps)
-    assert geometry.boxes[0][1][0][1] == geometry.boxes[1][2][0][0] == 0.5
+    assert geometry.box(0, 1)[0][1] == geometry.box(1, 2)[0][0] == 0.5
     assert geometry.compatible[0][1] & geometry.bit[1][2]
-    assert boxes_intersect([geometry.boxes[0][1], geometry.boxes[1][2]]) == [(0.5, 0.5)]
+    assert boxes_intersect([geometry.box(0, 1), geometry.box(1, 2)]) == [(0.5, 0.5)]
 
 
 def test_pairwise_compatibility_decides_joint_feasibility():
@@ -261,7 +262,7 @@ def test_pairwise_compatibility_decides_joint_feasibility():
         for _ in range(300):
             trees = pick.sample(range(forest.num_trees), pick.randint(2, forest.num_trees))
             chosen = [(t, pick.choice(sorted(forest.trees[t].leaves))) for t in trees]
-            joint = boxes_intersect([geometry.boxes[t][leaf] for t, leaf in chosen]) is not None
+            joint = boxes_intersect([geometry.box(t, leaf) for t, leaf in chosen]) is not None
             pairwise = all(geometry.compatible[t][a] & geometry.bit[u][b]
                            for (t, a), (u, b) in itertools.combinations(chosen, 2))
             assert joint == pairwise, (seed, chosen)

@@ -649,9 +649,10 @@ def test_leaf_residuals_match_the_definition():
         geometry = forest.leaf_geometry(case.instance.epsilon)
         weights = tuple(float(j % 3) * 0.75 for j in range(forest.num_features))   # zeros too
         residuals = _leaf_residuals(geometry, x0, weights)
-        for t, tree_boxes in enumerate(geometry.boxes):
-            assert residuals[t].keys() == tree_boxes.keys()
-            for leaf_id, box in tree_boxes.items():
+        for t, tree in enumerate(forest.trees):
+            assert list(residuals[t]) == list(tree.leaves)
+            for leaf_id in tree.leaves:
+                box = geometry.box(t, leaf_id)
                 assert list(residuals[t][leaf_id]) == _residuals(x0, box, weights), (seed, t)
 
 
