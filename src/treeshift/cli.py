@@ -8,10 +8,8 @@ a manifest and reproduces the primary outputs byte for byte, except the
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import json
 import os
 import sys
 import time
@@ -22,6 +20,7 @@ import numpy as np
 from . import __version__
 from .cohort import feasible_baseline, simulate_cohort
 from .data import DatasetSchema, load_csv
+from .documents import read_csv, read_json, write_csv, write_json
 from .forest import load_forest, save_forest
 from .probability import (PerturbationSpec, estimate_node_probabilities,
                           load_table, save_table)
@@ -56,9 +55,7 @@ def _write_manifest(primary_output, argv, inputs, seeds, started) -> None:
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    with open(f"{primary_output}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{primary_output}.manifest.json", manifest)
 
 
 def _load_pipeline_inputs(args):
@@ -91,11 +88,8 @@ def _cmd_train(args, argv, started) -> int:
     save_forest(forest, args.output)
     importances = impurity_importances(forest, dataset)
     imp_path = os.path.splitext(args.output)[0] + ".importances.csv"
-    with open(imp_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "importance"])
-        for meta, value in zip(forest.feature_metas, importances):
-            writer.writerow([meta.name, f"{value:.10g}"])
+    write_csv(imp_path, ["feature", "importance"],
+              [[m.name, f"{value:.10g}"] for m, value in zip(forest.feature_metas, importances)])
     print(f"trained {config.num_trees} trees (depth <= {config.max_depth}), "
           f"training accuracy {accuracy(forest, dataset):.3f}")
     print(f"wrote {args.output} and {imp_path}")
@@ -162,9 +156,7 @@ def _cmd_shift(args, argv, started) -> int:
     doc = solution.to_dict()
     doc["verified"] = None if verdict is None else verdict.passed
     doc["verification_failures"] = [] if verdict is None else verdict.failures
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.output, doc)
     print(f"status={solution.status} objective={solution.objective} "
           f"effort={solution.effort} -> {args.output}")
     _write_manifest(args.output, argv,
@@ -181,22 +173,16 @@ def _cmd_rank(args, argv, started) -> int:
     forest = load_forest(args.forest)
     metas = forest.feature_metas
     if args.solutions:
-        solutions = []
-        for name in sorted(os.listdir(args.solutions)):
-            if not name.endswith(".json") or name.endswith(".manifest.json"):
-                continue
-            with open(os.path.join(args.solutions, name), encoding="utf-8") as fh:
-                doc = json.load(fh)
-            solutions.append(Solution(
-                status=doc["status"],
-                effort=tuple(doc["effort"]) if doc.get("effort") else None,
-            ))
+        solutions = [
+            read_json(os.path.join(args.solutions, name), lambda doc: Solution(
+                doc["status"], effort=tuple(doc["effort"]) if doc.get("effort") else None))
+            for name in sorted(os.listdir(args.solutions))
+            if name.endswith(".json") and not name.endswith(".manifest.json")
+        ]
         ranking = effort_ranking(solutions, metas, args.eta, weighted=args.weighted)
     elif args.importances:
-        by_name = {}
-        with open(args.importances, encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                by_name[rec["feature"]] = float(rec["importance"])
+        by_name = {name: float(value)
+                   for name, value in read_csv(args.importances, ("feature", "importance"))}
         importances = [by_name.get(m.name, 0.0) for m in metas]
         ranking = rfr_ranking(importances, metas, args.eta)
     elif args.random:
@@ -236,15 +222,13 @@ def _cmd_simulate(args, argv, started) -> int:
     if args.baseline or not args.ranking:
         base = feasible_baseline(forest, cohort, args.target_class, spec,
                                  n_reps=args.reps, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["method"] + [f"eta={e}" for e in sorted(etas, reverse=True)]
-        writer.writerow(header + (["baseline"] if base else []))
-        if raw:
-            row = [method] + [f"{raw[(method, e)]:.2f}" for e in sorted(etas, reverse=True)]
-            writer.writerow(row + ([f"{base.percent:.2f}"] if base else []))
-        else:
-            writer.writerow(["baseline"] + [""] * len(etas) + [f"{base.percent:.2f}"])
+    order = sorted(etas, reverse=True)
+    header = ["method"] + [f"eta={e}" for e in order]
+    row = [method] + [f"{raw[(method, e)]:.2f}" if raw else "" for e in order]
+    if base:
+        header.append("baseline")
+        row.append(f"{base.percent:.2f}")
+    write_csv(args.output, header, [row])
     for key in sorted(raw):
         print(f"{key[0]} eta={key[1]}: {raw[key]:.2f}% reclassified")
     if base:
@@ -280,11 +264,16 @@ def _cmd_demo(args, argv, started) -> int:
     return EXIT_OK
 
 
+def _manifest_argv(manifest) -> list[str]:
+    if isinstance(argv := manifest["argv"], list) and all(isinstance(a, str) for a in argv):
+        return argv
+    raise TypeError("'argv' is not a list of strings")
+
+
 def _cmd_replay(args, argv, started) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    print(f"replaying: treeshift {' '.join(manifest['argv'])}")
-    return main(manifest["argv"])
+    replayed = read_json(args.manifest, _manifest_argv)
+    print(f"replaying: treeshift {' '.join(replayed)}")
+    return main(replayed)
 
 
 def _train_arguments(p) -> None:

@@ -8,12 +8,12 @@ change.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import read_json
 from .forest import BINARY, CONTINUOUS, FeatureMeta
 
 
@@ -38,7 +38,10 @@ class DatasetSchema:
         targets = [c for c in self.columns if c.role == "target"]
         if len(targets) != 1:
             raise ValueError(f"schema needs exactly one target column, found {len(targets)}")
+        names = [c.name for c in self.columns]
         for c in self.columns:
+            if names.count(c.name) > 1:   # the label would be read as a feature too
+                raise ValueError(f"schema names column {c.name!r} twice")
             for key, value in (c.recode or {}).items():
                 try:
                     number = float(value)
@@ -58,9 +61,7 @@ class DatasetSchema:
 
     @staticmethod
     def from_json(path) -> "DatasetSchema":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cols = [
+        return read_json(path, lambda doc: DatasetSchema([
             ColumnSpec(
                 name=c["name"],
                 role=c.get("role", "feature"),
@@ -73,8 +74,7 @@ class DatasetSchema:
                 drop_labels=tuple(c.get("drop_labels", ())),
             )
             for c in doc["columns"]
-        ]
-        return DatasetSchema(cols)
+        ]))
 
 
 @dataclass

@@ -7,13 +7,14 @@ realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .documents import read_json, write_json
 
 DEFAULT_EPSILON = 1e-6
 _GEOMETRY_BLOCK = 1 << 16   # elements of one block of the leaf-compatibility build
@@ -182,9 +183,13 @@ class Forest:
         """Weighted majority vote. Returns (class, per-tree votes); ties go to class 0."""
         self._check_point(x)
         votes = [tree.leaves[leaf_of(tree, x)].predicted_class for tree in self.trees]
+        return self.vote(votes), votes
+
+    def vote(self, votes) -> int:
+        """The class per-tree votes elect: weights summed in tree order, ties to class 0."""
         w1 = sum(t.weight for t, v in zip(self.trees, votes) if v == 1)
         w0 = sum(t.weight for t, v in zip(self.trees, votes) if v == 0)
-        return (1 if _target_wins(w1, w0, 1) else 0), votes
+        return 1 if _target_wins(w1, w0, 1) else 0
 
     @cached_property
     def _flat(self) -> _FlatTrees:
@@ -613,36 +618,14 @@ def boxes_intersect(boxes):
 def forest_to_dict(forest: Forest) -> dict:
     return {
         "num_features": forest.num_features,
-        "features": [
-            {
-                "index": m.index,
-                "name": m.name,
-                "kind": m.kind,
-                "mutable": m.mutable,
-                "beneficial": m.beneficial,
-                "lo": m.lo,
-                "hi": m.hi,
-            }
-            for m in forest.feature_metas
-        ],
+        "features": [asdict(m) for m in forest.feature_metas],
         "trees": [
             {
                 "weight": tree.weight,
                 "root": tree.root,
-                "nodes": [
-                    {
-                        "id": n.id,
-                        "feature": n.feature,
-                        "threshold": n.threshold,
-                        "left": n.left,
-                        "right": n.right,
-                    }
-                    for n in sorted(tree.nodes.values(), key=lambda n: n.id)
-                ],
-                "leaves": [
-                    {"id": l.id, "class": l.predicted_class}
-                    for l in sorted(tree.leaves.values(), key=lambda l: l.id)
-                ],
+                "nodes": [asdict(n) for n in sorted(tree.nodes.values(), key=lambda n: n.id)],
+                "leaves": [{"id": l.id, "class": l.predicted_class}
+                           for l in sorted(tree.leaves.values(), key=lambda l: l.id)],
             }
             for tree in forest.trees
         ],
@@ -650,47 +633,38 @@ def forest_to_dict(forest: Forest) -> dict:
 
 
 def forest_from_dict(doc: dict) -> Forest:
-    try:
-        metas = [
-            FeatureMeta(
-                index=f["index"],
-                name=f["name"],
-                kind=f.get("kind", CONTINUOUS),
-                mutable=f.get("mutable", True),
-                beneficial=f.get("beneficial", "none"),
-                lo=f.get("lo", 0.0),
-                hi=f.get("hi", 1.0),
-            )
-            for f in doc["features"]
-        ]
-        if doc["num_features"] != len(metas):
-            raise ForestFormatError("num_features does not match the features list")
-        trees = []
-        for t, tdoc in enumerate(doc["trees"]):
-            try:
-                nodes = [
-                    Node(n["id"], n["feature"], float(n["threshold"]), n["left"], n["right"])
-                    for n in tdoc["nodes"]
-                ]
-                leaves = [Leaf(l["id"], l["class"]) for l in tdoc["leaves"]]
-                trees.append(Tree(tdoc["root"], nodes, leaves, float(tdoc.get("weight", 1.0))))
-            except ForestFormatError as exc:
-                raise ForestFormatError(f"tree {t}: {exc}") from exc
-        return Forest(trees, metas)
-    except (KeyError, TypeError) as exc:
-        raise ForestFormatError(f"malformed forest document: missing or bad field {exc}") from exc
+    """The forest of a :func:`forest_to_dict` document; a bad field raises KeyError or TypeError."""
+    metas = [
+        FeatureMeta(
+            index=f["index"],
+            name=f["name"],
+            kind=f.get("kind", CONTINUOUS),
+            mutable=f.get("mutable", True),
+            beneficial=f.get("beneficial", "none"),
+            lo=f.get("lo", 0.0),
+            hi=f.get("hi", 1.0),
+        )
+        for f in doc["features"]
+    ]
+    if doc["num_features"] != len(metas):
+        raise ForestFormatError("num_features does not match the features list")
+    trees = []
+    for t, tdoc in enumerate(doc["trees"]):
+        try:
+            nodes = [
+                Node(n["id"], n["feature"], float(n["threshold"]), n["left"], n["right"])
+                for n in tdoc["nodes"]
+            ]
+            leaves = [Leaf(l["id"], l["class"]) for l in tdoc["leaves"]]
+            trees.append(Tree(tdoc["root"], nodes, leaves, float(tdoc.get("weight", 1.0))))
+        except ForestFormatError as exc:
+            raise ForestFormatError(f"tree {t}: {exc}") from exc
+    return Forest(trees, metas)
 
 
 def save_forest(forest: Forest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_dict(forest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, forest_to_dict(forest))
 
 
 def load_forest(path) -> Forest:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ForestFormatError(f"{path}: not valid JSON at line {exc.lineno}") from exc
-    return forest_from_dict(doc)
+    return read_json(path, forest_from_dict, ForestFormatError)

@@ -8,13 +8,13 @@ threshold and cuts variance.
 """
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
+from .documents import read_json, write_json
 from .forest import BINARY, CONTINUOUS, FeatureMeta, Forest
 
 EFFORT_SCALE = 1.5   # effort draws are U[0, (1 + (EFFORT_SCALE - 1) * e) * sigma]
@@ -176,17 +176,15 @@ class NodeProbabilityTable:
 
     @staticmethod
     def from_dict(doc: dict, forest: Forest | None = None) -> "NodeProbabilityTable":
-        try:
-            table = NodeProbabilityTable(
-                individual=doc["individual"],
-                E=doc["E"],
-                probs={
-                    (e["tree"], e["node"]): tuple(float(p) for p in e["right"])
-                    for e in doc["entries"]
-                },
-            )
-        except (KeyError, TypeError) as exc:
-            raise TableFormatError(f"malformed table document: {exc}") from exc
+        """The table of a :meth:`to_dict` document; a bad field raises KeyError or TypeError."""
+        table = NodeProbabilityTable(
+            individual=doc["individual"],
+            E=doc["E"],
+            probs={
+                (e["tree"], e["node"]): tuple(float(p) for p in e["right"])
+                for e in doc["entries"]
+            },
+        )
         if len(table.probs) != len(doc["entries"]):
             raise TableFormatError("duplicate (tree, node) entry")
         if forest is not None:
@@ -230,15 +228,9 @@ def estimate_node_probabilities(forest: Forest, x0, spec: PerturbationSpec,
 
 
 def save_table(table: NodeProbabilityTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, table.to_dict())
 
 
 def load_table(path, forest: Forest | None = None) -> NodeProbabilityTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TableFormatError(f"{path}: not valid JSON at line {exc.lineno}") from exc
-    return NodeProbabilityTable.from_dict(doc, forest)
+    return read_json(path, lambda doc: NodeProbabilityTable.from_dict(doc, forest),
+                     TableFormatError)

@@ -1,11 +1,11 @@
 """Feature-importance rankings: effort-based, impurity-based, and random."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import read_csv, write_csv
 from .forest import FeatureMeta
 from .solver import Solution
 
@@ -32,11 +32,9 @@ class Ranking:
         return [j for j, _, _ in self.entries[:count]]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "score", "rank"])
-            for rank, (j, name, score) in enumerate(self.entries, start=1):
-                writer.writerow([name, f"{score:.6g}", rank])
+        write_csv(path, ["feature", "score", "rank"],
+                  [[name, f"{score:.6g}", rank]
+                   for rank, (_, name, score) in enumerate(self.entries, start=1)])
 
     def to_svg(self, path, width: int = 640, bar_height: int = 22) -> None:
         """Minimal horizontal bar chart of the scores."""
@@ -111,11 +109,10 @@ def rsr_ranking(metas: list[FeatureMeta], eta: int, seed: int) -> Ranking:
 def load_ranking_csv(path, metas: list[FeatureMeta], eta: int, method: str = "csv") -> Ranking:
     by_name = {m.name: m for m in metas}
     entries = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            meta = by_name.get(row["feature"])
-            if meta is None:
-                raise ValueError(f"unknown feature {row['feature']!r} in ranking file")
-            entries.append((meta.index, meta.name, float(row["score"])))
+    for name, score in read_csv(path, ("feature", "score")):
+        meta = by_name.get(name)
+        if meta is None:
+            raise ValueError(f"{path}: unknown feature {name!r} in ranking file")
+        entries.append((meta.index, meta.name, float(score)))
     entries.sort(key=lambda e: (-e[2], e[0]))
     return Ranking(method, eta, entries)

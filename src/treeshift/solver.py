@@ -660,12 +660,6 @@ def solve(forest, instance, table=None, config=None) -> Solution:
 # --- min-distance -----------------------------------------------------------
 
 
-def _weighted_vote_ok(forest, votes, target) -> bool:
-    w_target = sum(t.weight for t, v in zip(forest.trees, votes) if v == target)
-    w_other = sum(t.weight for t, v in zip(forest.trees, votes) if v != target)
-    return _target_wins(w_target, w_other, target)
-
-
 def _leaf_residuals(geometry, x0, weights):
     """Per tree, {leaf_id: the leaf box's residuals ``w_j * |clamp(x0_j, lo_j, hi_j) - x0_j|``},
     from one numpy pass over the leaf boxes; numpy's clip, subtraction, abs and product
@@ -890,7 +884,7 @@ def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
     weights = _distance_weights(forest, config)
     for combo, box in _oracle_combinations(forest, boxes):
         votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
-        if not _weighted_vote_ok(forest, votes, instance.target_class):
+        if forest.vote(votes) != instance.target_class:
             continue
         dist = _box_distance(instance.x0, box, weights, config.distance)
         if run.best is None or dist < run.score:
@@ -965,7 +959,7 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
 
     votes = [forest.trees[t].leaves[leaves[t]].predicted_class for t in range(forest.num_trees)]
     if config.objective == MIN_DISTANCE:
-        if not _weighted_vote_ok(forest, votes, instance.target_class):
+        if forest.vote(votes) != instance.target_class:
             failures.append("majority")
     else:
         positives = sum(1 for v in votes if v == instance.target_class)

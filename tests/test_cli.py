@@ -340,3 +340,88 @@ def test_manifest_replay_reproduces_output(tmp_path):
                  "--ranking", str(ranking_path), "--etas", "1,2", "--reps", "10",
                  "--seed", "4", "--baseline", "-o", str(report_path)]) == EXIT_OK
     _assert_replays(tmp_path / "report.csv.manifest.json", [report_path])
+
+
+# a file the pipeline reads, its text, and the command that reads it; {bad} is that file
+_BAD_FILES = {
+    "schema without columns": (
+        "schema.json", "{}", "train --data {data} --schema {bad} -o {out}"),
+    "schema column without a name": (
+        "schema.json", '{"columns": [{"role": "target"}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema that is not an object": (
+        "schema.json", "[]", "train --data {data} --schema {bad} -o {out}"),
+    "schema that is not JSON": (
+        "schema.json", '{"columns": [', "train --data {data} --schema {bad} -o {out}"),
+    "manifest without argv": ("m.json", '{"seeds": {}}', "replay {bad}"),
+    "manifest that is not an object": ("m.json", '["demo"]', "replay {bad}"),
+    "manifest argv that is not a list of strings": (
+        "m.json", '{"argv": ["demo", 1]}', "replay {bad}"),
+    "manifest argv that is a string": ("m.json", '{"argv": "demo"}', "replay {bad}"),
+    "manifest that is not JSON": ("m.json", '{"argv": ', "replay {bad}"),
+    "solution doc without status": (
+        "sols/s.json", '{"effort": [1, 0]}',
+        "rank --forest {forest} --solutions {dir}/sols --eta 1 -o {out}"),
+    "solution doc that is not JSON": (
+        "sols/s.json", '{"status": ',
+        "rank --forest {forest} --solutions {dir}/sols --eta 1 -o {out}"),
+    "importances CSV without its header": (
+        "imp.csv", "S,0.5\nA,0.25\n",
+        "rank --forest {forest} --importances {bad} --eta 1 -o {out}"),
+    "importances CSV with a short row": (
+        "imp.csv", "feature,importance\nS,0.5\nA\n",
+        "rank --forest {forest} --importances {bad} --eta 1 -o {out}"),
+    "ranking CSV without its header": (
+        "r.csv", "A,1,1\nS,0.5,2\n",
+        "simulate --forest {forest} --data {data} --schema {schema} --ranking {bad} "
+        "--target-class 1 --reps 5 -o {out}"),
+    "ranking CSV with a short row": (
+        "r.csv", "feature,score,rank\nA,1,1\nS\n",
+        "simulate --forest {forest} --data {data} --schema {schema} --ranking {bad} "
+        "--target-class 1 --reps 5 -o {out}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_a_bad_input_file_is_a_usage_error_that_names_it(tmp_path, capsys, case):
+    name, text, command = _BAD_FILES[case]
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    bad = tmp_path / name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_text(text)
+    paths = {"bad": bad, "forest": forest_path, "data": csv_path, "schema": schema_path,
+             "dir": tmp_path, "out": tmp_path / "out"}
+    assert main([word.format(**paths) for word in command.split()]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_json_file_the_pipeline_writes_has_one_format(tmp_path):
+    csv_path, schema_path = _write_dataset_files(tmp_path, n=40, seed=3)
+    data = ["--data", str(csv_path), "--schema", str(schema_path)]
+    forest_path = tmp_path / "forest.json"
+    assert main(["train", *data, "--trees", "3", "--depth", "2", "--seed", "1",
+                 "-o", str(forest_path)]) == EXIT_OK
+    probs_dir = tmp_path / "probs"
+    assert main(["probs", "--forest", str(forest_path), *data, "--individual", "all-off-target",
+                 "--n-samples", "100", "--seed", "2", "-o", str(probs_dir)]) == EXIT_OK
+    table = sorted(probs_dir.glob("individual_*.json"))[0]
+    assert main(["shift", "--forest", str(forest_path), "--probs", str(table), *data,
+                 "--individual", table.stem.split("_")[1], "--eta", "2",
+                 "-o", str(tmp_path / "sol.json")]) in (EXIT_OK, EXIT_INFEASIBLE)
+    ranking_path = tmp_path / "ranking.csv"
+    assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "2",
+                 "-o", str(ranking_path)]) == EXIT_OK
+    assert main(["simulate", "--forest", str(forest_path), *data, "--ranking",
+                 str(ranking_path), "--etas", "1,2", "--reps", "5",
+                 "-o", str(tmp_path / "report.csv")]) == EXIT_OK
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json")
+                     if p != schema_path)
+    assert {"forest.json", "forest.json.manifest.json", "probs.manifest.json", "sol.json",
+            "sol.json.manifest.json", "ranking.csv.manifest.json",
+            "report.csv.manifest.json", table.relative_to(tmp_path).as_posix()} <= set(written)
+    for name in written:
+        raw = (tmp_path / name).read_bytes()
+        assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode(), name

@@ -302,6 +302,15 @@ def test_schema_rejects_a_recode_value_that_is_not_a_finite_number(value):
         ])
 
 
+def test_schema_rejects_a_column_named_twice():
+    # the target read as a feature too: rows 1,0 / 0,1 / 1,1 loaded as X = y = [1, 0, 1]
+    with pytest.raises(ValueError, match="^schema names column 'a' twice$"):
+        DatasetSchema([
+            ColumnSpec("a", mutable=False),
+            ColumnSpec("a", role="target", positive_labels=("1",)),
+        ])
+
+
 def test_binary_recode_outside_unit_rejected(tmp_path):
     schema = DatasetSchema([
         ColumnSpec("b", kind="binary", beneficial="to_one", recode={"a": 0, "b": 2}),

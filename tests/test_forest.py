@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from treeshift import (MAX_PATH, MIN_DISTANCE, DegenerateBoxError, FeatureMeta, Forest,
                        ForestFormatError, Leaf, Node, ProblemInstance, SolverConfig, Tree,
                        boxes_intersect, forest_from_dict, forest_to_dict, leaf_box,
-                       leaf_of, solve)
+                       leaf_of, load_forest, solve)
 from treeshift.forest import _intersect
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
@@ -308,6 +309,24 @@ def test_serialization_rejects_dangling_child():
     with pytest.raises(ForestFormatError) as err:
         forest_from_dict(doc)
     assert "99" in str(err.value)
+
+
+def _without_threshold(doc):
+    del doc["trees"][0]["nodes"][0]["threshold"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"features": [', "not valid JSON at line 1"),
+    ('{"features": []}', "missing or bad field 'num_features'"),
+    ("[]", "missing or bad field"),
+    (_without_threshold(forest_to_dict(firefighter_forest())), "missing or bad field 'threshold'"),
+], ids=["not JSON", "no num_features", "not an object", "node without threshold"])
+def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(ForestFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        load_forest(path)
 
 
 def test_tree_rejects_unreachable_leaf():

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_table_round_trip(tmp_path):
     again = load_table(path, firefighter_forest())
     assert again.probs == table.probs
     assert (again.individual, again.E) == (table.individual, table.E)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"E": 1', "not valid JSON at line 1"),
+    ('{"individual": 0, "entries": []}', "missing or bad field 'E'"),
+    ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": 1}]}',
+     "missing or bad field 'right'"),
+    ('"table"', "missing or bad field"),
+], ids=["not JSON", "no E", "entry without right", "not an object"])
+def test_load_table_names_the_file_it_rejects(tmp_path, text, message):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        load_table(path)
 
 
 def test_table_missing_node_rejected():
