@@ -20,11 +20,12 @@ import numpy as np
 from . import __version__
 from .cohort import feasible_baseline, simulate_cohort
 from .data import DatasetSchema, load_csv
-from .documents import read_csv, read_json, write_csv, write_json
+from .documents import read_json, write_csv, write_json
 from .forest import load_forest, save_forest
 from .probability import (PerturbationSpec, estimate_node_probabilities,
                           load_table, save_table)
-from .ranking import effort_ranking, load_ranking_csv, rfr_ranking, rsr_ranking
+from .ranking import (effort_ranking, load_importances_csv, load_ranking_csv, rfr_ranking,
+                      rsr_ranking)
 from .solver import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH,
                      ProblemInstance, Solution, SolverConfig, solve,
                      verify_solution)
@@ -169,22 +170,27 @@ def _cmd_shift(args, argv, started) -> int:
     return EXIT_OK
 
 
+def _ranked_solution(doc) -> Solution:
+    """A solution document's status and effort, as ``effort_ranking`` reads them."""
+    status, effort = doc["status"], doc.get("effort")
+    if effort is not None and not (isinstance(effort, list) and all(
+            type(e) is int and e >= 0 for e in effort)):
+        raise ValueError("bad field 'effort': not null or a list of nonnegative integers")
+    return Solution(status, effort=tuple(effort) if effort else None)
+
+
 def _cmd_rank(args, argv, started) -> int:
     forest = load_forest(args.forest)
     metas = forest.feature_metas
     if args.solutions:
         solutions = [
-            read_json(os.path.join(args.solutions, name), lambda doc: Solution(
-                doc["status"], effort=tuple(doc["effort"]) if doc.get("effort") else None))
+            read_json(os.path.join(args.solutions, name), _ranked_solution)
             for name in sorted(os.listdir(args.solutions))
             if name.endswith(".json") and not name.endswith(".manifest.json")
         ]
         ranking = effort_ranking(solutions, metas, args.eta, weighted=args.weighted)
     elif args.importances:
-        by_name = {name: float(value)
-                   for name, value in read_csv(args.importances, ("feature", "importance"))}
-        importances = [by_name.get(m.name, 0.0) for m in metas]
-        ranking = rfr_ranking(importances, metas, args.eta)
+        ranking = rfr_ranking(load_importances_csv(args.importances, metas), metas, args.eta)
     elif args.random:
         ranking = rsr_ranking(metas, args.eta, args.seed)
     else:

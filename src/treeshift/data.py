@@ -7,13 +7,13 @@ change.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .documents import read_json
+from .documents import read_csv, read_json
 from .forest import BINARY, CONTINUOUS, FeatureMeta
 
 
@@ -50,6 +50,9 @@ class DatasetSchema:
                 if not math.isfinite(number):   # a NaN would spoil the column's normalization
                     raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
                                      "is not a finite number")
+        # built here, so that the schema, not a data file, is named for a bad feature
+        self.feature_metas = [FeatureMeta(j, c.name, c.kind, c.mutable, c.beneficial)
+                              for j, c in enumerate(self.feature_columns)]
 
     @property
     def target(self) -> ColumnSpec:
@@ -113,46 +116,33 @@ class Dataset:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a CSV per the schema: filter rows, recode, binarize the target, normalize.
 
-    Blank lines are skipped and rows are dropped by their raw strings. Each
-    feature column is converted in one pass, by Python's ``float`` or its
-    recode map; only a column that fails is rescanned cell by cell, to list
-    its bad cells. The ``CSV rejected:`` error lists every bad cell and every
-    missing label, row by row.
+    ``documents.read_csv`` reads the schema's columns; rows are then dropped by
+    their raw strings. Each feature column is converted in one pass, by
+    Python's ``float`` or its recode map; only a column that fails is
+    rescanned cell by cell, to list its bad cells. The ``CSV rejected:`` error
+    lists every bad cell and every missing label, row by row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
-    position = {}
-    for col in schema.columns:
-        if col.name not in header:
-            raise ValueError(f"schema column {col.name!r} missing from CSV header")
-        if header.count(col.name) > 1:
-            raise ValueError(f"CSV header repeats column {col.name!r}")
-        position[col.name] = header.index(col.name)
-    # a short row's missing cells read as None
-    width = max(position.values()) + 1
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
+    return read_csv(path, [c.name for c in schema.columns],
+                    lambda columns: _dataset(columns, schema))
+
+
+def _dataset(columns, schema: DatasetSchema) -> Dataset:
     target = schema.target
     feats = schema.feature_columns
-    label_at = position[target.name]
-    droppable = [(position[c.name], c.drop_values) for c in feats if c.drop_values]
+    droppable = [(columns[c.name], c.drop_values) for c in feats if c.drop_values]
     if target.drop_labels or droppable:
-        rows = [
-            row for row in rows
-            if row[label_at] not in target.drop_labels
-            and not any(row[at] in values for at, values in droppable)
-        ]
-    if not rows:
+        keep = [label not in target.drop_labels
+                and not any(cells[i] in values for cells, values in droppable)
+                for i, label in enumerate(columns[target.name])]
+        columns = {name: tuple(compress(cells, keep)) for name, cells in columns.items()}
+    n = len(columns[target.name])
+    if not n:
         raise ValueError("CSV has no data rows")
 
-    n = len(rows)
-    columns = list(zip(*rows))
     raw = np.empty((n, len(feats)))
     errors = []
     for j, col in enumerate(feats):
-        cells = columns[position[col.name]]
+        cells = columns[col.name]
         recode = col.recode if col.recode is not None else (
             {"0": 0.0, "1": 1.0} if col.kind == BINARY else None)
         # an empty cell is missing even where the recode map names it
@@ -164,8 +154,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         except (ValueError, TypeError, KeyError):
             valid = False
         if not valid:
-            errors.extend(_cell_errors(cells, j, col.name, recode))
-    labels = columns[label_at]
+            errors.extend((i, j, message) for i, message in cell_errors(cells, col.name, recode))
+    labels = columns[target.name]
     errors.extend((i, len(feats), f"row {i}: missing value in {target.name}")
                   for i, label in enumerate(labels) if label is None or label == "")
     if errors:
@@ -173,7 +163,6 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     positive = frozenset(target.positive_labels)
     labels = np.fromiter(map(positive.__contains__, labels), int, count=n)
 
-    metas = []
     X = np.empty_like(raw)
     for j, col in enumerate(feats):
         if col.kind == BINARY:
@@ -185,34 +174,26 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             if hi == lo:
                 hi = lo + 1.0  # constant column: it normalizes to 0
             X[:, j] = (raw[:, j] - lo) / (hi - lo)
-        metas.append(
-            FeatureMeta(
-                index=j,
-                name=col.name,
-                kind=col.kind,
-                mutable=col.mutable,
-                beneficial=col.beneficial,
-            )
-        )
-    return Dataset(X, labels, metas)
+    return Dataset(X, labels, list(schema.feature_metas))
 
 
-def _cell_errors(cells, j, name, recode):
-    """(row, column, message) for each bad cell of feature column j."""
+def cell_errors(cells, name, recode=None):
+    """(row, message) for each bad cell of column ``name``: missing, unrecoded, or,
+    without a recode map, not a finite number."""
     for i, value in enumerate(cells):
         if value is None or value == "":
-            yield i, j, f"row {i}: missing value in {name}"
+            yield i, f"row {i}: missing value in {name}"
         elif recode is not None:
             if value not in recode:
-                yield i, j, f"row {i}: {name} value {value!r} has no recode"
+                yield i, f"row {i}: {name} value {value!r} has no recode"
         else:
             try:
                 number = float(value)
             except ValueError:
-                yield i, j, f"row {i}: {name} value {value!r} is not numeric"
+                yield i, f"row {i}: {name} value {value!r} is not numeric"
             else:
                 if not math.isfinite(number):
-                    yield i, j, f"row {i}: {name} value {value!r} is not finite"
+                    yield i, f"row {i}: {name} value {value!r} is not finite"
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import cell_errors
 from .documents import read_csv, write_csv
 from .forest import FeatureMeta
 from .solver import Solution
@@ -106,13 +107,32 @@ def rsr_ranking(metas: list[FeatureMeta], eta: int, seed: int) -> Ranking:
     return Ranking("rsr", eta, entries)
 
 
+def _scores(cells, column) -> list[float]:
+    """The cells as numbers; the first missing, non-numeric or non-finite one is rejected."""
+    for _, message in cell_errors(cells, column):
+        raise ValueError(message)
+    return list(map(float, cells))
+
+
+def load_importances_csv(path, metas: list[FeatureMeta]) -> list[float]:
+    """Per feature, its importance in the CSV ``train`` writes; 0 for a feature it omits."""
+    by_name = read_csv(path, ("feature", "importance"), lambda columns: dict(
+        zip(columns["feature"], _scores(columns["importance"], "importance"))))
+    return [by_name.get(m.name, 0.0) for m in metas]
+
+
 def load_ranking_csv(path, metas: list[FeatureMeta], eta: int, method: str = "csv") -> Ranking:
     by_name = {m.name: m for m in metas}
-    entries = []
-    for name, score in read_csv(path, ("feature", "score")):
-        meta = by_name.get(name)
-        if meta is None:
-            raise ValueError(f"{path}: unknown feature {name!r} in ranking file")
-        entries.append((meta.index, meta.name, float(score)))
+
+    def parse(columns):
+        entries = []
+        for name, score in zip(columns["feature"], _scores(columns["score"], "score")):
+            meta = by_name.get(name)
+            if meta is None:
+                raise ValueError(f"unknown feature {name!r} in ranking file")
+            entries.append((meta.index, meta.name, score))
+        return entries
+
+    entries = read_csv(path, ("feature", "score"), parse)
     entries.sort(key=lambda e: (-e[2], e[0]))
     return Ranking(method, eta, entries)

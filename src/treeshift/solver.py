@@ -704,10 +704,12 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
       incumbent) cannot make ``_target_wins`` true, the node is cut. A tree's
       target leaves are scanned nearest first by their own distance, which
       no maxed distance is below, so the scan stops at the first leaf that
-      alone reaches the incumbent. The trees' weights are added in tree order
-      from the running target weight, as the final vote adds them; adding a
-      nonnegative weight never lowers a float sum, so no subset of them can
-      win where all of them do not.
+      alone reaches the incumbent. Like ``Forest.vote``, the search sums each
+      class's weights in tree order: these trees' weights are added to the
+      node's target sum and the other remaining trees' to its other-class sum.
+      Adding a nonnegative weight never lowers a float sum, so no completion
+      whose target trees are a subset of these can win where this split does
+      not. ``total - w`` stands in for the other-class sum only to skip a cut.
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
@@ -717,9 +719,7 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     geometry = forest.leaf_geometry(instance.epsilon)
     bit, compatible = geometry.bit, geometry.compatible
     R = forest.num_trees
-    total = 0.0
-    for tree in reversed(forest.trees):
-        total += tree.weight
+    total = sum(tree.weight for tree in forest.trees)
     residuals = _leaf_residuals(geometry, x0, weights)
     # per tree, its target leaves as (own distance, bit, residuals), nearest first
     target_leaves = [sorted((measure(res), bit[u][leaf_id], res)
@@ -740,44 +740,49 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
                 return True
         return False
 
-    def dfs(run, t, res, allowed, w_target, dist):
+    def dfs(run, t, res, allowed, w_target, w_other, dist):
         run.nodes += 1
         run.check()
         if run.best is not None and dist >= run.score:
             return
         if t == R:
-            if _target_wins(w_target, total - w_target, target):
+            if _target_wins(w_target, w_other, target):
                 run.keep(dist, dict(enumerate(combo)),
                          boxes_intersect([root] + [geometry.box(u, leaf)
                                                    for u, leaf in enumerate(combo)]))
             return
         if not _target_wins(w_target, total - w_target, target):
-            # target votes are missing: count the trees that can still vote target closer
-            # to x0 than the incumbent, adding their weights in tree order like the final vote
-            w = w_target
+            # target votes may be missing: split the remaining trees into those that can
+            # still vote target closer to x0 than the incumbent and the rest
+            w, w_rest = w_target, w_other
             for u in range(t, R):
                 if could_vote(run, u, res, allowed):
                     w += forest.trees[u].weight
                     if _target_wins(w, total - w, target):
                         break
+                else:
+                    w_rest += forest.trees[u].weight
             else:
-                return
+                if not _target_wins(w, w_rest, target):
+                    return
         children = []
         for leaf_id, leaf in forest.trees[t].leaves.items():
             if not allowed & bit[t][leaf_id]:
                 continue
             child = tuple(map(max, res, residuals[t][leaf_id]))
             children.append((measure(child), leaf_id, child, leaf))
+        weight = forest.trees[t].weight
         for child_dist, leaf_id, child, leaf in sorted(children, key=lambda c: (c[0], c[1])):
             combo.append(leaf_id)
+            votes_target = leaf.predicted_class == target
             dfs(run, t + 1, child, allowed & compatible[t][leaf_id],
-                w_target + (forest.trees[t].weight if leaf.predicted_class == target else 0.0),
-                child_dist)
+                w_target + weight if votes_target else w_target,
+                w_other if votes_target else w_other + weight, child_dist)
             combo.pop()
 
     root_res = tuple(w * 0.0 for w in weights)   # x0 lies in the domains
     solution = _Run(forest, instance, config).finish(
-        lambda run: dfs(run, 0, root_res, -1, 0.0, measure(root_res)))
+        lambda run: dfs(run, 0, root_res, -1, 0.0, 0.0, measure(root_res)))
     del dfs   # it refers to itself: drop the cycle so the residuals are freed now, not by a gc
     return solution
 

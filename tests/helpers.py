@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -10,7 +11,9 @@ import numpy as np
 from treeshift import (Dataset, FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable,
                        ProblemInstance, Tree)
 from treeshift.forest import (_GEOMETRY_BLOCK, _SIGNATURE_CHUNK, BINARY, ScoringPlan, TargetPaths,
-                              _unique_rows, enumerate_effort_allocations, leaf_box)
+                              _unique_rows, enumerate_effort_allocations, forest_to_dict,
+                              leaf_box)
+from treeshift.fixtures import firefighter_forest
 
 TABLE_E = 2  # tables always cover effort levels 0..2 so E-monotonicity can be probed
 
@@ -185,13 +188,41 @@ def reference_tree_value(positive_probs, n_leaves: int, kappa: int, config):
     return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
 
 
-def make_weighted_distance_case(seed: int):
-    """Forest with unequal tree weights plus a distance configuration."""
+def with_a_fixed(forest: Forest) -> Forest:
+    """``forest``, on the firefighter features S and A, with feature A immutable."""
+    s, a = forest.feature_metas
+    return Forest(forest.trees, [s, FeatureMeta(a.index, a.name, a.kind, mutable=False)])
+
+
+def firefighter_forest_json(**edits) -> str:
+    """The firefighter forest's JSON text with fields set; a key names a field by its path,
+    such as ``feature_0`` (feature S), ``tree`` (tree 0), ``node_0`` or ``leaf_1`` (its
+    second leaf), and a value holds the fields to set there."""
+    doc = forest_to_dict(firefighter_forest())
+    tree = doc["trees"][0]
+    parts = {"doc": doc, "tree": tree, "feature_0": doc["features"][0],
+             "node_0": tree["nodes"][0], "node_2": tree["nodes"][2],
+             "leaf_0": tree["leaves"][0], "leaf_1": tree["leaves"][1]}
+    for part, fields in edits.items():
+        parts[part].update(fields)
+    return json.dumps(doc)
+
+
+DECIMAL_TREE_WEIGHTS = (0.1, 0.2, 0.3, 0.6, 0.7, 1.1, 1 / 3)
+
+
+def make_weighted_distance_case(seed: int, tree_weights=None):
+    """Forest with unequal tree weights plus a distance configuration.
+
+    Tree weights are integers 1-3, whose sums are exact, or drawn from
+    ``tree_weights``, such as ``DECIMAL_TREE_WEIGHTS``, whose sums round.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD157]))
     case = make_random_instance(seed)
     trees = [
         Tree(t.root, list(t.nodes.values()), list(t.leaves.values()),
-             weight=float(rng.integers(1, 4)))
+             weight=float(rng.integers(1, 4) if tree_weights is None
+                          else rng.choice(tree_weights)))
         for t in case.forest.trees
     ]
     forest = Forest(trees, case.forest.feature_metas)
@@ -249,16 +280,23 @@ def reference_load_csv(path, schema):
     Same contract: skip blank lines, drop rows by their raw strings, reject a
     repeated schema column and every missing, unrecoded, non-numeric or
     non-finite feature cell and every missing label, row by row, then
-    min-max normalize the continuous columns.
+    min-max normalize the continuous columns. Every rejection names the file.
     """
+    try:
+        return _reference_dataset(path, schema)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _reference_dataset(path, schema):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in schema.columns:
             if col.name not in header:
-                raise ValueError(f"schema column {col.name!r} missing from CSV header")
+                raise ValueError(f"header has no {col.name!r} column")
             if header.count(col.name) > 1:
-                raise ValueError(f"CSV header repeats column {col.name!r}")
+                raise ValueError(f"header repeats column {col.name!r}")
         rows = list(reader)
     target = schema.target
     feats = schema.feature_columns

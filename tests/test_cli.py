@@ -9,6 +9,8 @@ from treeshift.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, ma
 from treeshift.forest import save_forest
 from treeshift.fixtures import firefighter_forest, firefighter_table
 
+from helpers import firefighter_forest_json
+
 
 def _write_dataset_files(tmp_path, n=80, d=4, seed=0):
     ds = synth_generate(n, d, seed=seed)
@@ -335,6 +337,12 @@ def test_manifest_replay_reproduces_output(tmp_path):
                  "--seed", "9", "-o", str(ranking_path)]) == EXIT_OK
     _assert_replays(tmp_path / "ranking.csv.manifest.json", [ranking_path])
 
+    rfr_path, svg_path = tmp_path / "rfr.csv", tmp_path / "rfr.svg"
+    assert main(["rank", "--forest", str(forest_path), "--importances",
+                 str(tmp_path / "forest.importances.csv"), "--eta", "2", "--svg", str(svg_path),
+                 "-o", str(rfr_path)]) == EXIT_OK
+    _assert_replays(tmp_path / "rfr.csv.manifest.json", [rfr_path, svg_path])
+
     report_path = tmp_path / "report.csv"
     assert main(["simulate", "--forest", str(forest_path), *data,
                  "--ranking", str(ranking_path), "--etas", "1,2", "--reps", "10",
@@ -379,6 +387,44 @@ _BAD_FILES = {
         "r.csv", "feature,score,rank\nA,1,1\nS\n",
         "simulate --forest {forest} --data {data} --schema {schema} --ranking {bad} "
         "--target-class 1 --reps 5 -o {out}"),
+    "data CSV without a schema column": (
+        "data.csv", "S,label\n0.5,0\n", "train --data {bad} --schema {schema} -o {out}"),
+    "data CSV that repeats a column": (
+        "data.csv", "S,A,label,A\n0.5,0.5,0,0.5\n",
+        "train --data {bad} --schema {schema} -o {out}"),
+    "importances cell that is not a number": (
+        "imp.csv", "feature,importance\nS,abc\n",
+        "rank --forest {forest} --importances {bad} --eta 1 -o {out}"),
+    "ranking score that is not a number": (
+        "r.csv", "feature,score,rank\nA,abc,1\n",
+        "simulate --forest {forest} --data {data} --schema {schema} --ranking {bad} "
+        "--target-class 1 --reps 5 -o {out}"),
+    "schema that is not UTF-8": (
+        "schema.json", b'{"columns": [{"name": "\xff"}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema feature without a direction": (
+        "schema.json", '{"columns": [{"name": "S"}, {"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target"}]}', "train --data {data} --schema {bad} -o {out}"),
+    "schema that names a column twice": (
+        "schema.json", '{"columns": [{"name": "S", "mutable": false}, '
+        '{"name": "S", "role": "target"}]}', "train --data {data} --schema {bad} -o {out}"),
+    "forest that repeats a leaf id": (
+        "forest.json",
+        firefighter_forest_json(leaf_1={"id": 3}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest feature of kind ordinal": (
+        "forest.json",
+        firefighter_forest_json(feature_0={"kind": "ordinal"}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "table probability of 1.5": (
+        "table.json",
+        json.dumps(firefighter_table().to_dict()
+                   | {"entries": [{"tree": 0, "node": 0, "right": [0.4, 1.5]}]}),
+        "shift --forest {forest} --probs {bad} --data {data} --schema {schema} "
+        "--individual 0 --target-class 1 -o {out}"),
+    "solution effort that is not a list of integers": (
+        "sols/s.json", '{"status": "optimal", "effort": "ab"}',
+        "rank --forest {forest} --solutions {dir}/sols --eta 1 -o {out}"),
 }
 
 
@@ -388,13 +434,41 @@ def test_a_bad_input_file_is_a_usage_error_that_names_it(tmp_path, capsys, case)
     forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
     bad = tmp_path / name
     bad.parent.mkdir(exist_ok=True)
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     paths = {"bad": bad, "forest": forest_path, "data": csv_path, "schema": schema_path,
              "dir": tmp_path, "out": tmp_path / "out"}
     assert main([word.format(**paths) for word in command.split()]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_rejected_data_cell_is_a_usage_error_that_names_the_csv(tmp_path, capsys):
+    forest_path, _, _, schema_path = _firefighter_files(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("S,A,label\n0.5,abc,0\n")
+    assert main(["train", "--data", str(bad), "--schema", str(schema_path),
+                 "-o", str(tmp_path / "out")]) == EXIT_USAGE
+    # the error's first line names the file, and each further line one rejected cell
+    assert capsys.readouterr().err == (
+        f"error: {bad}: CSV rejected:\nrow 0: A value 'abc' is not numeric\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("shift --forest {forest} --data {data} --schema {schema} --individual 0 "
+     "--objective kappa -o {out}", "probabilistic objectives need --probs"),
+    ("simulate --forest {forest} --data {data} --schema {schema} --target-class 0 "
+     "--reps 5 -o {out}", "no off-target individuals in the data"),
+], ids=["kappa without --probs", "simulate without off-target rows"])
+def test_a_command_its_inputs_cannot_serve_is_a_usage_error(tmp_path, capsys, command, message):
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    csv_path.write_text("S,A,label\n0.5,0.5,0\n0.5,0.5,0\n")   # each row predicts class 0
+    paths = {"forest": forest_path, "data": csv_path, "schema": schema_path,
+             "out": tmp_path / "out"}
+    assert main([word.format(**paths) for word in command.split()]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,8 @@ from treeshift.forest import _intersect
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
 
-from helpers import _grow_random_tree, make_random_instance, make_weighted_distance_case
+from helpers import (_grow_random_tree, firefighter_forest_json, make_random_instance,
+                     make_weighted_distance_case)
 
 UNIT = [(0.0, 1.0), (0.0, 1.0)]
 
@@ -316,16 +317,45 @@ def _without_threshold(doc):
     return json.dumps(doc)
 
 
+_S = "feature S: "
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"features": [', "not valid JSON at line 1"),
     ('{"features": []}', "missing or bad field 'num_features'"),
     ("[]", "missing or bad field"),
     (_without_threshold(forest_to_dict(firefighter_forest())), "missing or bad field 'threshold'"),
-], ids=["not JSON", "no num_features", "not an object", "node without threshold"])
+    (firefighter_forest_json(feature_0={"kind": "ordinal"}), _S + "unknown kind 'ordinal'"),
+    (firefighter_forest_json(feature_0={"beneficial": "up"}), _S + "unknown direction 'up'"),
+    (firefighter_forest_json(feature_0={"kind": "binary", "beneficial": "to_one", "hi": 2.0}),
+     _S + "binary features use the [0, 1] domain"),
+    (firefighter_forest_json(feature_0={"lo": 1.0}), _S + "empty domain [1.0, 1.0]"),
+    (firefighter_forest_json(feature_0={"beneficial": "none"}),
+     _S + "mutable features need a beneficial direction"),
+    (firefighter_forest_json(feature_0={"kind": "binary"}), _S + "binary features use to_one/to_zero"),
+    (firefighter_forest_json(feature_0={"beneficial": "to_one"}),
+     _S + "continuous features use increase/decrease"),
+    (firefighter_forest_json(leaf_1={"id": 3}), "tree 0: duplicate node or leaf id"),
+    (firefighter_forest_json(leaf_0={"id": 2}), "tree 0: node and leaf ids must be disjoint"),
+    (firefighter_forest_json(tree={"leaves": []}), "tree 0: tree has no leaves"),
+    (firefighter_forest_json(tree={"root": 9}), "tree 0: root id 9 undefined"),
+    (firefighter_forest_json(node_2={"left": 3}), "tree 0: id 3 reached twice (not a tree)"),
+    (firefighter_forest_json(doc={"trees": []}), "forest needs at least one tree"),
+    (firefighter_forest_json(feature_0={"index": 1}), "feature meta S out of order (index 1 at 0)"),
+    (firefighter_forest_json(node_0={"feature": 5}), "node 0 in tree 0: feature 5 out of range"),
+    (firefighter_forest_json(node_0={"threshold": 1.5}),
+     "node 0 in tree 0: threshold 1.5 outside domain"),
+    (firefighter_forest_json(doc={"num_features": 3}), "num_features does not match the features list"),
+], ids=["not JSON", "no num_features", "not an object", "node without threshold",
+        "unknown kind", "unknown direction", "binary domain", "empty domain",
+        "mutable without direction", "binary direction", "continuous direction",
+        "duplicate id", "node and leaf id", "no leaves", "undefined root", "id reached twice",
+        "no trees", "features out of order", "feature out of range",
+        "threshold outside the domain", "num_features mismatch"])
 def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)
-    with pytest.raises(ForestFormatError, match=f"^{re.escape(str(path))}: {message}"):
+    with pytest.raises(ForestFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_forest(path)
 
 

@@ -13,7 +13,7 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        Tree, brute_force_oracle, leaf_of, objectives_close, solve,
                        solve_min_distance, verify_solution)
 
-from helpers import (assert_matches_oracle, make_random_instance,
+from helpers import (DECIMAL_TREE_WEIGHTS, assert_matches_oracle, make_random_instance,
                      make_weighted_distance_case, per_tree_value_chain)
 
 SEEDS = range(25)
@@ -73,17 +73,37 @@ def test_min_distance_matches_oracle(seed):
     assert_matches_oracle(make_random_instance(seed), MIN_DISTANCE)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_min_distance_weighted_matches_oracle(seed):
-    forest, instance, weights, kind = make_weighted_distance_case(seed)
-    config = SolverConfig(objective=MIN_DISTANCE, distance=kind, distance_weights=weights)
-    sol = solve_min_distance(forest, instance, config)
-    oracle = brute_force_oracle(forest, instance, None, config)
-    assert sol.status == oracle.status
-    if sol.status == "optimal":
-        assert objectives_close(sol.objective, oracle.objective)
-        verdict = verify_solution(forest, instance, None, sol, config)
-        assert verdict.passed, verdict.failures
+@pytest.mark.parametrize("seeds, tree_weights", [
+    *(pytest.param([seed], None, id=str(seed)) for seed in range(12)),
+    # sums of these weights round, so the vote depends on the order they are added in
+    pytest.param(range(200), DECIMAL_TREE_WEIGHTS, id="decimal tree weights"),
+])
+def test_min_distance_weighted_matches_oracle(seeds, tree_weights):
+    for seed in seeds:
+        forest, instance, weights, kind = make_weighted_distance_case(seed, tree_weights)
+        config = SolverConfig(objective=MIN_DISTANCE, distance=kind, distance_weights=weights)
+        sol = solve_min_distance(forest, instance, config)
+        oracle = brute_force_oracle(forest, instance, None, config)
+        assert sol.status == oracle.status, seed
+        if sol.status == "optimal":
+            assert objectives_close(sol.objective, oracle.objective), seed
+            verdict = verify_solution(forest, instance, None, sol, config)
+            assert verdict.passed, (seed, verdict.failures)
+
+
+def test_min_distance_decides_the_vote_like_forest_vote():
+    # trees 0 and 2 vote 1 from x0 >= 0.5, trees 1 and 3 from x1 >= 0.5; at (0.6, 0.2) the
+    # two classes tie at 1.1 + 0.6, so the forest predicts 0, while 3.4 - (1.1 + 0.6),
+    # with 3.4 summed in reverse tree order, rounds below 1.1 + 0.6
+    metas = [FeatureMeta(j, f"x{j}", mutable=True, beneficial="increase") for j in range(2)]
+    trees = [Tree(0, [Node(0, j, 0.5, 1, 2)], [Leaf(1, 0), Leaf(2, 1)], weight=w)
+             for j, w in [(0, 1.1), (1, 1.1), (0, 0.6), (1, 0.6)]]
+    case = SimpleNamespace(seed="tied in float", forest=Forest(trees, metas), table=None,
+                           instance=ProblemInstance(x0=(0.6, 0.2), target_class=1, eta=0, E=0))
+    assert case.forest.predict(case.instance.x0)[0] == 0
+    sol, _ = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == pytest.approx(0.3, abs=1e-9)
+    assert sol.x == pytest.approx((0.6, 0.5), abs=1e-9)
 
 
 def _heavy_and_light_trees():

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import re
@@ -12,7 +13,7 @@ from treeshift import (BINARY, FeatureMeta, FeaturePerturbation, Forest, Leaf, N
 from treeshift.fixtures import firefighter_forest, firefighter_table
 from treeshift.probability import _perturb_samples, change_rule
 
-from helpers import make_random_instance
+from helpers import make_random_instance, with_a_fixed
 
 
 def _one_feature_forest(threshold, kind="continuous", beneficial="increase"):
@@ -284,18 +285,30 @@ def test_table_round_trip(tmp_path):
     assert (again.individual, again.E) == (table.individual, table.E)
 
 
+def _firefighter_table_with(*entries):
+    """The firefighter table's JSON text with ``entries`` added."""
+    doc = firefighter_table().to_dict()
+    doc["entries"] += [{"tree": t, "node": node, "right": right} for t, node, right in entries]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"E": 1', "not valid JSON at line 1"),
     ('{"individual": 0, "entries": []}', "missing or bad field 'E'"),
     ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": 1}]}',
      "missing or bad field 'right'"),
     ('"table"', "missing or bad field"),
-], ids=["not JSON", "no E", "entry without right", "not an object"])
+    (_firefighter_table_with((0, 9, [0.5, 0.5])), "table has entries for unknown nodes [(0, 9)]"),
+    # the firefighter table itself: effort moves the probabilities of nodes 1 and 2, on A
+    (_firefighter_table_with(), "tree 0 node 1: effort changes an immutable feature's probabilities"),
+    (_firefighter_table_with((0, 1, [0.5, 0.5])), "duplicate (tree, node) entry"),
+], ids=["not JSON", "no E", "entry without right", "not an object", "unknown node",
+        "immutable feature moved", "duplicate entry"])
 def test_load_table_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "t.json"
     path.write_text(text)
-    with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: {message}"):
-        load_table(path)
+    with pytest.raises(TableFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load_table(path, with_a_fixed(firefighter_forest()))
 
 
 def test_table_missing_node_rejected():

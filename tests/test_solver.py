@@ -16,7 +16,8 @@ from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
 from treeshift.solver import (_MEASURES, STEP, _consecutive_slots, _distance, _leaf_residuals,
                               _resolve_kappa, _tree_values, majority_threshold)
 
-from helpers import assert_matches_oracle, make_random_instance, reference_tree_value
+from helpers import (assert_matches_oracle, make_random_instance, reference_tree_value,
+                     with_a_fixed)
 
 TOL = 1e-9
 
@@ -711,16 +712,47 @@ def test_verify_catches_empty_joint_box(firefighter, firefighter_instance):
     assert any("leaf assignment" in f or "box intersection" in f for f in verdict.failures)
 
 
-@pytest.mark.parametrize("content, failure", [
-    ({"x": (0.5,)}, "point dimension"),
-    ({"chosen_leaves": {0: 99}}, "unknown leaf (tree 0)"),
-    ({"essential_trees": (3,)}, "essential tree out of range"),
-], ids=["short-x", "unknown-leaf", "essential-out-of-range"])
-def test_verify_reports_malformed_content(firefighter, firefighter_instance, content, failure):
+# 0.7 - epsilon rounds to 0.6999989999999999, the top of the firefighter leaf 4 box on S
+_NEAR_S_SPLIT = 0.7 - 1e-6 + 5e-13
+
+
+def _with_a_stump_near_the_s_split(forest):
+    """The firefighter forest plus a stump voting 1 from S >= _NEAR_S_SPLIT: its class-1
+    box and leaf 4's each hold (_NEAR_S_SPLIT, 0.8), within the verifier's 1e-12, but
+    they do not meet."""
+    stump = Tree(0, [Node(0, 0, _NEAR_S_SPLIT, 1, 2)], [Leaf(1, 0), Leaf(2, 1)])
+    return Forest(forest.trees + [stump], forest.feature_metas)
+
+
+# The max_path solution puts effort on A and reaches leaf 4 at (0.5, 0.8), at 0.36; the
+# min_distance one reaches leaf 6 at (0.7, 0.6). ``forest_of`` changes the verified forest.
+@pytest.mark.parametrize("objective, forest_of, content, failures", [
+    (MAX_PATH, None, {"x": (0.5,)}, ["point dimension"]),
+    (MAX_PATH, None, {"chosen_leaves": {0: 99}}, ["unknown leaf (tree 0)"]),
+    (MAX_PATH, None, {"essential_trees": (3,)}, ["essential tree out of range"]),
+    (MAX_PATH, None, {"x": None}, ["no solution content to verify"]),
+    (MAX_PATH, None, {"effort": (1,)}, ["effort vector missing or wrong length"]),
+    (MAX_PATH, with_a_fixed, {}, ["effort on immutable feature"]),
+    (MAX_PATH, None, {"chosen_leaves": {}}, ["leaf assignment incomplete"]),
+    (MAX_PATH, None, {"essential_trees": ()}, ["essential set size", "objective mismatch"]),
+    (MIN_DISTANCE, _with_a_stump_near_the_s_split,
+     {"x": (_NEAR_S_SPLIT, 0.8), "chosen_leaves": {0: 4, 1: 2},
+      "objective": _NEAR_S_SPLIT - 0.5 + 0.3}, ["box intersection"]),
+    (MIN_DISTANCE, None, {"x": (0.5, 0.5), "chosen_leaves": {0: 3}, "objective": 0.0},
+     ["majority", "prediction at x"]),
+    (MIN_DISTANCE, None, {"objective": 0.5}, ["objective mismatch"]),
+], ids=["short-x", "unknown-leaf", "essential-out-of-range", "no-content", "short-effort",
+        "immutable-effort", "incomplete-leaves", "essential-size", "joint-box",
+        "distance-majority", "distance-objective"])
+def test_verify_reports_malformed_content(firefighter, firefighter_instance, objective,
+                                          forest_of, content, failures):
     forest, table = firefighter
-    sol = replace(solve_max_path(forest, firefighter_instance, table), **content)
-    verdict = verify_solution(forest, firefighter_instance, table, sol, _cfg(MAX_PATH))
-    assert verdict.failures == [failure]
+    config = _cfg(objective)
+    sol = replace(solve(forest, firefighter_instance, table, config), **content)
+    if forest_of is not None:
+        forest = forest_of(forest)
+    verdict = verify_solution(forest, firefighter_instance, table, sol, config)
+    assert verdict.failures == failures
 
 
 @pytest.mark.parametrize("verify_mu, forged_objective, failure", [
