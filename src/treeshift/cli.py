@@ -1,9 +1,10 @@
 """Command-line pipeline: train -> probs -> shift -> rank -> simulate.
 
-Every subcommand writes a ``<output>.manifest.json`` sidecar recording the
-exact argv, seeds, input digests and tool version; ``treeshift replay`` re-runs
-a manifest and reproduces the primary outputs byte for byte, except the
-``wall_time`` timing in a ``shift`` solution.
+Every subcommand with an ``-o`` output gets a ``<output>.manifest.json``
+sidecar, written once its handler returns, recording the exact argv, seeds,
+input digests and tool version; ``treeshift replay`` re-runs a manifest and
+reproduces the primary outputs byte for byte, except the ``wall_time`` timing
+in a ``shift`` solution.
 """
 from __future__ import annotations
 
@@ -47,16 +48,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_output, argv, inputs, seeds, started) -> None:
+# the arguments that can name an input file, recorded in a manifest by digest
+_INPUTS = ("forest", "data", "schema", "probs", "solutions", "importances", "ranking")
+
+
+def _write_manifest(args, argv, started) -> None:
+    """Write ``<output>.manifest.json`` for a command's ``args``: its argv, seed, and the
+    digest of each input it names that is a file."""
+    inputs = [getattr(args, name, None) for name in _INPUTS]
     manifest = {
         "command": "treeshift " + " ".join(argv),
         "argv": list(argv),
         "inputs": {str(p): _sha256(p) for p in inputs if p and os.path.isfile(p)},
-        "seeds": seeds,
+        "seeds": {"seed": args.seed} if hasattr(args, "seed") else {},
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    write_json(f"{primary_output}.manifest.json", manifest)
+    write_json(f"{args.output.rstrip('/')}.manifest.json", manifest)
 
 
 def _load_pipeline_inputs(args):
@@ -79,7 +87,7 @@ def _off_target_rows(forest, dataset, target):
     return np.flatnonzero(forest.predict_batch(dataset.X) != target).tolist()
 
 
-def _cmd_train(args, argv, started) -> int:
+def _cmd_train(args) -> int:
     schema = DatasetSchema.from_json(args.schema)
     dataset = load_csv(args.data, schema)
     config = TrainConfig(num_trees=args.trees, max_depth=args.depth,
@@ -94,7 +102,6 @@ def _cmd_train(args, argv, started) -> int:
     print(f"trained {config.num_trees} trees (depth <= {config.max_depth}), "
           f"training accuracy {accuracy(forest, dataset):.3f}")
     print(f"wrote {args.output} and {imp_path}")
-    _write_manifest(args.output, argv, [args.data, args.schema], {"seed": args.seed}, started)
     return EXIT_OK
 
 
@@ -102,7 +109,7 @@ def _estimate_row(forest, spec, E, x0, row):
     return estimate_node_probabilities(forest, x0, spec, E, individual=row)
 
 
-def _cmd_probs(args, argv, started) -> int:
+def _cmd_probs(args) -> int:
     forest, dataset = _load_pipeline_inputs(args)
     spec = PerturbationSpec.from_dataset(dataset, num_samples=args.n_samples, seed=args.seed)
     if args.individual == "all-off-target":
@@ -120,12 +127,10 @@ def _cmd_probs(args, argv, started) -> int:
     for row, table in zip(rows, tables):
         save_table(table, os.path.join(args.output, f"individual_{row}.json"))
     print(f"estimated tables for {len(rows)} individual(s) in {args.output}")
-    _write_manifest(args.output.rstrip("/"), argv, [args.forest, args.data, args.schema],
-                    {"seed": args.seed}, started)
     return EXIT_OK
 
 
-def _cmd_shift(args, argv, started) -> int:
+def _cmd_shift(args) -> int:
     forest, dataset = _load_pipeline_inputs(args)
     row = _data_row(dataset, args.individual)
     instance = ProblemInstance(
@@ -160,9 +165,6 @@ def _cmd_shift(args, argv, started) -> int:
     write_json(args.output, doc)
     print(f"status={solution.status} objective={solution.objective} "
           f"effort={solution.effort} -> {args.output}")
-    _write_manifest(args.output, argv,
-                    [args.forest, args.data, args.schema, args.probs],
-                    {}, started)
     if solution.status == "infeasible":
         return EXIT_INFEASIBLE
     if solution.status == "timeout":
@@ -179,7 +181,7 @@ def _ranked_solution(doc) -> Solution:
     return Solution(status, effort=tuple(effort) if effort else None)
 
 
-def _cmd_rank(args, argv, started) -> int:
+def _cmd_rank(args) -> int:
     forest = load_forest(args.forest)
     metas = forest.feature_metas
     if args.solutions:
@@ -200,12 +202,10 @@ def _cmd_rank(args, argv, started) -> int:
         ranking.to_svg(args.svg)
     print(f"{ranking.method} ranking (eta={args.eta}): "
           + ", ".join(name for _, name, _ in ranking.entries[: args.eta]))
-    _write_manifest(args.output, argv, [args.forest, args.solutions, args.importances],
-                    {"seed": args.seed}, started)
     return EXIT_OK
 
 
-def _cmd_simulate(args, argv, started) -> int:
+def _cmd_simulate(args) -> int:
     etas = [int(e) for e in args.etas.split(",")]
     if min(etas) < 0:
         raise ValueError(f"--etas must be nonnegative, got {args.etas}")
@@ -239,13 +239,10 @@ def _cmd_simulate(args, argv, started) -> int:
         print(f"{key[0]} eta={key[1]}: {raw[key]:.2f}% reclassified")
     if base:
         print(f"feasible baseline: {base.percent:.2f}%")
-    _write_manifest(args.output, argv,
-                    [args.forest, args.data, args.schema, args.ranking],
-                    {"seed": args.seed}, started)
     return EXIT_OK
 
 
-def _cmd_demo(args, argv, started) -> int:
+def _cmd_demo(args) -> int:
     if args.fixture != "firefighter":
         raise ValueError(f"unknown demo fixture {args.fixture!r}")
     from .fixtures import firefighter_forest, firefighter_table
@@ -276,7 +273,7 @@ def _manifest_argv(manifest) -> list[str]:
     raise TypeError("'argv' is not a list of strings")
 
 
-def _cmd_replay(args, argv, started) -> int:
+def _cmd_replay(args) -> int:
     replayed = read_json(args.manifest, _manifest_argv)
     print(f"replaying: treeshift {' '.join(replayed)}")
     return main(replayed)
@@ -394,7 +391,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()
     try:
-        return args.func(args, argv, started)
+        code = args.func(args)
+        if hasattr(args, "output"):
+            _write_manifest(args, argv, started)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,9 +29,16 @@ class ColumnSpec:
     drop_values: tuple[str, ...] = ()            # rows with these raw values are removed
     drop_labels: tuple[str, ...] = ()            # target column: rows with these labels removed
 
+    def __post_init__(self):
+        self.positive_labels = tuple(self.positive_labels)
+        self.drop_values = tuple(self.drop_values)
+        self.drop_labels = tuple(self.drop_labels)
+
 
 @dataclass
 class DatasetSchema:
+    """The columns of a data CSV; every rule on them is checked when the schema is built."""
+
     columns: list[ColumnSpec]
 
     def __post_init__(self):
@@ -39,20 +46,18 @@ class DatasetSchema:
         if len(targets) != 1:
             raise ValueError(f"schema needs exactly one target column, found {len(targets)}")
         names = [c.name for c in self.columns]
+        recodes = {}
         for c in self.columns:
             if names.count(c.name) > 1:   # the label would be read as a feature too
                 raise ValueError(f"schema names column {c.name!r} twice")
-            for key, value in (c.recode or {}).items():
-                try:
-                    number = float(value)
-                except (TypeError, ValueError):
-                    number = math.nan
-                if not math.isfinite(number):   # a NaN would spoil the column's normalization
-                    raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
-                                     "is not a finite number")
+            recodes[c.name] = _float_recode(c)
+        if not targets[0].positive_labels:   # every label would read as class 0
+            raise ValueError(f"target column {targets[0].name!r} names no positive_labels")
         # built here, so that the schema, not a data file, is named for a bad feature
         self.feature_metas = [FeatureMeta(j, c.name, c.kind, c.mutable, c.beneficial)
                               for j, c in enumerate(self.feature_columns)]
+        # per feature column, the map its cells are read through, or None: read by float
+        self.recodes = [recodes[c.name] for c in self.feature_columns]
 
     @property
     def target(self) -> ColumnSpec:
@@ -64,20 +69,29 @@ class DatasetSchema:
 
     @staticmethod
     def from_json(path) -> "DatasetSchema":
-        return read_json(path, lambda doc: DatasetSchema([
-            ColumnSpec(
-                name=c["name"],
-                role=c.get("role", "feature"),
-                kind=c.get("kind", CONTINUOUS),
-                mutable=c.get("mutable", True),
-                beneficial=c.get("beneficial", "none"),
-                recode=c.get("recode"),
-                positive_labels=tuple(c.get("positive_labels", ())),
-                drop_values=tuple(c.get("drop_values", ())),
-                drop_labels=tuple(c.get("drop_labels", ())),
-            )
-            for c in doc["columns"]
-        ]))
+        return read_json(path, lambda doc: DatasetSchema(
+            [ColumnSpec(**column) for column in doc["columns"]]))
+
+
+def _float_recode(c: ColumnSpec) -> dict[str, float] | None:
+    """Column c's recode map in floats, {"0": 0, "1": 1} for a binary column without one,
+    or None; its "" key is dropped, as an empty cell is missing even where the map names it."""
+    recode = {"0": 0, "1": 1} if c.recode is None and c.kind == BINARY else c.recode
+    if recode is None:
+        return None
+    numbers = {}
+    for key, value in recode.items():
+        try:
+            numbers[key] = number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):   # a NaN would spoil the column's normalization
+            raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
+                             "is not a finite number")
+    numbers.pop("", None)
+    if c.kind == BINARY and not set(numbers.values()) <= {0.0, 1.0}:
+        raise ValueError(f"binary column {c.name} recodes outside {{0, 1}}")
+    return numbers
 
 
 @dataclass
@@ -139,17 +153,14 @@ def _dataset(columns, schema: DatasetSchema) -> Dataset:
     if not n:
         raise ValueError("CSV has no data rows")
 
-    raw = np.empty((n, len(feats)))
+    X = np.empty((n, len(feats)))
     errors = []
     for j, col in enumerate(feats):
         cells = columns[col.name]
-        recode = col.recode if col.recode is not None else (
-            {"0": 0.0, "1": 1.0} if col.kind == BINARY else None)
-        # an empty cell is missing even where the recode map names it
-        convert = float if recode is None else {
-            key: float(value) for key, value in recode.items() if key != ""}.__getitem__
+        recode = schema.recodes[j]
+        convert = float if recode is None else recode.__getitem__
         try:
-            raw[:, j] = values = np.fromiter(map(convert, cells), float, count=n)
+            X[:, j] = values = np.fromiter(map(convert, cells), float, count=n)
             valid = recode is not None or bool(np.isfinite(values).all())
         except (ValueError, TypeError, KeyError):
             valid = False
@@ -163,17 +174,12 @@ def _dataset(columns, schema: DatasetSchema) -> Dataset:
     positive = frozenset(target.positive_labels)
     labels = np.fromiter(map(positive.__contains__, labels), int, count=n)
 
-    X = np.empty_like(raw)
-    for j, col in enumerate(feats):
-        if col.kind == BINARY:
-            if not set(np.unique(raw[:, j])) <= {0.0, 1.0}:
-                raise ValueError(f"binary column {col.name} recodes outside {{0, 1}}")
-            X[:, j] = raw[:, j]
-        else:
-            lo, hi = float(raw[:, j].min()), float(raw[:, j].max())
+    for j, col in enumerate(feats):   # binary columns are already in {0, 1}
+        if col.kind != BINARY:
+            lo, hi = float(X[:, j].min()), float(X[:, j].max())
             if hi == lo:
                 hi = lo + 1.0  # constant column: it normalizes to 0
-            X[:, j] = (raw[:, j] - lo) / (hi - lo)
+            X[:, j] = (X[:, j] - lo) / (hi - lo)
     return Dataset(X, labels, list(schema.feature_metas))
 
 

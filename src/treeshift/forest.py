@@ -634,18 +634,7 @@ def forest_to_dict(forest: Forest) -> dict:
 
 def forest_from_dict(doc: dict) -> Forest:
     """The forest of a :func:`forest_to_dict` document; a bad field raises KeyError or TypeError."""
-    metas = [
-        FeatureMeta(
-            index=f["index"],
-            name=f["name"],
-            kind=f.get("kind", CONTINUOUS),
-            mutable=f.get("mutable", True),
-            beneficial=f.get("beneficial", "none"),
-            lo=f.get("lo", 0.0),
-            hi=f.get("hi", 1.0),
-        )
-        for f in doc["features"]
-    ]
+    metas = [FeatureMeta(**feature) for feature in doc["features"]]
     if doc["num_features"] != len(metas):
         raise ForestFormatError("num_features does not match the features list")
     trees = []

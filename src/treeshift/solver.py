@@ -32,8 +32,7 @@ logs are sorted, and the m best are added best first, a column at a time,
 with elementwise float64 adds starting from 0.0. That is ``_add_up``'s order
 on the same ``math.log`` values, and IEEE addition rounds the same in numpy
 as in Python, so every bound is bit-identical to the scalar sum the
-allocation cut starts from. A pinned solve builds no plan: its one
-allocation's pairs are the trees, every target leaf its own signature.
+allocation cut starts from.
 
 Allocations are visited by bound, highest first, ties to the lower index, in
 passes of falling threshold (an anytime bound as in Veritas, Devos, Meert &
@@ -472,16 +471,6 @@ def _bounds(pair, indices, scores, m):
     return list(zip(bound[keep].tolist(), indices[keep].tolist()))
 
 
-def _pinned_allocation(forest, instance, effort) -> tuple[int, ...]:
-    """The pinned effort as the instance's allocation it equals, or ValueError if none."""
-    effort = tuple(effort)
-    caps = [instance.E if meta.mutable else 0 for meta in forest.feature_metas]
-    if (len(effort) != len(caps) or sum(effort) > instance.eta
-            or not all(e in range(cap + 1) for e, cap in zip(effort, caps))):
-        raise ValueError(f"effort {effort} is not an allocation of the instance")
-    return tuple(int(e) for e in effort)
-
-
 def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     """Best max/min/kappa path solution over every allocation, or over the pinned effort only."""
     if config.objective not in (MAX_PATH, MIN_PATH, KAPPA_PATH):
@@ -491,18 +480,15 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
     # values as 1.0 caps, never through a path product
     paths = forest.target_paths(instance.target_class)
     target = paths.leaves
-    products = _path_products(table, paths)
+    plan = forest.scoring_plan(instance.target_class, instance.E, instance.eta)
+    allocations, pair, slot = plan.allocations, plan.pair, plan.slot
     if pinned is None:
-        plan = forest.scoring_plan(instance.target_class, instance.E, instance.eta)
-        allocations, pair, slot, pair_tree = plan.allocations, plan.pair, plan.slot, plan.tree
-        prob = products(plan.leaf, plan.level)   # per leaf signature
+        indices = np.arange(len(allocations))
+    elif tuple(pinned) in allocations:
+        indices = np.array([allocations.index(tuple(pinned))])
     else:
-        # one allocation: its pairs are the trees, and every target leaf is its own signature
-        allocations = (_pinned_allocation(forest, instance, pinned),)
-        pair_tree = np.arange(forest.num_trees)
-        pair, slot = pair_tree[None, :], _consecutive_slots([len(ids) for ids in target])
-        prob = products(np.arange(len(paths.node)), np.array(allocations[0])[paths.feature])
-    indices = np.arange(len(allocations))
+        raise ValueError(f"effort {tuple(pinned)} is not an allocation of the instance")
+    prob = _path_products(table, paths)(plan.leaf, plan.level)   # per leaf signature
     m = majority_threshold(forest.num_trees)
     geometry = forest.leaf_geometry(instance.epsilon)
     bit, compatible = geometry.bit, geometry.compatible
@@ -593,7 +579,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         del dfs   # it refers to itself: drop the cycle so the candidate lists are freed now
 
     def search(run):
-        scores = _score_pairs(forest, prob, slot, pair_tree, config, run.check)
+        scores = _score_pairs(forest, prob, slot, plan.tree, config, run.check)
         scored = _bounds(pair, indices, scores, m)
         if not scored:
             return

@@ -404,7 +404,22 @@ _BAD_FILES = {
         "train --data {data} --schema {bad} -o {out}"),
     "schema feature without a direction": (
         "schema.json", '{"columns": [{"name": "S"}, {"name": "A", "beneficial": "increase"}, '
-        '{"name": "label", "role": "target"}]}', "train --data {data} --schema {bad} -o {out}"),
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema column with an unknown field": (
+        "schema.json", '{"columns": [{"name": "S", "mutible": false, "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema binary recode outside {0, 1} that no row holds": (
+        "schema.json", '{"columns": [{"name": "S", "kind": "binary", "beneficial": "to_one", '
+        '"recode": {"0.5": 0, "0.4": 1, "y": 2}}, {"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema target without positive_labels": (
+        "schema.json", '{"columns": [{"name": "S", "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, {"name": "label", "role": "target"}]}',
+        "train --data {data} --schema {bad} -o {out}"),
     "schema that names a column twice": (
         "schema.json", '{"columns": [{"name": "S", "mutable": false}, '
         '{"name": "S", "role": "target"}]}', "train --data {data} --schema {bad} -o {out}"),

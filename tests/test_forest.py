@@ -346,12 +346,14 @@ _S = "feature S: "
     (firefighter_forest_json(node_0={"threshold": 1.5}),
      "node 0 in tree 0: threshold 1.5 outside domain"),
     (firefighter_forest_json(doc={"num_features": 3}), "num_features does not match the features list"),
+    (firefighter_forest_json(feature_0={"mutible": False}),
+     "missing or bad field FeatureMeta.__init__() got an unexpected keyword argument 'mutible'"),
 ], ids=["not JSON", "no num_features", "not an object", "node without threshold",
         "unknown kind", "unknown direction", "binary domain", "empty domain",
         "mutable without direction", "binary direction", "continuous direction",
         "duplicate id", "node and leaf id", "no leaves", "undefined root", "id reached twice",
         "no trees", "features out of order", "feature out of range",
-        "threshold outside the domain", "num_features mismatch"])
+        "threshold outside the domain", "num_features mismatch", "unknown field"])
 def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)

