@@ -33,6 +33,8 @@ class ColumnSpec:
         self.positive_labels = tuple(self.positive_labels)
         self.drop_values = tuple(self.drop_values)
         self.drop_labels = tuple(self.drop_labels)
+        if not isinstance(self.mutable, bool):   # a string such as "no" would be truthy
+            raise ValueError(f"column {self.name}: mutable must be true or false, got {self.mutable!r}")
 
 
 @dataclass
@@ -79,12 +81,12 @@ def _float_recode(c: ColumnSpec) -> dict[str, float] | None:
     recode = {"0": 0, "1": 1} if c.recode is None and c.kind == BINARY else c.recode
     if recode is None:
         return None
+    if not isinstance(recode, dict):
+        raise ValueError(f"column {c.name}: recode must be an object of numbers or null, got {recode!r}")
     numbers = {}
     for key, value in recode.items():
-        try:
-            numbers[key] = number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)   # JSON true is no number
+        numbers[key] = number = float(value) if is_number else math.nan
         if not math.isfinite(number):   # a NaN would spoil the column's normalization
             raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
                              "is not a finite number")

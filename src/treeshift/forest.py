@@ -7,6 +7,7 @@ realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -51,6 +52,8 @@ class FeatureMeta:
             raise ValueError(f"feature {self.name}: unknown kind {self.kind!r}")
         if self.beneficial not in DIRECTIONS:
             raise ValueError(f"feature {self.name}: unknown direction {self.beneficial!r}")
+        if not isinstance(self.mutable, bool):   # a string such as "no" would be truthy
+            raise ValueError(f"feature {self.name}: mutable must be true or false, got {self.mutable!r}")
         if self.kind == BINARY and (self.lo, self.hi) != (0.0, 1.0):
             raise ValueError(f"feature {self.name}: binary features use the [0, 1] domain")
         if self.lo >= self.hi:
@@ -152,6 +155,7 @@ class Forest:
         self.feature_metas = list(feature_metas)
         self.num_features = len(feature_metas)
         self._leaf_geometry: dict[float, LeafGeometry] = {}
+        self._split_gaps: dict[float, SplitGaps] = {}
         self._target_paths: dict[int, TargetPaths] = {}
         self._scoring_plans: dict[tuple[int, int, int], ScoringPlan] = {}
         for t, tree in enumerate(self.trees):
@@ -267,6 +271,12 @@ class Forest:
             self._leaf_geometry[epsilon] = geometry
         return geometry
 
+    def split_gaps(self, epsilon: float = DEFAULT_EPSILON) -> SplitGaps:
+        """Where a point lies in no leaf box of a tree, built once per epsilon (read-only)."""
+        if epsilon not in self._split_gaps:
+            self._split_gaps[epsilon] = _split_gaps(self, epsilon)
+        return self._split_gaps[epsilon]
+
     def target_paths(self, target_class: int) -> TargetPaths:
         """The paths to one class's leaves as padded index arrays, built once per class
         and shared, read-only, by every caller."""
@@ -364,6 +374,33 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
         compatible.append(dict(zip(tree.leaves, rows[start:end])))
         start = end
     return LeafGeometry(tuple(bit), tuple(compatible), lo.T, hi.T, tuple({} for _ in trees))
+
+
+class SplitGaps(NamedTuple):
+    """The gaps of a forest's splits at one epsilon. A split's gap lies strictly between its
+    threshold - epsilon and its threshold: a point there that reaches the split goes left
+    but lies in no leaf box below it."""
+
+    # per feature, its splits' thresholds ascending and their threshold - epsilon, then inf
+    gaps: tuple[tuple[list[float], list[float]], ...]
+    crowded: bool   # a bound of some leaf box lies in a gap on its feature
+
+    def in_gap(self, x) -> bool:
+        """Does some x_j lie in a gap of a split on feature j?"""
+        return any(starts[bisect.bisect_right(ends, v)] < v   # the first threshold above v
+                   for (ends, starts), v in zip(self.gaps, x))
+
+
+def _split_gaps(forest, epsilon) -> SplitGaps:
+    flat, geometry = forest._flat, forest.leaf_geometry(epsilon)
+    inner = flat.left != np.arange(len(flat.left))   # a leaf routes to itself
+    gaps = [(ends, np.append(ends - epsilon, math.inf)) for ends in
+            (np.sort(flat.threshold[inner & (flat.feature == j)])
+             for j in range(forest.num_features))]
+    bounds = np.hstack((geometry.lo.T, geometry.hi.T))   # per feature, every leaf's bounds
+    crowded = any((starts[np.searchsorted(ends, row, side="right")] < row).any()
+                  for (ends, starts), row in zip(gaps, bounds))
+    return SplitGaps(tuple((ends.tolist(), starts.tolist()) for ends, starts in gaps), crowded)
 
 
 class TargetPaths(NamedTuple):

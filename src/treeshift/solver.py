@@ -55,7 +55,7 @@ Path probabilities are multiplied root to leaf in the order
 ``path_probability`` uses, so they are bit-identical to it. Feasibility is
 tested with the forest's leaf-compatibility bitsets (``Forest.leaf_geometry``):
 a leaf can join the chosen ones iff its bit is set in ``allowed``, the AND of
-their bitsets, and the joint box is built only for an incumbent. All
+their bitsets, and the joint box is built only for the solution. All
 accumulation happens in log space. Every cut below drops only subtrees with
 no plan that the threshold and the tie rule would keep, so it changes the
 nodes explored, never the answer:
@@ -72,10 +72,7 @@ nodes explored, never the answer:
   candidate that leaves open a subset of what an earlier-tried sibling left
   open is skipped: that sibling's value is no lower, so each completion of
   the skipped one is matched, term by term, by a completion visited earlier.
-* ``solve_min_distance`` has its own distance and vote-counting bounds. It
-  carries per-feature residuals down its DFS instead of boxes; the residual
-  lemma in its docstring is why every distance it compares is the one of the
-  intersected box, bit for bit.
+* ``solve_min_distance`` searches winning tree sets with its own bounds (see its docstring).
 """
 from __future__ import annotations
 
@@ -321,10 +318,6 @@ def _distance(x0, x, weights, kind: str) -> float:
     return _MEASURES[kind]([w * abs(a - b) for w, a, b in zip(weights, x, x0)])
 
 
-def _box_distance(x0, box, weights, kind: str) -> float:
-    return _distance(x0, choose_point(box, x0), weights, kind)
-
-
 def _distance_weights(forest: Forest, config: SolverConfig) -> tuple[float, ...]:
     if config.distance_weights is None:
         return tuple(1.0 for _ in range(forest.num_features))
@@ -376,16 +369,17 @@ class _Run:
     incumbent's score is its log probability, or its distance for ``min_distance``.
     """
 
-    def __init__(self, forest, instance, config):
+    def __init__(self, forest, instance, config, box):
         self.forest = forest
         self.x0 = instance.x0
+        self.box = box   # box(t, leaf_id): the leaf boxes the search's answer is built from
         self.min_distance = config.objective == MIN_DISTANCE
         self.start = time.monotonic()
         self.deadline = None if config.time_limit is None else self.start + config.time_limit
         self.ticks = 0
         self.nodes = 0
         self.score = None
-        self.best = None  # (leaves {tree: leaf}, box, effort, per-tree values {essential tree: value})
+        self.best = None  # (leaves {tree: leaf}, effort, per-tree values {essential tree: value})
 
     def check(self):
         self.ticks += 1
@@ -393,9 +387,9 @@ class _Run:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
-    def keep(self, score, leaves, box, effort=None, values=None):
+    def keep(self, score, leaves, effort=None, values=None):
         self.score = score
-        self.best = (leaves, box, effort, values)
+        self.best = (leaves, effort, values)
 
     def finish(self, search) -> Solution:
         """Run search(self) to completion or to the time limit; the incumbent becomes the Solution."""
@@ -406,7 +400,9 @@ class _Run:
             status = "timeout"
         content = {}
         if self.best is not None:
-            leaves, box, effort, values = self.best
+            leaves, effort, values = self.best   # their box is built here, once
+            box = boxes_intersect([self.box(t, leaf) for t, leaf in leaves.items()]
+                                  or [self.forest.domains])   # no leaf: x0 wins as it is
             x = choose_point(box, self.x0)
             for t, tree in enumerate(self.forest.trees):
                 if t not in leaves:
@@ -539,9 +535,8 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
             run.check()
             if k == m:
                 if cut is None or cur_log > cut:
-                    run.keep(cur_log, {t: leaf for t, leaf, _ in chosen},
-                             boxes_intersect([geometry.box(t, leaf) for t, leaf, _ in chosen]),
-                             effort, {t: v for t, _, v in chosen})
+                    run.keep(cur_log, {t: leaf for t, leaf, _ in chosen}, effort,
+                             {t: v for t, _, v in chosen})
                     cut = cur_log   # in one allocation, the first plan visited wins a tie
                 return
             logs = forward_check(i, m - k, allowed, cur_log)
@@ -608,7 +603,7 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
             if run.best is not None or threshold is None:
                 return
 
-    return _Run(forest, instance, config).finish(search)
+    return _Run(forest, instance, config, geometry.box).finish(search)
 
 
 def solve_max_path(forest, instance, table, config=None) -> Solution:
@@ -659,43 +654,50 @@ def _leaf_residuals(geometry, x0, weights):
 def solve_min_distance(forest, instance, config=None) -> Solution:
     """Closest point (weighted L1/L2/Linf) classified into the target class.
 
-    Branch and bound over full leaf combinations, tree by tree, nearest child
-    first. A leaf is tried only if the leaf bitsets allow it, so the chosen
-    leaves' boxes always meet. x is the clamp of x0 onto the final box (the
-    exact minimizer), and the box is built only for an incumbent.
+    A vote-set search (as in the counterfactual MILPs of Kantchelian et al.,
+    ICML 2016, and Parmentier & Vidal, ICML 2021). x is classified target iff
+    the trees voting target at x win the vote, each class's weights summed in
+    tree order as ``Forest.vote`` sums them. So the optimum is a minimum over
+    the tree sets S that win with every other tree voting against: the
+    distance from x0 to the meet of one target leaf per tree of S, onto which
+    x0 is clamped. ``_Run.finish`` gives each tree outside S the leaf holding
+    x; one voting target there only helps. Trees are visited by index; each
+    tries its allowed target leaves (the bitsets keep the chosen boxes
+    meeting), nearest child first, ties to the lower leaf id, then a skip,
+    which counts against (see Gaps). Ties keep the first optimum in that order.
 
-    The search carries residuals, not boxes. A closed box's residual on
-    feature j is ``w_j * |clamp(x0_j, lo_j, hi_j) - x0_j|``, and its distance
-    is fsum, sqrt of fsum of squares, or max of the residuals
-    (``_MEASURES``). Residual lemma: for boxes that meet, the residuals of
-    their intersection are the elementwise max of theirs, bit for bit. Meeting
-    boxes cannot leave x0_j below one box and above another, so the
-    intersection's residual comes from its largest lower bound (or its
-    smallest upper one), and the rounding of ``- x0_j`` and of ``* w_j`` (for
-    ``w_j >= 0``) is monotone, so it commutes with that max. So each leaf's
-    residuals are computed once per solve, a node's are the max of its
-    parent's and its leaf's, and every distance below equals the one computed
-    from the intersected box.
+    * Skip rule: no skip when an allowed target leaf of the tree adds no
+      residual and removes no later tree's target leaf from ``allowed``; its
+      child has the skip's residuals and candidates and one more vote.
+    * Stop rule: a node whose target weight wins against its other-class
+      weight plus the weights of the trees not yet visited, added in tree
+      order, keeps its plan; a further leaf could only add residuals.
+    * Gaps: a point strictly between a split's threshold - epsilon and its
+      threshold lies in no leaf box below the split. Where a gap can hold a
+      plan's point (a leaf bound or a coordinate of x0 lies in one,
+      ``Forest.split_gaps``), no tree is skipped: after its target leaves it
+      votes against from each allowed leaf of its own, since a skipped tree
+      could need a leaf the skip rule's free leaf excludes; and the stop
+      rule holds only if every tree left holds the point in a leaf box,
+      else the search goes on.
 
-    A node is cut when no completion can be strictly nearer than the
-    incumbent, so ties keep the first optimum visited:
+    The search carries residuals, not boxes: a box's residual on feature j is
+    ``w_j * |clamp(x0_j, lo_j, hi_j) - x0_j|`` and its distance their fsum,
+    sqrt of fsum of squares, or max (``_MEASURES``). Residual lemma: for boxes
+    that meet, the residuals of their intersection are the elementwise max of
+    theirs, bit for bit, since meeting boxes cannot leave x0_j below one and
+    above another, and the rounding of ``- x0_j`` and ``* w_j`` (``w_j >= 0``)
+    is monotone. A node is cut when no completion can be strictly nearer than
+    the incumbent:
 
-    * Distance bound: the node's distance. Residuals only grow along the
-      search, and each measure is monotone in floating point, so no
-      completion's computed distance is lower.
-    * Vote bound, while target votes are missing: a remaining tree can supply
-      its vote only through an allowed target leaf, and the final residuals
-      are at least the node's maxed with that leaf's. If the trees that have
-      such a leaf nearer to x0 than the incumbent (any such leaf, without an
-      incumbent) cannot make ``_target_wins`` true, the node is cut. A tree's
-      target leaves are scanned nearest first by their own distance, which
-      no maxed distance is below, so the scan stops at the first leaf that
-      alone reaches the incumbent. Like ``Forest.vote``, the search sums each
-      class's weights in tree order: these trees' weights are added to the
-      node's target sum and the other remaining trees' to its other-class sum.
-      Adding a nonnegative weight never lowers a float sum, so no completion
-      whose target trees are a subset of these can win where this split does
-      not. ``total - w`` stands in for the other-class sum only to skip a cut.
+    * Distance bound: the node's distance; residuals only grow, and each
+      measure is monotone in floating point.
+    * Vote bound, once the stop rule has not fired: the remaining trees with an
+      allowed target leaf that, maxed with the node's residuals, is nearer
+      than the incumbent (scanned nearest first by own distance) go to the
+      target sum, the others to the other-class sum. Adding a nonnegative
+      weight never lowers a float sum, so if this split does not win, no
+      completion does. ``total - w`` stands in for a sum only to skip a cut.
     """
     config = _with_objective(config, MIN_DISTANCE)
     _check_problem(forest, instance, None, config)
@@ -705,20 +707,46 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     geometry = forest.leaf_geometry(instance.epsilon)
     bit, compatible = geometry.bit, geometry.compatible
     R = forest.num_trees
-    total = sum(tree.weight for tree in forest.trees)
+    tree_weights = [tree.weight for tree in forest.trees]
+    total = sum(tree_weights)
     residuals = _leaf_residuals(geometry, x0, weights)
-    # per tree, its target leaves as (own distance, bit, residuals), nearest first
-    target_leaves = [sorted((measure(res), bit[u][leaf_id], res)
-                            for leaf_id, res in residuals[u].items()
-                            if tree.leaves[leaf_id].predicted_class == target)
-                     for u, tree in enumerate(forest.trees)]
-    root = [tuple(dom) for dom in forest.domains]
-    combo: list[int] = []
+    # whether a plan's point can lie in a gap, where it would need a leaf of a tree outside it
+    gaps = forest.split_gaps(instance.epsilon)
+    gappy = gaps.crowded or gaps.in_gap(x0)
+
+    def leaves(votes):
+        """Per tree, its leaves voting target if ``votes``, else the others, as (own
+        distance, leaf id, bit, residuals), nearest first."""
+        return [sorted((measure(res), leaf_id, bit[u][leaf_id], res)
+                       for leaf_id, res in residuals[u].items()
+                       if (tree.leaves[leaf_id].predicted_class == target) == votes)
+                for u, tree in enumerate(forest.trees)]
+
+    target_leaves = leaves(True)
+    other_leaves = leaves(False) if gappy else None
+    # later[t]: the bits of the target leaves of the trees after t
+    masks = [sum(leaf_bit for _, _, leaf_bit, _ in tree_leaves)
+             for tree_leaves in target_leaves[:0:-1]]
+    later = list(itertools.accumulate(masks, operator.or_, initial=0))[::-1]
+    chosen: list[tuple[int, int]] = []
+
+    def children(leaves, res, allowed):
+        """(distance, leaf id, residuals) per allowed leaf of ``leaves``, maxed with res;
+        nearest first, then by leaf id."""
+        return sorted((measure(child), leaf_id, child) for _, leaf_id, leaf_bit, leaf_res in leaves
+                      if allowed & leaf_bit for child in [tuple(map(max, res, leaf_res))])
+
+    def lands(t):
+        """Does the plan's point lie in a leaf box of every tree from t on?"""
+        x = choose_point(boxes_intersect([geometry.box(*pair) for pair in chosen]
+                                         or [forest.domains]), x0)
+        return all(_intersect(geometry.box(u, leaf_of(forest.trees[u], x)), zip(x, x)) is not None
+                   for u in range(t, R))
 
     def could_vote(run, u, res, allowed):
         """Has tree u an allowed target leaf that, maxed with the node's residuals, is
         closer to x0 than the incumbent?"""
-        for own, leaf_bit, leaf_res in target_leaves[u]:
+        for own, _, leaf_bit, leaf_res in target_leaves[u]:
             if run.best is not None and own >= run.score:
                 return False   # this leaf and every later one is at least as far
             if allowed & leaf_bit and (run.best is None
@@ -731,43 +759,47 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         run.check()
         if run.best is not None and dist >= run.score:
             return
-        if t == R:
-            if _target_wins(w_target, w_other, target):
-                run.keep(dist, dict(enumerate(combo)),
-                         boxes_intersect([root] + [geometry.box(u, leaf)
-                                                   for u, leaf in enumerate(combo)]))
+        if _target_wins(w_target, functools.reduce(operator.add, tree_weights[t:], w_other),
+                        target) and (not gappy or lands(t)):
+            run.keep(dist, dict(chosen))   # won, even if every tree left votes against
             return
-        if not _target_wins(w_target, total - w_target, target):
-            # target votes may be missing: split the remaining trees into those that can
-            # still vote target closer to x0 than the incumbent and the rest
-            w, w_rest = w_target, w_other
-            for u in range(t, R):
-                if could_vote(run, u, res, allowed):
-                    w += forest.trees[u].weight
-                    if _target_wins(w, total - w, target):
-                        break
-                else:
-                    w_rest += forest.trees[u].weight
+        if t == R:
+            return
+        # target votes (or where a gap holds the point, leaves) are missing: split the
+        # remaining trees into those that can still vote target closer to x0 than the
+        # incumbent and the rest
+        w, w_rest = w_target, w_other
+        for u in range(t, R):
+            if could_vote(run, u, res, allowed):
+                w += tree_weights[u]
+                if _target_wins(w, total - w, target):
+                    break
             else:
-                if not _target_wins(w, w_rest, target):
-                    return
-        children = []
-        for leaf_id, leaf in forest.trees[t].leaves.items():
-            if not allowed & bit[t][leaf_id]:
-                continue
-            child = tuple(map(max, res, residuals[t][leaf_id]))
-            children.append((measure(child), leaf_id, child, leaf))
-        weight = forest.trees[t].weight
-        for child_dist, leaf_id, child, leaf in sorted(children, key=lambda c: (c[0], c[1])):
-            combo.append(leaf_id)
-            votes_target = leaf.predicted_class == target
-            dfs(run, t + 1, child, allowed & compatible[t][leaf_id],
-                w_target + weight if votes_target else w_target,
-                w_other if votes_target else w_other + weight, child_dist)
-            combo.pop()
+                w_rest += tree_weights[u]
+        else:
+            if not _target_wins(w, w_rest, target):
+                return
+        targets = children(target_leaves[t], res, allowed)
+        weight = tree_weights[t]
+        for child_dist, leaf_id, child in targets:
+            chosen.append((t, leaf_id))
+            dfs(run, t + 1, child, allowed & compatible[t][leaf_id], w_target + weight,
+                w_other, child_dist)
+            chosen.pop()
+        if gappy:   # a gap can hold the point: the tree votes against from a leaf of its own
+            for child_dist, leaf_id, child in children(other_leaves[t], res, allowed):
+                chosen.append((t, leaf_id))
+                dfs(run, t + 1, child, allowed & compatible[t][leaf_id], w_target,
+                    w_other + weight, child_dist)
+                chosen.pop()
+        # or it is skipped, unless a leaf with the skip's residuals and later candidates
+        # does all the skip does
+        elif not any(child == res and not allowed & later[t] & ~compatible[t][leaf_id]
+                     for _, leaf_id, child in targets):
+            dfs(run, t + 1, res, allowed, w_target, w_other + weight, dist)
 
     root_res = tuple(w * 0.0 for w in weights)   # x0 lies in the domains
-    solution = _Run(forest, instance, config).finish(
+    solution = _Run(forest, instance, config, geometry.box).finish(
         lambda run: dfs(run, 0, root_res, -1, 0.0, 0.0, measure(root_res)))
     del dfs   # it refers to itself: drop the cycle so the residuals are freed now, not by a gc
     return solution
@@ -798,7 +830,7 @@ def brute_force_oracle(forest, instance, table, config) -> Solution:
         walk = functools.partial(_oracle_min_distance, forest, instance, config, boxes)
     else:
         walk = functools.partial(_oracle_path, forest, instance, table, config, allocations, boxes)
-    return _Run(forest, instance, config).finish(walk)
+    return _Run(forest, instance, config, lambda t, leaf: boxes[t][leaf]).finish(walk)
 
 
 def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> None:
@@ -834,7 +866,7 @@ def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> No
                 tree_value.append(None)  # max_path uses the chosen leaf's probability
                 tree_eligible.append(True)
 
-        for combo, box in _oracle_combinations(forest, boxes):
+        for combo, _ in _oracle_combinations(forest, boxes):
             positive = [t for t, leaf_id in enumerate(combo)
                         if forest.trees[t].leaves[leaf_id].predicted_class == target]
             if config.objective == MAX_PATH:
@@ -846,7 +878,7 @@ def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> No
             top = sorted(scored, key=lambda s: (-s[0], s[1]))[:m]
             log_obj = math.fsum(_log(v) for v, _ in top)
             if run.best is None or log_obj > run.score:
-                run.keep(log_obj, dict(enumerate(combo)), box, effort, {t: v for v, t in top})
+                run.keep(log_obj, dict(enumerate(combo)), effort, {t: v for v, t in top})
 
 
 def _oracle_boxes(forest, epsilon):
@@ -877,9 +909,9 @@ def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
         votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
         if forest.vote(votes) != instance.target_class:
             continue
-        dist = _box_distance(instance.x0, box, weights, config.distance)
+        dist = _distance(instance.x0, choose_point(box, instance.x0), weights, config.distance)
         if run.best is None or dist < run.score:
-            run.keep(dist, dict(enumerate(combo)), box)
+            run.keep(dist, dict(enumerate(combo)))
 
 
 # --- verification ---------------------------------------------------------------

@@ -416,6 +416,20 @@ _BAD_FILES = {
         '"recode": {"0.5": 0, "0.4": 1, "y": 2}}, {"name": "A", "beneficial": "increase"}, '
         '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
         "train --data {data} --schema {bad} -o {out}"),
+    "schema column whose mutable is a string": (
+        "schema.json", '{"columns": [{"name": "S", "mutable": "no", "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema recode that is a list": (
+        "schema.json", '{"columns": [{"name": "S", "beneficial": "increase", "recode": ["a"]}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "forest feature whose mutable is a string": (
+        "forest.json",
+        firefighter_forest_json(feature_0={"mutable": "no"}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
     "schema target without positive_labels": (
         "schema.json", '{"columns": [{"name": "S", "beneficial": "increase"}, '
         '{"name": "A", "beneficial": "increase"}, {"name": "label", "role": "target"}]}',

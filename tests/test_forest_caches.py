@@ -84,6 +84,33 @@ def test_leaf_geometry_is_the_per_leaf_builders():
     assert outcomes == {True, DegenerateBoxError}
 
 
+def test_split_gaps_are_the_gaps_each_split_defines():
+    # a value lies in a split's gap iff threshold - eps < value < threshold on its feature
+    outcomes = set()
+    for forest in _forests():
+        splits = [(node.feature, node.threshold) for tree in forest.trees
+                  for node in tree.nodes.values()]
+        for eps in (1e-6, 1e-3, 0.015):
+            try:
+                got, geometry = forest.split_gaps(eps), forest.leaf_geometry(eps)
+            except DegenerateBoxError:
+                continue
+            assert forest.split_gaps(eps) is got   # built once per epsilon
+
+            def in_gap(point):
+                return any(t - eps < point[j] < t for j, t in splits)
+
+            corners = [[bound[end] for bound in geometry.box(t, leaf)] for end in (0, 1)
+                       for t, tree_bits in enumerate(geometry.bit) for leaf in tree_bits]
+            assert got.crowded == any(in_gap(corner) for corner in corners)
+            nearby = [tuple(v - eps / 2 for v in corner) for corner in corners]
+            for point in corners + nearby:
+                assert got.in_gap(point) == in_gap(point)
+                outcomes.add(got.in_gap(point))
+            outcomes.add(("crowded", got.crowded))
+    assert outcomes == {True, False, ("crowded", True), ("crowded", False)}
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
 def test_leaf_geometry_rejects_epsilon_as_leaf_box_does(epsilon):
     forest = make_random_instance(0).forest
@@ -132,7 +159,8 @@ def test_caches_stay_lazy():
     trained = train(train_ds, TrainConfig(num_trees=3, max_depth=3, seed=0))
     for forest in (make_random_instance(5).forest, trained):
         assert "_flat" not in vars(forest) and "_leaf_paths" not in vars(forest)
-        assert not (forest._leaf_geometry or forest._target_paths or forest._scoring_plans)
+        assert not (forest._leaf_geometry or forest._split_gaps or forest._target_paths
+                    or forest._scoring_plans)
 
 
 def test_unique_rows_marks_small_key_spaces_as_np_unique_sorts_them():

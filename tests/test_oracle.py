@@ -8,9 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
-                       Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance, SolverConfig,
-                       Tree, brute_force_oracle, leaf_of, objectives_close, solve,
+from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, DegenerateBoxError,
+                       FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
+                       SolverConfig, Tree, brute_force_oracle, leaf_of, objectives_close, solve,
                        solve_min_distance, verify_solution)
 
 from helpers import (DECIMAL_TREE_WEIGHTS, assert_matches_oracle, make_random_instance,
@@ -73,6 +73,26 @@ def test_min_distance_matches_oracle(seed):
     assert_matches_oracle(make_random_instance(seed), MIN_DISTANCE)
 
 
+@pytest.mark.parametrize("epsilon", [0.01, 0.05])
+def test_min_distance_matches_oracle_where_gaps_hold_points(epsilon):
+    # at these epsilons a leaf bound or x0 lies in a gap in many of the cases, where a
+    # plan's point can lie in no leaf box of a tree outside the plan
+    gappy = 0
+    for seed in range(60):
+        case = make_random_instance(seed)
+        instance = replace(case.instance, epsilon=epsilon)
+        try:
+            gaps = case.forest.split_gaps(epsilon)
+        except DegenerateBoxError:   # epsilon empties a box of this forest
+            continue
+        gappy += gaps.crowded or gaps.in_gap(instance.x0)
+        for distance in ("l1", "linf"):
+            assert_matches_oracle(SimpleNamespace(seed=seed, forest=case.forest, table=None,
+                                                  instance=instance),
+                                  MIN_DISTANCE, distance=distance)
+    assert gappy >= 10
+
+
 @pytest.mark.parametrize("seeds, tree_weights", [
     *(pytest.param([seed], None, id=str(seed)) for seed in range(12)),
     # sums of these weights round, so the vote depends on the order they are added in
@@ -126,15 +146,108 @@ def test_min_distance_vote_bound_counts_several_light_trees(distance, expected):
     assert sol.objective == pytest.approx(expected, abs=1e-9)
     assert sol.x == pytest.approx((0.35, 0.35), abs=1e-9)
     assert sol.chosen_leaves == {0: 2, 1: 2, 2: 2, 3: 2, 4: 1}
-    # Nodes (children nearest first, the vote needs weight 4): 1 root; 2 tree 0 votes 0,
-    # cut: trees 2 and 4 can no longer vote 1, so trees 1 and 3 bring weight 2 at most;
-    # 3 tree 0 votes 1; 4 tree 1 votes 0; 5 tree 2 votes 0, cut (only weight 1 left);
-    # 6 tree 2 votes 1; 7 tree 3 votes 0; 8 tree 4 votes 0 (a leaf, vote lost); 9 tree 4
-    # votes 1: incumbent at x = (0.9, 0.1); 10 tree 1 votes 1; 11 tree 2 votes 0, cut (tree
-    # 4 cannot vote 1, weight 3 at most); 12 tree 2 votes 1; 13 tree 3 votes 0, cut: tree
-    # 4 can vote 1 only at the incumbent's distance or more; 14 tree 3 votes 1, the vote
-    # is won; 15 tree 4 votes 0: the optimum; 16 tree 4 votes 1, cut by its distance.
-    assert sol.nodes_explored == 16
+    # Nodes (target leaves nearest first, then the skip; the vote needs weight 4 of 7):
+    # 1 root; 2 tree 0 votes 1; 3 tree 1 votes 1; 4 tree 2 votes 1; 5 tree 3 votes 1: the
+    # vote is won even if tree 4 votes 0, so the search stops with tree 4 unvisited, and
+    # the incumbent is x = (0.35, 0.35); 6 tree 3 skipped, cut: tree 4 can vote 1 only at
+    # the incumbent's distance or more, so weight 3 at most; 7 tree 2 skipped, cut: of
+    # trees 3 and 4 only tree 3 can still vote 1 nearer than the incumbent, weight 3 at
+    # most; 8 tree 1 skipped and 9 tree 0 skipped, cut alike. Under linf tree 3 cannot
+    # vote 1 nearer at 7 and 8 either; the count is the same.
+    assert sol.nodes_explored == 9
+
+
+def _one_split_forest(splits, weights=None):
+    """Stumps, one per (feature, threshold, side voting 1), of unit weight unless
+    ``weights`` are given, over two features, and the point (0.1, 0.1) to move into class 1."""
+    metas = [FeatureMeta(j, f"x{j}", mutable=True, beneficial="increase") for j in range(2)]
+    trees = [Tree(0, [Node(0, j, threshold, 1, 2)],
+                  [Leaf(1, int(side == "left")), Leaf(2, int(side == "right"))], weight)
+             for (j, threshold, side), weight in zip(splits, weights or [1.0] * len(splits))]
+    return SimpleNamespace(seed=str(splits), forest=Forest(trees, metas), table=None,
+                           instance=ProblemInstance(x0=(0.1, 0.1), target_class=1, eta=0, E=0))
+
+
+@pytest.mark.parametrize("first_tree, nodes", [
+    # tree 0's target leaf holds x0 and meets every later target leaf: the skip of tree 0
+    # is not tried. 1 root; 2 tree 0 votes 1; 3 tree 1 votes 1, the vote is won at
+    # distance 0.2; 4 tree 1 skipped, cut: tree 2 can vote 1 only at 0.5
+    ((0, 0.5, "left"), 4),
+    # tree 0's target leaf holds x0 but excludes the later target leaves: the skip is
+    # tried. 1 root; 2 tree 0 votes 1, cut: no tree left can vote 1; 3 tree 0 skipped;
+    # 4 tree 1 votes 1; 5 tree 2 votes 1, the vote is won at distance 0.5; 6 tree 2
+    # skipped, with no vote left to win; 7 tree 1 skipped, cut: tree 2 reaches 0.5 only
+    ((1, 0.2, "left"), 7),
+], ids=["no later candidate removed", "later candidates removed"])
+def test_min_distance_skips_a_tree_only_when_a_free_target_leaf_could_cost(first_tree, nodes):
+    case = _one_split_forest([first_tree, (1, 0.3, "right"), (1, 0.6, "right")])
+    assert case.forest.predict(case.instance.x0)[0] == 0
+    sol, _ = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == pytest.approx(0.2 if nodes == 4 else 0.5, abs=1e-9)
+    assert sol.nodes_explored == nodes
+
+
+def test_min_distance_stops_when_the_vote_is_won_and_fills_the_trees_left():
+    # trees 0 and 1 vote 1 from x0 >= 0.3, tree 2 from x0 >= 0.2. 1 root; 2 tree 0 votes 1;
+    # 3 tree 1 votes 1 and adds no residual, so its skip is not tried: the vote is
+    # won with tree 2 unvisited; 4 tree 0 skipped, cut: tree 1 cannot vote 1 nearer than
+    # the incumbent, so weight 1 at most. At x, tree 2 votes 1 as well.
+    case = _one_split_forest([(0, 0.3, "right"), (0, 0.3, "right"), (0, 0.2, "right")])
+    assert case.forest.predict(case.instance.x0)[0] == 0
+    sol, _ = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == pytest.approx(0.2, abs=1e-9)
+    assert sol.nodes_explored == 4
+    tree = case.forest.trees[2]
+    assert sol.chosen_leaves[2] == leaf_of(tree, sol.x) == 2
+
+
+def test_min_distance_gives_a_leaf_to_a_tree_whose_gap_holds_the_point():
+    # Trees 0 and 1 vote 1 from x0 >= 0.3, tree 2 from x0 >= 0.3 + 5e-7: the leaf bound 0.3
+    # lies in tree 2's gap (0.3 + 5e-7 - eps, 0.3 + 5e-7), in no leaf box of it, so each
+    # tree votes against from a leaf of its own. 1 root; 2 tree 0 votes 1; 3 tree 1 votes
+    # 1, the vote is won with tree 2 unvisited, but x0 = 0.3 is in its gap, so the search
+    # goes on: 4 tree 2 votes 1 from the one leaf meeting the plan, at distance 0.2000005;
+    # tree 1's left leaf misses tree 0's right one; 5 tree 0's left leaf, cut: no target
+    # leaf meets it.
+    case = _one_split_forest([(0, 0.3, "right"), (0, 0.3, "right"), (0, 0.3 + 5e-7, "right")])
+    assert case.forest.split_gaps(case.instance.epsilon).crowded
+    sol, oracle = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == oracle.objective == 0.3 + 5e-7 - 0.1
+    assert sol.x == (0.3 + 5e-7, 0.1) and sol.chosen_leaves == {0: 2, 1: 2, 2: 2}
+    assert sol.nodes_explored == 5
+
+
+def test_min_distance_gives_a_leaf_to_a_tree_whose_gap_holds_x0():
+    # Tree 0 (weight 2) votes 1 from x0 >= 0.3, tree 1 (weight 1) from x1 >= 0.1 + 5e-7;
+    # no leaf bound lies in a gap, but x1 = 0.1 does. 1 root; 2 tree 0 votes 1, the vote
+    # is won at (0.3, 0.1), in tree 1's gap, so the search goes on: 3 tree 1 votes 1, at
+    # 0.2 + 5e-7; 4 its left leaf, as near, cut; 5 tree 0's left leaf, cut: tree 1 weighs
+    # too little.
+    case = _one_split_forest([(0, 0.3, "right"), (1, 0.1 + 5e-7, "right")], weights=[2.0, 1.0])
+    gaps = case.forest.split_gaps(case.instance.epsilon)
+    assert not gaps.crowded and gaps.in_gap(case.instance.x0)
+    sol, oracle = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == oracle.objective
+    assert sol.x == (0.3, 0.1 + 5e-7) and sol.chosen_leaves == {0: 2, 1: 2}
+    assert sol.nodes_explored == 5
+
+
+def test_min_distance_never_skips_a_tree_where_a_gap_can_hold_the_point():
+    # Tree 0 (weight 1) votes 1 at x0 <= a = 0.300001 - eps, tree 1 (weight 1) at x0 <=
+    # 0.3000005 - eps, tree 2 (weight 3) at x0 >= a. Tree 0's target leaf holds x0 and
+    # meets tree 2's, so the skip rule would not try tree 0's vote against; but a lies in
+    # tree 1's gap, and no leaf of tree 1 meets both those leaves. 1 root; 2 tree 0 votes
+    # 1; 3 tree 1 votes 1, cut: tree 2 cannot vote 1 then, and tree 1's right leaf misses
+    # tree 0's left one; 4 tree 0 votes 0 from its right leaf, at 0.200001; 5 tree 1
+    # votes 0 from its right leaf; 6 tree 2 votes 1, won at distance 0.200001.
+    a = 0.300001 - 1e-6
+    case = _one_split_forest([(0, 0.300001, "left"), (0, 0.3000005, "left"), (0, a, "right")],
+                             weights=[1.0, 1.0, 3.0])
+    assert case.forest.predict(case.instance.x0)[0] == 0
+    sol, oracle = assert_matches_oracle(case, MIN_DISTANCE)
+    assert sol.objective == oracle.objective == 0.300001 - 0.1
+    assert sol.x == (0.300001, 0.1) and sol.chosen_leaves == {0: 2, 1: 2, 2: 2}
+    assert sol.nodes_explored == 6
 
 
 def _e0_table(table):
