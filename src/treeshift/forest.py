@@ -90,8 +90,9 @@ class Leaf:
     predicted_class: int
 
     def __post_init__(self):
-        if self.predicted_class not in (0, 1):
-            raise ForestFormatError(f"leaf {self.id}: class must be 0 or 1")
+        # JSON's true and 1.0 equal 1 in Python, but they are no class
+        if self.predicted_class not in (0, 1) or type(self.predicted_class) in (bool, float):
+            raise ForestFormatError(f"leaf {self.id}: class must be 0 or 1, got {self.predicted_class!r}")
 
 
 class Tree:
@@ -669,6 +670,14 @@ def forest_to_dict(forest: Forest) -> dict:
     }
 
 
+def _number(value, field: str, node=None) -> float:
+    """value as a float if JSON holds a number there: ``float`` alone takes "0.5" and true too."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    where = "" if node is None else f"node {node}: "
+    raise ForestFormatError(f"{where}{field} must be a number, got {value!r}")
+
+
 def forest_from_dict(doc: dict) -> Forest:
     """The forest of a :func:`forest_to_dict` document; a bad field raises KeyError or TypeError."""
     metas = [FeatureMeta(**feature) for feature in doc["features"]]
@@ -678,11 +687,12 @@ def forest_from_dict(doc: dict) -> Forest:
     for t, tdoc in enumerate(doc["trees"]):
         try:
             nodes = [
-                Node(n["id"], n["feature"], float(n["threshold"]), n["left"], n["right"])
+                Node(n["id"], n["feature"], _number(n["threshold"], "threshold", n["id"]),
+                     n["left"], n["right"])
                 for n in tdoc["nodes"]
             ]
             leaves = [Leaf(l["id"], l["class"]) for l in tdoc["leaves"]]
-            trees.append(Tree(tdoc["root"], nodes, leaves, float(tdoc.get("weight", 1.0))))
+            trees.append(Tree(tdoc["root"], nodes, leaves, _number(tdoc.get("weight", 1.0), "weight")))
         except ForestFormatError as exc:
             raise ForestFormatError(f"tree {t}: {exc}") from exc
     return Forest(trees, metas)

@@ -437,6 +437,22 @@ _BAD_FILES = {
     "schema that names a column twice": (
         "schema.json", '{"columns": [{"name": "S", "mutable": false}, '
         '{"name": "S", "role": "target"}]}', "train --data {data} --schema {bad} -o {out}"),
+    "forest leaf whose class is true": (
+        "forest.json",
+        firefighter_forest_json(leaf_0={"class": True}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest threshold that is a string": (
+        "forest.json",
+        firefighter_forest_json(node_0={"threshold": "0.5"}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest tree weight that is a string": (
+        "forest.json",
+        firefighter_forest_json(tree={"weight": "2"}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest tree weight that is true": (
+        "forest.json",
+        firefighter_forest_json(tree={"weight": True}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
     "forest that repeats a leaf id": (
         "forest.json",
         firefighter_forest_json(leaf_1={"id": 3}),

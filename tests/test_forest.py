@@ -348,12 +348,19 @@ _S = "feature S: "
     (firefighter_forest_json(doc={"num_features": 3}), "num_features does not match the features list"),
     (firefighter_forest_json(feature_0={"mutible": False}),
      "missing or bad field FeatureMeta.__init__() got an unexpected keyword argument 'mutible'"),
+    (firefighter_forest_json(leaf_0={"class": True}), "tree 0: leaf 3: class must be 0 or 1, got True"),
+    (firefighter_forest_json(leaf_1={"class": 1.0}), "tree 0: leaf 4: class must be 0 or 1, got 1.0"),
+    (firefighter_forest_json(node_0={"threshold": "0.5"}),
+     "tree 0: node 0: threshold must be a number, got '0.5'"),
+    (firefighter_forest_json(tree={"weight": "2"}), "tree 0: weight must be a number, got '2'"),
+    (firefighter_forest_json(tree={"weight": True}), "tree 0: weight must be a number, got True"),
 ], ids=["not JSON", "no num_features", "not an object", "node without threshold",
         "unknown kind", "unknown direction", "binary domain", "empty domain",
         "mutable without direction", "binary direction", "continuous direction",
         "duplicate id", "node and leaf id", "no leaves", "undefined root", "id reached twice",
         "no trees", "features out of order", "feature out of range",
-        "threshold outside the domain", "num_features mismatch", "unknown field"])
+        "threshold outside the domain", "num_features mismatch", "unknown field",
+        "class true", "class 1.0", "threshold string", "weight string", "weight true"])
 def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)

@@ -11,7 +11,7 @@ import pytest
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, DegenerateBoxError,
                        FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
                        SolverConfig, Tree, brute_force_oracle, leaf_of, objectives_close, solve,
-                       solve_min_distance, verify_solution)
+                       solve_min_distance, solver, verify_solution)
 
 from helpers import (DECIMAL_TREE_WEIGHTS, assert_matches_oracle, make_random_instance,
                      make_weighted_distance_case, per_tree_value_chain)
@@ -109,6 +109,31 @@ def test_min_distance_weighted_matches_oracle(seeds, tree_weights):
             assert objectives_close(sol.objective, oracle.objective), seed
             verdict = verify_solution(forest, instance, None, sol, config)
             assert verdict.passed, (seed, verdict.failures)
+
+
+def _document(solution):
+    doc = solution.to_dict()
+    del doc["wall_time"]
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_distance_leaf_distances_are_kept_per_solve(seed, monkeypatch):
+    # two points on one forest, each asking for the class the forest does not give it,
+    # solved in both orders: nothing measured for one may reach the other; a cache that
+    # starts over at every residual vector changes nothing
+    case = make_random_instance(seed)
+    forest, config = case.forest, SolverConfig(objective=MIN_DISTANCE)
+    instances = [replace(case.instance, x0=x0, target_class=1 - forest.predict(x0)[0])
+                 for x0 in (case.instance.x0, tuple(1.0 - v for v in case.instance.x0))]
+    first = [_document(solve_min_distance(forest, i, config)) for i in instances]
+    second = [_document(solve_min_distance(forest, i, config)) for i in instances[::-1]]
+    assert first == second[::-1]
+    monkeypatch.setattr(solver, "_CACHED_RESIDUALS", 1)
+    assert [_document(solve_min_distance(forest, i, config)) for i in instances] == first
+    for instance in instances:
+        assert_matches_oracle(SimpleNamespace(seed=seed, forest=forest, table=None,
+                                              instance=instance), MIN_DISTANCE)
 
 
 def test_min_distance_decides_the_vote_like_forest_vote():

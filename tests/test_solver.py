@@ -13,8 +13,9 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        objectives_close, path_probability, solve, solve_kappa_path,
                        solve_max_path, solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
-from treeshift.solver import (_MEASURES, STEP, _consecutive_slots, _distance, _leaf_residuals,
-                              _resolve_kappa, _tree_values, majority_threshold)
+from treeshift.solver import (_MEASURES, _UPPER_BOUNDS, STEP, _consecutive_slots, _distance,
+                              _leaf_residuals, _resolve_kappa, _sure_below, _tree_values,
+                              majority_threshold)
 
 from helpers import (assert_matches_oracle, make_random_instance, reference_tree_value,
                      with_a_fixed)
@@ -641,6 +642,38 @@ def test_residual_lemma_intersection_takes_the_elementwise_max():
         assert maxed == _residuals(x0, joint, weights)
         for kind, measure in _MEASURES.items():
             assert measure(maxed) == _distance(x0, choose_point(joint, x0), weights, kind)
+
+
+def test_vote_upper_bound_is_sound():
+    # the vote bound counts a leaf as nearer than the incumbent, unmeasured, when the
+    # norm's bound on the distance of max(r, l) from those of r and l is below
+    # _sure_below(score); then that distance must be below score, for scores at and a few
+    # ulps around the distance and the bound, also at magnitudes where squares under- or
+    # overflow
+    rng = random.Random(0)
+    scales = (1e-300, 1e-160, 1.0, 1e150, 1e300)
+
+    def residuals(weights):
+        return [w * rng.choice((0.0, rng.random(), 1.0)) * rng.choice(scales) for w in weights]
+
+    sure_count = 0
+    for _ in range(4000):
+        d = rng.randint(1, 8)
+        weights = [rng.choice((0.0, 1.0, rng.uniform(0.0, 3.0))) for _ in range(d)]
+        r, leaf = residuals(weights), residuals(weights)
+        maxed = list(map(max, r, leaf))
+        for kind, measure in _MEASURES.items():
+            dist, own, exact = measure(r), measure(leaf), measure(maxed)
+            upper = _UPPER_BOUNDS[kind](dist, own)   # a bound up to rounding, exact for linf
+            assert kind != "linf" or exact == upper
+            scores = [exact, upper, upper * (1 - 2.0 ** -48), math.inf]
+            for score in list(scores):
+                scores += [math.nextafter(score, 0.0), math.nextafter(score, math.inf)]
+            for score in scores:
+                if upper < _sure_below(score):
+                    sure_count += 1
+                    assert exact < score, (kind, r, leaf, score)
+    assert sure_count > 10_000
 
 
 def test_leaf_residuals_match_the_definition():
