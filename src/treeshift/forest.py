@@ -678,6 +678,14 @@ def _number(value, field: str, node=None) -> float:
     raise ForestFormatError(f"{where}{field} must be a number, got {value!r}")
 
 
+def _integers(doc: dict, fields, label: str = "") -> None:
+    """Reject a field of doc that holds no JSON integer (Python takes true and 0.0 for ints)."""
+    for field in fields:
+        if type(doc[field]) is not int:
+            where = f"{label} {doc['id']!r}: " if label else ""
+            raise ForestFormatError(f"{where}{field} must be an integer, got {doc[field]!r}")
+
+
 def forest_from_dict(doc: dict) -> Forest:
     """The forest of a :func:`forest_to_dict` document; a bad field raises KeyError or TypeError."""
     metas = [FeatureMeta(**feature) for feature in doc["features"]]
@@ -686,6 +694,12 @@ def forest_from_dict(doc: dict) -> Forest:
     trees = []
     for t, tdoc in enumerate(doc["trees"]):
         try:
+            _integers(tdoc, ("root",))
+            for n in tdoc["nodes"]:   # the test inlined first: a forest is loaded per shift
+                if not type(n["id"]) is type(n["feature"]) is type(n["left"]) is type(n["right"]) is int:
+                    _integers(n, ("id", "feature", "left", "right"), "node")
+            for l in tdoc["leaves"]:
+                _integers(l, ("id",), "leaf")
             nodes = [
                 Node(n["id"], n["feature"], _number(n["threshold"], "threshold", n["id"]),
                      n["left"], n["right"])

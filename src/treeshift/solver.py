@@ -23,10 +23,11 @@ only on the effort along its own path, so the forest's scoring plan
 signature) pairs and the pairs' target leaves into distinct leaf signatures.
 A solve computes each leaf signature's product once (``_path_products``) and
 values each pair once by one batch rule, shared with the verifier
-(``_tree_values``): a block of pairs gathers its leaves' products into a
-padded matrix, sorts the rows and selects the order statistic, with
-``math.fsum`` deciding mu wherever the float64 cumsum is too near it to tell.
-Logs are taken with ``math.log``, as the DFS takes them (``_score_pairs``).
+(``_tree_values``): a few large blocks of pairs each gather their leaves'
+products into a padded matrix, sort the rows and select the order statistic,
+with ``math.fsum`` deciding mu wherever a float64 row sum is too near it to
+tell. Logs are taken with ``math.log``, as the DFS takes them, once per
+distinct value on large plans (``_score_pairs``).
 The bounds are computed in numpy (``_bounds``): each allocation's per-tree
 logs are sorted, and the m best are added best first, a column at a time,
 with elementwise float64 adds starting from 0.0. That is ``_add_up``'s order
@@ -66,7 +67,10 @@ nodes explored, never the answer:
   qualifying trees to the running log one at a time, in visit order; at the
   root that is the allocation's bound. A completion adds, in the same order,
   values no higher term by term, and rounding is monotone, so the bound never
-  rounds below a completion's sum and needs no tolerance.
+  rounds below a completion's sum and needs no tolerance. A node that skips
+  its tree has its parent's ``allowed``: its scan resumes after the parent's.
+  A candidate whose log value, in place of its tree's best, puts that sum at
+  or below the cut ends the tree's candidates (tested bound-first, exactly).
 * Sibling dominance: what a candidate leaves open is ``allowed`` ANDed with
   its bitset, restricted to the candidate leaves of the trees after it. A
   candidate that leaves open a subset of what an earlier-tried sibling left
@@ -98,7 +102,8 @@ OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 _NEG_INF = float("-inf")
 ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
 STEP = 1.0   # nats the path search's threshold falls per pass
-_SCORE_BLOCK = 1024   # (tree, signature) pairs valued together when scoring allocations
+_SCORE_BLOCK = 4096   # (tree, signature) pairs valued together when scoring allocations
+_FEW_PAIRS = 256   # up to this many pairs, a log per pair costs less than np.unique
 
 
 class _Timeout(Exception):
@@ -254,8 +259,8 @@ def _consecutive_slots(counts) -> np.ndarray:
 
 def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
     """Per row r of ``slot``, one tree's (value, can vote target) from its target leaves'
-    path probabilities ``prob[slot[r]]`` (-1: no leaf), where the tree has ``n_leaves[r]``
-    leaves and ``kappa[r]`` is its ``_resolve_kappa(config, n_leaves[r])``.
+    path probabilities ``prob[slot[r]]`` (-1s after the row's leaves: no leaf), where the
+    tree has ``n_leaves[r]`` leaves and ``kappa[r]`` is its ``_resolve_kappa(config, n)``.
 
     ``max_path`` takes the largest probability (an optimistic bound) and ``min_path``
     the smallest. ``kappa_path`` takes the kappa-th smallest entry of the theta vector,
@@ -265,18 +270,17 @@ def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
 
     Path probabilities never exceed 1, so padding a row with 1.0 caps and sorting it gives
     the sorted theta vector, whose first ``len(probabilities)`` entries are the sorted
-    probabilities; sorting and selection are exact. The sums come from a float64
-    cumsum; a row whose sum lies within its rounding bound of mu, plus one ulp of mu, is
-    summed again with ``math.fsum``. Elsewhere the exact sum lies on the cumsum's side of
-    mu by more than an ulp, so every decision is ``math.fsum``'s.
+    probabilities; sorting and selection are exact. The sums are row sums, the entries from
+    the kappa-th on masked to 0.0; a row whose sum lies within its rounding bound of mu,
+    plus one ulp of mu, is summed again with ``math.fsum``. Elsewhere the exact sum lies on
+    the row sum's side of mu by more than an ulp, so every decision is ``math.fsum``'s.
     """
-    count = (slot >= 0).sum(axis=1)
-    has = count > 0
+    has = slot[:, 0] >= 0   # a row's leaves come first
     if config.objective != KAPPA_PATH:
         least = config.objective == MIN_PATH
         vals = np.append(prob, math.inf if least else _NEG_INF)[slot]
         return np.where(has, vals.min(axis=1) if least else vals.max(axis=1), 0.0), has
-    size = count if config.positive_leaves_only else n_leaves   # of the theta vector
+    size = (slot >= 0).sum(axis=1) if config.positive_leaves_only else n_leaves   # of theta
     col = np.maximum(np.minimum(kappa, size) - 1, 0)
     missing = int(col.max(initial=0)) + 1 - slot.shape[1]
     if missing > 0:   # the kappa-th entry lies among the caps past the longest row
@@ -284,8 +288,9 @@ def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
     vals = np.append(prob, 1.0)[slot]
     vals.sort(axis=1)
     rows = np.arange(len(vals))
-    below = np.where(col > 0, np.cumsum(vals, axis=1)[rows, col - 1], 0.0)
-    # a cumsum of n nonnegative terms lies within n * 2**-52 times itself of the exact sum
+    below = np.where(np.arange(vals.shape[1]) < col[:, None], vals, 0.0).sum(axis=1)
+    # a float sum of n nonnegative terms, in any order, lies within n * 2**-52 times
+    # itself of the exact sum; the masked 0.0s round nothing
     mu = config.mu
     eligible = has & (below >= mu)
     for r in np.flatnonzero(has & (np.abs(below - mu) <= col * 2.0 ** -52 * below
@@ -373,6 +378,18 @@ def _add_up(cur_log: float, logs) -> float:
     return cur_log
 
 
+def _swapped_at_most(cut, bound, best, cur_log, log_value, rest) -> bool:
+    """Is ``_add_up(cur_log + log_value, rest) <= cut``, for bound ``_add_up(cur_log, [best]
+    + rest)`` and ``log_value < best``? All terms and cut are at most 0.0, so with q =
+    len(rest) + 1 additions ``bound - best + log_value`` lies within (2q + 2) * 2**-53
+    times itself of the sum; a slack of (q + 3) * 2**-52 also covers the rounding of
+    ``cut * (1 +- slack)``, and only between the two is the sum taken."""
+    approx = bound - best + log_value
+    slack = (len(rest) + 4) * 2.0 ** -52
+    return approx < cut * (1.0 + slack) or (approx <= cut * (1.0 - slack)
+                                            and _add_up(cur_log + log_value, rest) <= cut)
+
+
 def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value > _NEG_INF else 0.0
 
@@ -381,8 +398,8 @@ class _Run:
     """One solve's record: its clock, node count and incumbent, and the one place its
     Solution is built.
 
-    A search calls ``check()`` per node and ``keep(...)`` per incumbent update. The
-    incumbent's score is its log probability, or its distance for ``min_distance``.
+    A search calls ``check()`` per node, ``clock()`` between longer steps and ``keep(...)``
+    per incumbent update. The incumbent's score is its log probability, or its distance.
     """
 
     def __init__(self, forest, instance, config, box):
@@ -400,8 +417,11 @@ class _Run:
     def check(self):
         self.ticks += 1
         if self.deadline is not None and (self.ticks == 1 or self.ticks % 512 == 0):
-            if time.monotonic() > self.deadline:
-                raise _Timeout
+            self.clock()
+
+    def clock(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
 
     def keep(self, score, leaves, effort=None, values=None):
         self.score = score
@@ -440,10 +460,11 @@ class _Run:
 
 
 def _score_pairs(forest, prob, slot, tree, config, check):
-    """Per pair: the tree's value, whether it can vote target, and then its log value
-    (-inf if it cannot), by ``_tree_values`` on the pair's row of ``slot`` into the leaf
-    products ``prob``; pair p is one of tree ``tree[p]``. A block of pairs at a time,
-    calling ``check()`` before each block."""
+    """Per pair, as arrays: the tree's value, whether it can vote target, and its log
+    value (-inf if it cannot; ``math.log``'s, once per distinct value past ``_FEW_PAIRS``
+    pairs), by ``_tree_values`` on the pair's row of ``slot`` into the leaf products
+    ``prob``; pair p is one of tree ``tree[p]``. ``_SCORE_BLOCK`` pairs at a time, calling
+    ``check()`` before each block."""
     n_leaves = np.array([len(t.leaves) for t in forest.trees], dtype=np.intp)
     kappas = np.array([_resolve_kappa(config, n) for n in n_leaves.tolist()], dtype=np.intp)
     value = np.empty(len(tree))
@@ -454,10 +475,11 @@ def _score_pairs(forest, prob, slot, tree, config, check):
         trees = tree[block]
         value[block], eligible[block] = _tree_values(prob, slot[block], n_leaves[trees],
                                                      kappas[trees], config)
-    value, eligible = value.tolist(), eligible.tolist()
-    # _log inlined: math.log, as the DFS and the verifier take it
-    log = [math.log(v) if ok and v > 0.0 else _NEG_INF for v, ok in zip(value, eligible)]
-    return value, eligible, log
+    keys, inverse = np.where(eligible, value, 0.0), None
+    if len(keys) > _FEW_PAIRS:
+        keys, inverse = np.unique(keys, return_inverse=True)
+    log = np.array([_log(v) for v in keys.tolist()], dtype=float)
+    return value, eligible, log if inverse is None else log[inverse.reshape(-1)]
 
 
 def _bounds(pair, indices, scores, m):
@@ -473,12 +495,12 @@ def _bounds(pair, indices, scores, m):
     """
     _, eligible, log = scores
     pair = pair[indices]
-    logs = np.array(log)[pair]
+    logs = log[pair]
     logs.sort(axis=1)
     bound = np.zeros(len(indices))
     for k in range(1, m + 1):
         bound += logs[:, -k]
-    keep = np.flatnonzero(np.array(eligible)[pair].sum(axis=1) >= m)
+    keep = np.flatnonzero(eligible[pair].sum(axis=1) >= m)
     keep = keep[np.lexsort((keep, -bound[keep]))]
     return list(zip(bound[keep].tolist(), indices[keep].tolist()))
 
@@ -510,28 +532,27 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
 
     def search_allocation(index, cut, run, scores):
         """Search one allocation, keeping only plans that score above ``cut`` (None: any)."""
-        pair_value, pair_eligible, pair_log = scores
         effort = allocations[index]
-        pair_ids = pair[index].tolist()
-        values = {t: pair_value[p] for t, p in enumerate(pair_ids) if pair_eligible[p]}
+        pair_ids = pair[index]
+        tree_value, tree_eligible, tree_log = (a[pair_ids].tolist() for a in scores)
+        values = {t: v for t, (v, ok) in enumerate(zip(tree_value, tree_eligible)) if ok}
         order = sorted(values, key=lambda t: (-values[t], t))
-        best_log = [pair_log[pair_ids[t]] for t in order]
+        best_log = [tree_log[t] for t in order]
         n = len(order)
         masks = [target_mask[t] for t in order]
-        rows = list(zip(masks, best_log))
 
-        def forward_check(i, need, allowed, cur_log):
-            """The best log values of the first ``need`` trees from position i that still
-            have an allowed leaf, or None if fewer trees have one or if cur_log plus those
-            values, added one at a time, is not above the cut."""
-            logs = []
-            for mask, log_value in itertools.islice(rows, i, None):
-                if allowed & mask:
+        def forward_check(i, need, allowed, total, logs):
+            """Extend logs, the best log values of the first trees with an allowed leaf
+            found so far, and total, cur_log plus logs added one at a time, by those of such
+            trees from position i on until logs holds need: (the last one's position, logs,
+            total), or None if too few trees have one or if total is not above the cut."""
+            for j in range(i, n):
+                if allowed & masks[j]:
+                    log_value = best_log[j]
                     logs.append(log_value)
-                    cur_log += log_value
-                    need -= 1
-                    if not need:
-                        return logs if cut is None or cur_log > cut else None
+                    total += log_value
+                    if len(logs) == need:
+                        return (j, logs, total) if cut is None or total > cut else None
             return None
 
         # later[i]: the bits of the candidate leaves of the trees after position i, the
@@ -540,12 +561,12 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         for i in range(n - 1, 0, -1):
             later[i - 1] = later[i] | masks[i]
         # per tree, its candidates as (value, log value, leaf, its bit, its compatible leaves):
-        # max_path by (-p, leaf), the others (value, leaf) by leaf id; built when the search
+        # max_path by (-p, leaf), the others by leaf id; built when the search
         # first reaches the tree, so only trees the search visits are sorted and logged
         cands = [None] * n
         chosen: list[tuple[int, int, float]] = []
 
-        def dfs(i, k, allowed, cur_log):
+        def dfs(i, k, allowed, cur_log, known=None):
             nonlocal cut
             run.nodes += 1
             run.check()
@@ -555,23 +576,31 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                              {t: v for t, _, v in chosen})
                     cut = cur_log   # in one allocation, the first plan visited wins a tie
                 return
-            logs = forward_check(i, m - k, allowed, cur_log)
-            if logs is None:
+            if known is None:
+                found = forward_check(i, m - k, allowed, cur_log, [])
+            else:   # a skip child's check starts with its parent's, less the parent's first tree
+                last, rest = known
+                found = forward_check(last + 1, m - k, allowed, _add_up(cur_log, rest), rest)
+            if found is None:
                 return
+            last, logs, bound = found
             while not allowed & masks[i]:
                 i += 1   # a tree with no allowed leaf left can only be passed over
             t = order[i]
             if cands[i] is None:
                 if config.objective == MAX_PATH:   # its leaves' products, read through slot
-                    probs = prob[slot[pair_ids[t], :len(target[t])]].tolist()
-                    pairs = sorted(zip(probs, target[t]), key=lambda c: (-c[0], c[1]))
-                else:
-                    pairs = [(values[t], leaf) for leaf in target[t]]
-                cands[i] = [(v, _log(v), leaf, bit[t][leaf], compatible[t][leaf]) for v, leaf in pairs]
-            rest = logs[1:]   # logs[0] is tree i's own best value
+                    negated = (-prob[slot[pair_ids[t], :len(target[t])]]).tolist()
+                    pairs = [(-q, _log(-q), leaf) for q, leaf in sorted(zip(negated, target[t]))]
+                else:   # each candidate has the tree's value
+                    pairs = zip(itertools.repeat(values[t]), itertools.repeat(best_log[i]), target[t])
+                cands[i] = [(v, log_value, leaf, bit[t][leaf], compatible[t][leaf])
+                            for v, log_value, leaf in pairs]
+            best, rest = logs[0], logs[1:]   # logs[0] is tree i's own best value
             left_open = []   # what each sibling tried so far leaves open
             for value, log_value, leaf, leaf_bit, leaf_compatible in cands[i]:
-                if cut is not None and _add_up(cur_log + log_value, rest) <= cut:
+                # cur_log + log_value + rest, added one at a time, is bound for the best value
+                if cut is not None and (bound <= cut if log_value == best else _swapped_at_most(
+                        cut, bound, best, cur_log, log_value, rest)):
                     break  # candidates sorted by value: the rest can only do worse
                 if not allowed & leaf_bit:
                     continue
@@ -584,13 +613,13 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
                     chosen.append((t, leaf, value))
                     dfs(i + 1, k + 1, child, cur_log + log_value)
                     chosen.pop()
-            dfs(i + 1, k, allowed, cur_log)
+            dfs(i + 1, k, allowed, cur_log, (last, rest))   # rest is not read here again
 
         dfs(0, 0, -1, 0.0)  # -1 has every bit set: no leaf is excluded yet
         del dfs   # it refers to itself: drop the cycle so the candidate lists are freed now
 
     def search(run):
-        scores = _score_pairs(forest, prob, slot, plan.tree, config, run.check)
+        scores = _score_pairs(forest, prob, slot, plan.tree, config, run.clock)
         scored = _bounds(pair, indices, scores, m)
         if not scored:
             return

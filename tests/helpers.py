@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -9,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from treeshift import (Dataset, FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable,
-                       ProblemInstance, Tree)
+                       PerturbationSpec, ProblemInstance, TrainConfig, Tree,
+                       estimate_node_probabilities, split, synth_generate, train)
 from treeshift.forest import (_GEOMETRY_BLOCK, _SIGNATURE_CHUNK, BINARY, ScoringPlan, TargetPaths,
                               _unique_rows, enumerate_effort_allocations, forest_to_dict,
                               leaf_box)
@@ -186,6 +188,20 @@ def reference_tree_value(positive_probs, n_leaves: int, kappa: int, config):
         values += [1.0] * (n_leaves - len(values))
     idx = min(kappa, len(values))
     return values[idx - 1], math.fsum(values[: idx - 1]) >= config.mu
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_rung(trees: int, depth: int):
+    """(forest, table, instance) of a solver-ladder rung: ``trees`` trees of depth ``depth``
+    trained on ``synth_generate(800, 14, seed=0)`` (a 2/3 split), and the first training
+    row the forest classifies off-target, its table at E=1 from 1,000 samples (seed 0)
+    and its instance at eta 4. Built once per test run; the callers do not change them."""
+    train_ds, _ = split(synth_generate(800, 14, seed=0), 2 / 3, seed=0)
+    forest = train(train_ds, TrainConfig(num_trees=trees, max_depth=depth, seed=0))
+    row = next(i for i in range(train_ds.num_rows) if forest.predict(train_ds.X[i])[0] != 0)
+    spec = PerturbationSpec.from_dataset(train_ds, num_samples=1000, seed=0)
+    table = estimate_node_probabilities(forest, train_ds.X[row], spec, E=1, individual=row)
+    return forest, table, ProblemInstance(x0=tuple(train_ds.X[row]), target_class=0, eta=4, E=1)
 
 
 def with_a_fixed(forest: Forest) -> Forest:

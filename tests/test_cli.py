@@ -453,6 +453,18 @@ _BAD_FILES = {
         "forest.json",
         firefighter_forest_json(tree={"weight": True}),
         "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest node feature that is true": (
+        "forest.json",
+        firefighter_forest_json(node_0={"feature": True}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest tree root that is 0.0": (
+        "forest.json",
+        firefighter_forest_json(tree={"root": 0.0}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest leaf id that is a float": (
+        "forest.json",
+        firefighter_forest_json(leaf_1={"id": 4.0}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
     "forest that repeats a leaf id": (
         "forest.json",
         firefighter_forest_json(leaf_1={"id": 3}),

@@ -354,13 +354,22 @@ _S = "feature S: "
      "tree 0: node 0: threshold must be a number, got '0.5'"),
     (firefighter_forest_json(tree={"weight": "2"}), "tree 0: weight must be a number, got '2'"),
     (firefighter_forest_json(tree={"weight": True}), "tree 0: weight must be a number, got True"),
+    (firefighter_forest_json(node_0={"feature": True}),
+     "tree 0: node 0: feature must be an integer, got True"),
+    (firefighter_forest_json(tree={"root": 0.0}), "tree 0: root must be an integer, got 0.0"),
+    (firefighter_forest_json(node_0={"id": 0.0}), "tree 0: node 0.0: id must be an integer, got 0.0"),
+    (firefighter_forest_json(node_2={"left": 3.0}), "tree 0: node 2: left must be an integer, got 3.0"),
+    (firefighter_forest_json(node_0={"right": False}),
+     "tree 0: node 0: right must be an integer, got False"),
+    (firefighter_forest_json(leaf_1={"id": 4.0}), "tree 0: leaf 4.0: id must be an integer, got 4.0"),
 ], ids=["not JSON", "no num_features", "not an object", "node without threshold",
         "unknown kind", "unknown direction", "binary domain", "empty domain",
         "mutable without direction", "binary direction", "continuous direction",
         "duplicate id", "node and leaf id", "no leaves", "undefined root", "id reached twice",
         "no trees", "features out of order", "feature out of range",
         "threshold outside the domain", "num_features mismatch", "unknown field",
-        "class true", "class 1.0", "threshold string", "weight string", "weight true"])
+        "class true", "class 1.0", "threshold string", "weight string", "weight true",
+        "feature true", "root 0.0", "node id 0.0", "left 3.0", "right false", "leaf id 4.0"])
 def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)

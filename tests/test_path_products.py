@@ -12,6 +12,7 @@ leaf signature's product once, values every pair from them by one batch rule
 ``_add_up``, allocation by allocation.
 """
 import hashlib
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -29,7 +30,8 @@ from treeshift import solver
 from treeshift.solver import (_add_up, _bounds, _consecutive_slots, _log, _path_products,
                               _resolve_kappa, _score_pairs, _tree_values)
 
-from helpers import assert_matches_oracle, make_random_instance, reference_tree_value
+from helpers import (assert_matches_oracle, ladder_rung, make_random_instance,
+                     reference_tree_value)
 
 
 def _assert_exact(forest, table, target_class, E, eta):
@@ -108,9 +110,9 @@ def test_edge_cases_without_any_target_leaf():
     plan = no_class_1.scoring_plan(1, 1, 1)
     assert plan.leaf.size == 0 and plan.level.shape == (0, 1) and (plan.slot == -1).all()
     for objective in (MAX_PATH, MIN_PATH, KAPPA_PATH):
-        value, eligible, log = _score_pairs(no_class_1, probs(plan.leaf, plan.level), plan.slot,
-                                            plan.tree, SolverConfig(objective=objective),
-                                            lambda: None)
+        scores = _score_pairs(no_class_1, probs(plan.leaf, plan.level), plan.slot, plan.tree,
+                              SolverConfig(objective=objective), lambda: None)
+        value, eligible, log = (array.tolist() for array in scores)
         assert not any(eligible) and set(value) == {0.0} and set(log) == {-math.inf}
 
 
@@ -199,11 +201,15 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
             want_bounds.append((_add_up(0.0, map(_log, best)), a))
     want_bounds.sort(key=lambda s: (-s[0], s[1]))
     indices = np.arange(len(plan.allocations))
-    for block in (2, solver._SCORE_BLOCK):   # a pair's scores do not depend on its block
+    # a pair's scores do not depend on its block (one pair, two, the default, one block
+    # for all the pairs) or on whether logs are taken per distinct value or per pair
+    for block, few in itertools.product((1, 2, solver._SCORE_BLOCK, len(plan.tree) + 1),
+                                        (0, len(plan.tree))):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_SCORE_BLOCK", block)
+            patch.setattr(solver, "_FEW_PAIRS", few)
             scores = _score_pairs(forest, prob, plan.slot, plan.tree, config, lambda: None)
-        value, eligible, log = scores
+        value, eligible, log = (array.tolist() for array in scores)
         for a, row in enumerate(want_values):
             got = [(value[p], eligible[p], log[p]) for p in plan.pair[a].tolist()]
             assert got == row, f"{config.objective} allocation {plan.allocations[a]}"
@@ -388,6 +394,54 @@ def test_batch_rule_is_the_reference_on_random_trees():
         _assert_batch_is_reference(rows, config)
         checked += len(rows)
     assert checked >= 2000
+
+
+@pytest.mark.parametrize("positive_leaves_only", [False, True])
+def test_near_mu_rows_with_different_kappas_score_alike_in_any_block(positive_leaves_only):
+    # trees with 1 to 9 entries below the kappa-th, whose sum lies within an ulp or two of
+    # mu, valued through _score_pairs: kappa = ceil(0.5 * leaf count) runs from 2 to 10,
+    # so each block mixes kappa columns
+    rng = np.random.default_rng(11)
+    mu = 0.3
+    rows = _rows_near_mu(rng, mu, 120)
+    assert len({kappa for _, _, kappa in rows}) > 5
+    forest = SimpleNamespace(trees=[SimpleNamespace(leaves=range(2 * kappa))
+                                    for _, _, kappa in rows])
+    config = SolverConfig(objective=KAPPA_PATH, kappa_fraction=0.5, mu=mu,
+                          positive_leaves_only=positive_leaves_only)
+    want = [reference_tree_value(probs, 2 * kappa, kappa, config) for probs, _, kappa in rows]
+    assert {ok for _, ok in want} == {False, True}
+    prob = np.array([p for probs, _, _ in rows for p in probs], dtype=float)
+    slot = _consecutive_slots([len(probs) for probs, _, _ in rows])
+    for block in (1, 2, 7, len(rows) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_SCORE_BLOCK", block)
+            scores = _score_pairs(forest, prob, slot, np.arange(len(rows)), config, lambda: None)
+        value, eligible, log = (array.tolist() for array in scores)
+        assert list(zip(value, eligible)) == want
+        assert log == [_log(v) if ok else -math.inf for v, ok in want]
+
+
+@pytest.mark.parametrize("objective", [MAX_PATH, KAPPA_PATH])
+def test_a_time_limit_that_expires_while_scoring_returns_timeout(monkeypatch, objective):
+    # the 25-tree ladder rung scores 3,824 pairs, four blocks of 1,024; the clock passes
+    # the limit while the first block is valued, and is read before the next
+    forest, table, instance = ladder_rung(25, 5)
+    assert len(forest.scoring_plan(0, 1, 4).tree) == 3824
+    monkeypatch.setattr(solver, "_SCORE_BLOCK", 1024)
+    now = [0.0]
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    blocks = []
+
+    def tree_values(prob, slot, *rest):
+        blocks.append(len(slot))
+        now[0] = 2.0
+        return _tree_values(prob, slot, *rest)
+
+    monkeypatch.setattr(solver, "_tree_values", tree_values)
+    sol = solve(forest, instance, table, SolverConfig(objective=objective, time_limit=1.0))
+    assert sol.status == "timeout" and not sol.found and sol.nodes_explored == 0
+    assert blocks == [1024]
 
 
 def test_batch_rule_decides_mu_as_fsum_does():

@@ -13,9 +13,9 @@ from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta
                        objectives_close, path_probability, solve, solve_kappa_path,
                        solve_max_path, solve_min_distance, solve_min_path, verify_solution)
 from treeshift.fixtures import LEAF_NO_RIGHT, LEAF_YES_LEFT, LEAF_YES_RIGHT
-from treeshift.solver import (_MEASURES, _UPPER_BOUNDS, STEP, _consecutive_slots, _distance,
-                              _leaf_residuals, _resolve_kappa, _sure_below, _tree_values,
-                              majority_threshold)
+from treeshift.solver import (_MEASURES, _UPPER_BOUNDS, STEP, _add_up, _consecutive_slots,
+                              _distance, _leaf_residuals, _resolve_kappa, _sure_below,
+                              _swapped_at_most, _tree_values, majority_threshold)
 
 from helpers import (assert_matches_oracle, make_random_instance, reference_tree_value,
                      with_a_fixed)
@@ -415,6 +415,31 @@ def test_forward_check_cuts_a_leaf_that_empties_the_other_trees():
     # 8 c + e, incumbent 0.24; 9 c with tree 2 excluded, no tree left; 10 trees 0 and 1
     # excluded, one tree left.
     assert sol.nodes_explored == 10
+
+
+def test_bound_first_candidate_cut_is_the_exact_one():
+    # a node's bound is cur_log plus its forward check's logs, best first, added one at a
+    # time; a lower candidate swaps best for its own log value. The bound-first test must
+    # give the exact sum's answer at cuts on, next to and just around that sum
+    rng = random.Random(5)
+    decided = 0
+    for _ in range(3000):
+        scale = rng.choice([1e-3, 1.0, 30.0, 700.0])
+        logs = sorted((-rng.random() * scale for _ in range(rng.randint(1, 60))), reverse=True)
+        cur_log = -rng.random() * scale * rng.randint(0, 40)
+        best, rest = logs[0], logs[1:]
+        log_value = best - rng.random() * scale * rng.choice([1e-15, 1e-9, 1.0])
+        if not log_value < best:
+            continue
+        bound = _add_up(cur_log, logs)
+        exact = _add_up(cur_log + log_value, rest)
+        approx = bound - best + log_value
+        for cut in (exact, math.nextafter(exact, -math.inf), min(math.nextafter(exact, 0.0), 0.0),
+                    approx, math.nextafter(approx, -math.inf), exact * (1 + 1e-13),
+                    exact * (1 - 1e-13), 0.0, -5e-324, -math.inf):
+            assert _swapped_at_most(cut, bound, best, cur_log, log_value, rest) == (exact <= cut)
+            decided += 1
+    assert decided > 20000
 
 
 # --- allocation order: best bound first, the tie rule and threshold descent -------------
