@@ -14,7 +14,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -87,6 +86,11 @@ def _off_target_rows(forest, dataset, target):
     return np.flatnonzero(forest.predict_batch(dataset.X) != target).tolist()
 
 
+def _check_target_class(args) -> None:
+    if args.target_class not in (0, 1):
+        raise ValueError(f"--target-class must be 0 or 1, got {args.target_class}")
+
+
 def _cmd_train(args) -> int:
     schema = DatasetSchema.from_json(args.schema)
     dataset = load_csv(args.data, schema)
@@ -110,6 +114,7 @@ def _estimate_row(forest, spec, E, x0, row):
 
 
 def _cmd_probs(args) -> int:
+    _check_target_class(args)
     forest, dataset = _load_pipeline_inputs(args)
     spec = PerturbationSpec.from_dataset(dataset, num_samples=args.n_samples, seed=args.seed)
     if args.individual == "all-off-target":
@@ -120,6 +125,8 @@ def _cmd_probs(args) -> int:
     estimate = functools.partial(_estimate_row, forest, spec, args.E)
     x0s = [dataset.X[row] for row in rows]
     if args.threads > 1 and len(rows) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # about 20 ms to import
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             tables = list(pool.map(estimate, x0s, rows))
     else:
@@ -209,6 +216,7 @@ def _cmd_simulate(args) -> int:
     etas = [int(e) for e in args.etas.split(",")]
     if min(etas) < 0:
         raise ValueError(f"--etas must be nonnegative, got {args.etas}")
+    _check_target_class(args)
     forest, dataset = _load_pipeline_inputs(args)
     spec = PerturbationSpec.from_dataset(dataset, seed=args.seed)
     rows = _off_target_rows(forest, dataset, args.target_class)

@@ -53,6 +53,8 @@ def _simulate(forest: Forest, cohort, target_class: int, n_reps: int, seed: int,
         raise ValueError("empty cohort")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    if target_class not in (0, 1):
+        raise ValueError(f"target_class must be 0 or 1, got {target_class!r}")
     blocks = []
     for x0 in cohort:
         rng = _stream(seed, x0, *tag)

@@ -158,6 +158,7 @@ class Forest:
         self._leaf_geometry: dict[float, LeafGeometry] = {}
         self._split_gaps: dict[float, SplitGaps] = {}
         self._target_paths: dict[int, TargetPaths] = {}
+        self._target_masks: dict[tuple[int, float], tuple[int, ...]] = {}
         self._scoring_plans: dict[tuple[int, int, int], ScoringPlan] = {}
         for t, tree in enumerate(self.trees):
             for node in tree.nodes.values():
@@ -286,6 +287,16 @@ class Forest:
             paths = _target_paths(self, target_class)
             self._target_paths[target_class] = paths
         return paths
+
+    def target_masks(self, target_class: int, epsilon: float = DEFAULT_EPSILON) -> tuple[int, ...]:
+        """Per tree, the OR of its class leaves' ``leaf_geometry(epsilon)`` bits, built once
+        per (class, epsilon)."""
+        key = (target_class, epsilon)
+        if key not in self._target_masks:
+            bit = self.leaf_geometry(epsilon).bit
+            self._target_masks[key] = tuple(sum(bit[t][leaf] for leaf in ids) for t, ids in
+                                            enumerate(self.target_paths(target_class).leaves))
+        return self._target_masks[key]
 
     def scoring_plan(self, target_class: int, E: int, eta: int) -> ScoringPlan:
         """The effort allocations grouped per tree by their effort at the features on the
@@ -481,6 +492,8 @@ class ScoringPlan(NamedTuple):
     leaf: np.ndarray     # [s]: leaf signature s's row in the class's ``TargetPaths``
     level: np.ndarray    # [s, k]: its effort level at step k of the path (0 past the end)
     slot: np.ndarray     # [p, k]: the leaf signature of pair p's k-th target leaf, -1 past the last
+    step: np.ndarray     # [k, s]: signature s's factor at step k in ``_path_products``' table:
+                         # (node, plus len(nodes) + 1 going left) * (E + 1) + level
 
 
 def _unique_rows(key, size, columns, width):
@@ -556,8 +569,11 @@ def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
         level_parts.append(level[index])
         count += len(index)
         t0 = t1
-    plan = ScoringPlan(allocations, pair, tree_of, np.concatenate(leaf_parts).astype(np.int32),
-                       np.concatenate(level_parts), slot)
+    leaf, level = np.concatenate(leaf_parts).astype(np.int32), np.concatenate(level_parts)
+    side = np.where(paths.right, paths.node, paths.node + len(paths.nodes) + 1)
+    step = np.ascontiguousarray((side[leaf] * width + level).T, dtype=np.int32 if 2 * (
+        len(paths.nodes) + 1) * width <= 1 << 31 else np.intp)   # int32 where it fits
+    plan = ScoringPlan(allocations, pair, tree_of, leaf, level, slot, step)
     for array in plan[1:]:
         array.flags.writeable = False
     return plan

@@ -21,12 +21,13 @@ features on the tree's target paths, and a target leaf's path probability
 only on the effort along its own path, so the forest's scoring plan
 (``Forest.scoring_plan``) groups the allocations per tree into (tree,
 signature) pairs and the pairs' target leaves into distinct leaf signatures.
-A solve computes each leaf signature's product once (``_path_products``) and
-values each pair once by one batch rule, shared with the verifier
-(``_tree_values``): a few large blocks of pairs each gather their leaves'
-products into a padded matrix, sort the rows and select the order statistic,
-with ``math.fsum`` deciding mu wherever a float64 row sum is too near it to
-tell. Logs are taken with ``math.log``, as the DFS takes them, once per
+A solve computes each leaf signature's product once (``_path_products``, a gather
+and a product per path step through the plan's ``step`` index) and values each
+pair once by one batch rule, shared with the verifier (``_tree_values``): a few
+large blocks of pairs each take a running max or min of their leaves' products
+a column at a time, or gather them into a padded matrix, sort the rows and
+select the order statistic, with ``math.fsum`` deciding mu wherever a float64
+sum is too near it to tell. Logs are taken with ``math.log``, as the DFS takes them, once per
 distinct value on large plans (``_score_pairs``).
 The bounds are computed in numpy (``_bounds``): each allocation's per-tree
 logs are sorted, and the m best are added best first, a column at a time,
@@ -216,31 +217,25 @@ def path_probability(forest: Forest, tree_index: int, leaf_id: int,
     return prob
 
 
-def _path_products(table: NodeProbabilityTable, paths: TargetPaths):
-    """A function of leaf signatures ``(leaf, level)``: per row r, the path probability of
-    leaf ``leaf[r]`` of ``paths`` with effort level ``level[r, k]`` at step k of its path,
-    bit-for-bit ``path_probability``'s.
+def _path_products(table: NodeProbabilityTable, paths: TargetPaths, E: int, step) -> np.ndarray:
+    """Per leaf signature s, the path probability of its leaf of ``paths`` at its effort
+    levels (``step[:, s]``, a scoring plan's at this E), bit-for-bit ``path_probability``'s.
 
-    ``q[l, k, e]`` is step k of leaf l's path at effort level e (``row[e]`` going right,
-    ``1.0 - row[e]`` going left, 1.0 past the path's end, whatever the level), so the rows
-    cost one gather and one elementwise product per step, root to leaf. The paths are
-    the forest's, built once per target class; only the table rows are gathered here.
+    The table rows of the paths' nodes, cut to levels 0..E, and a row of 1.0s (the steps
+    past a path's end) make a flat table, followed by 1.0 minus each entry: ``step[k, s]``
+    is the factor of step k, the right branch's probability or the left's. So the products
+    cost one gather and one elementwise product per step, root to leaf.
     """
-    width = table.E + 1
-    rows = np.array([table.probs[key] for key in paths.nodes] + [(1.0,) * width], dtype=float)
-    steps = rows[paths.node]
-    q = np.where(paths.right[..., None], steps, 1.0 - steps).reshape(-1)
-    depth = paths.node.shape[1]
-
-    def probs(leaf, level) -> np.ndarray:
-        start = (np.asarray(leaf, dtype=np.intp)[:, None] * depth + np.arange(depth)) * width
-        steps = q[start + level]
-        prob = steps[:, 0].copy()
-        for k in range(1, depth):
-            prob *= steps[:, k]   # elementwise, in path order: no reduction reorders it
-        return prob
-
-    return probs
+    width, n = E + 1, len(paths.nodes)
+    q = np.ones((2, n + 1, width))
+    q[0, :n] = np.fromiter(itertools.chain.from_iterable(map(table.probs.__getitem__, paths.nodes)),
+                           float, n * (table.E + 1)).reshape(n, table.E + 1)[:, :width]
+    q[1] -= q[0]
+    q = q.reshape(-1)
+    prob = q[step[0]]
+    for k in range(1, len(step)):
+        prob *= q[step[k]]   # elementwise, in path order: no reduction reorders it
+    return prob
 
 
 def _resolve_kappa(config: SolverConfig, n_leaves: int) -> int:
@@ -257,30 +252,36 @@ def _consecutive_slots(counts) -> np.ndarray:
     return np.where(k < counts[:, None], (np.cumsum(counts) - counts)[:, None] + k, -1)
 
 
-def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
+def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig, count=None):
     """Per row r of ``slot``, one tree's (value, can vote target) from its target leaves'
     path probabilities ``prob[slot[r]]`` (-1s after the row's leaves: no leaf), where the
-    tree has ``n_leaves[r]`` leaves and ``kappa[r]`` is its ``_resolve_kappa(config, n)``.
+    tree has ``n_leaves[r]`` leaves, ``count[r]`` of them target leaves (None: counted
+    here), and ``kappa[r]`` is its ``_resolve_kappa(config, n)``.
 
     ``max_path`` takes the largest probability (an optimistic bound) and ``min_path``
-    the smallest. ``kappa_path`` takes the kappa-th smallest entry of the theta vector,
-    the probabilities plus a 1.0 cap per other leaf (the probabilities alone with
-    ``positive_leaves_only``), and the tree can vote target iff the entries below it sum
-    to at least mu. A row without target leaves has value 0.0 and cannot vote target.
+    the smallest, a column at a time (exact in any order). ``kappa_path`` takes the
+    kappa-th smallest entry of the theta vector, the probabilities plus a 1.0 cap per
+    other leaf (the probabilities alone with ``positive_leaves_only``), and the tree can
+    vote target iff the entries below it sum to at least mu. A row without target leaves has value 0.0 and cannot vote target.
 
     Path probabilities never exceed 1, so padding a row with 1.0 caps and sorting it gives
     the sorted theta vector, whose first ``len(probabilities)`` entries are the sorted
-    probabilities; sorting and selection are exact. The sums are row sums, the entries from
-    the kappa-th on masked to 0.0; a row whose sum lies within its rounding bound of mu,
+    probabilities; sorting and selection are exact. The sums are float sums of each row's
+    entries below the kappa-th; a row whose sum lies within its rounding bound of mu,
     plus one ulp of mu, is summed again with ``math.fsum``. Elsewhere the exact sum lies on
-    the row sum's side of mu by more than an ulp, so every decision is ``math.fsum``'s.
+    the float sum's side of mu by more than an ulp, so every decision is ``math.fsum``'s.
     """
     has = slot[:, 0] >= 0   # a row's leaves come first
     if config.objective != KAPPA_PATH:
         least = config.objective == MIN_PATH
-        vals = np.append(prob, math.inf if least else _NEG_INF)[slot]
-        return np.where(has, vals.min(axis=1) if least else vals.max(axis=1), 0.0), has
-    size = (slot >= 0).sum(axis=1) if config.positive_leaves_only else n_leaves   # of theta
+        entry = np.append(prob, math.inf if least else _NEG_INF)
+        out, pick = entry.take(slot[:, 0]), np.minimum if least else np.maximum
+        for k in range(1, slot.shape[1]):
+            pick(out, entry.take(slot[:, k]), out=out)
+        return np.where(has, out, 0.0), has
+    if count is None:
+        count = (slot >= 0).sum(axis=1)
+    size = count if config.positive_leaves_only else n_leaves   # of theta
     col = np.maximum(np.minimum(kappa, size) - 1, 0)
     missing = int(col.max(initial=0)) + 1 - slot.shape[1]
     if missing > 0:   # the kappa-th entry lies among the caps past the longest row
@@ -288,9 +289,12 @@ def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig):
     vals = np.append(prob, 1.0)[slot]
     vals.sort(axis=1)
     rows = np.arange(len(vals))
-    below = np.where(np.arange(vals.shape[1]) < col[:, None], vals, 0.0).sum(axis=1)
-    # a float sum of n nonnegative terms, in any order, lies within n * 2**-52 times
-    # itself of the exact sum; the masked 0.0s round nothing
+    # a reduceat segment per row: its first col[r] entries (an empty one gives its first
+    # entry). A float sum of n terms >= 0, in any order, lies within n * 2**-52 times
+    # itself of the exact sum
+    start = rows * vals.shape[1]
+    below = np.add.reduceat(vals.reshape(-1), np.column_stack((start, start + col)).reshape(-1))
+    below = np.where(col > 0, below[::2], 0.0)
     mu = config.mu
     eligible = has & (below >= mu)
     for r in np.flatnonzero(has & (np.abs(below - mu) <= col * 2.0 ** -52 * below
@@ -459,13 +463,14 @@ class _Run:
                         wall_time=time.monotonic() - self.start, **content)
 
 
-def _score_pairs(forest, prob, slot, tree, config, check):
+def _score_pairs(forest, target, prob, slot, tree, config, check):
     """Per pair, as arrays: the tree's value, whether it can vote target, and its log
     value (-inf if it cannot; ``math.log``'s, once per distinct value past ``_FEW_PAIRS``
     pairs), by ``_tree_values`` on the pair's row of ``slot`` into the leaf products
-    ``prob``; pair p is one of tree ``tree[p]``. ``_SCORE_BLOCK`` pairs at a time, calling
-    ``check()`` before each block."""
+    ``prob``; pair p is one of tree ``tree[p]``, whose target leaves are ``target[t]``.
+    ``_SCORE_BLOCK`` pairs at a time, calling ``check()`` before each block."""
     n_leaves = np.array([len(t.leaves) for t in forest.trees], dtype=np.intp)
+    n_target = np.array([len(ids) for ids in target], dtype=np.intp)
     kappas = np.array([_resolve_kappa(config, n) for n in n_leaves.tolist()], dtype=np.intp)
     value = np.empty(len(tree))
     eligible = np.empty(len(tree), dtype=bool)
@@ -474,7 +479,7 @@ def _score_pairs(forest, prob, slot, tree, config, check):
         block = slice(a, a + _SCORE_BLOCK)
         trees = tree[block]
         value[block], eligible[block] = _tree_values(prob, slot[block], n_leaves[trees],
-                                                     kappas[trees], config)
+                                                     kappas[trees], config, n_target[trees])
     keys, inverse = np.where(eligible, value, 0.0), None
     if len(keys) > _FEW_PAIRS:
         keys, inverse = np.unique(keys, return_inverse=True)
@@ -484,8 +489,9 @@ def _score_pairs(forest, prob, slot, tree, config, check):
 
 def _bounds(pair, indices, scores, m):
     """The (bound, index) pairs of the allocations at ``indices`` with at least m trees that
-    can vote target, best bound first, ties to the lower index; ``pair[a, t]`` is the pair
-    of allocation a and tree t, and ``scores`` are the pairs' from ``_score_pairs``.
+    can vote target, best bound first, ties to the lower index, and the lowest finite bound
+    among them (inf if none); ``pair[a, t]`` is the pair of allocation a and tree t, and
+    ``scores`` are the pairs' from ``_score_pairs``.
 
     A bound is the m best per-tree log values added best first, the allocation cut's
     bound: the logs are sorted per allocation and added a column at a time, elementwise
@@ -495,14 +501,16 @@ def _bounds(pair, indices, scores, m):
     """
     _, eligible, log = scores
     pair = pair[indices]
-    logs = log[pair]
+    logs = log.take(pair)
     logs.sort(axis=1)
     bound = np.zeros(len(indices))
     for k in range(1, m + 1):
         bound += logs[:, -k]
-    keep = np.flatnonzero(eligible[pair].sum(axis=1) >= m)
+    keep = np.flatnonzero(eligible.take(pair).sum(axis=1) >= m)
     keep = keep[np.lexsort((keep, -bound[keep]))]
-    return list(zip(bound[keep].tolist(), indices[keep].tolist()))
+    bound = bound[keep]
+    lowest = bound[bound > _NEG_INF].min(initial=math.inf)
+    return list(zip(bound.tolist(), indices[keep].tolist())), float(lowest)
 
 
 def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
@@ -522,13 +530,13 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         indices = np.array([allocations.index(tuple(pinned))])
     else:
         raise ValueError(f"effort {tuple(pinned)} is not an allocation of the instance")
-    prob = _path_products(table, paths)(plan.leaf, plan.level)   # per leaf signature
+    prob = _path_products(table, paths, instance.E, plan.step)   # per leaf signature
     m = majority_threshold(forest.num_trees)
     geometry = forest.leaf_geometry(instance.epsilon)
     bit, compatible = geometry.bit, geometry.compatible
     # per tree, the bits of its target leaves (its candidates): the tree can still vote
     # target iff the running ``allowed`` meets this mask
-    target_mask = [sum(bit[t][leaf] for leaf in target[t]) for t in range(forest.num_trees)]
+    target_mask = forest.target_masks(instance.target_class, instance.epsilon)
 
     def search_allocation(index, cut, run, scores):
         """Search one allocation, keeping only plans that score above ``cut`` (None: any)."""
@@ -619,13 +627,11 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
         del dfs   # it refers to itself: drop the cycle so the candidate lists are freed now
 
     def search(run):
-        scores = _score_pairs(forest, prob, slot, plan.tree, config, run.clock)
-        scored = _bounds(pair, indices, scores, m)
+        scores = _score_pairs(forest, target, prob, slot, plan.tree, config, run.clock)
+        scored, lowest = _bounds(pair, indices, scores, m)   # no finite bound: one pass
         if not scored:
             return
         top = scored[0][0]
-        # the lowest finite bound; with none, the first pass is the last
-        lowest = min((b for b, _ in scored if b > _NEG_INF), default=math.inf)
         best_index = None   # the incumbent's allocation
         for k in itertools.count(1):
             threshold = top - k * STEP
@@ -790,9 +796,8 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
     target_leaves = leaves(True)
     other_leaves = leaves(False) if gappy else None
     # later[t]: the bits of the target leaves of the trees after t
-    masks = [sum(leaf_bit for _, _, leaf_bit, _ in tree_leaves)
-             for tree_leaves in target_leaves[:0:-1]]
-    later = list(itertools.accumulate(masks, operator.or_, initial=0))[::-1]
+    masks = forest.target_masks(target, instance.epsilon)
+    later = list(itertools.accumulate(masks[:0:-1], operator.or_, initial=0))[::-1]
     chosen: list[tuple[int, int]] = []
     cache: dict[tuple, dict] = {}   # residuals -> {(tree, leaf id): (distance, maxed residuals)}
 

@@ -484,9 +484,25 @@ def reference_scoring_plan(mutable, paths, E, eta):
         level_parts.append(level[index])
         count += len(index)
         t0 = t1
-    plan = ScoringPlan(allocations, pair, tree_of, np.concatenate(leaf_parts).astype(np.int32),
-                       np.concatenate(level_parts), slot)
+    leaf, level = np.concatenate(leaf_parts).astype(np.int32), np.concatenate(level_parts)
+    plan = ScoringPlan(allocations, pair, tree_of, leaf, level, slot,
+                       reference_steps(paths, leaf, level, E))
     for array in plan[1:]:
         array.flags.writeable = False
     return plan
+
+
+def reference_steps(paths, leaf, level, E):
+    """``ScoringPlan.step`` of leaf rows ``leaf`` of ``paths`` at effort levels ``level``,
+    one (row, step) at a time: where ``_path_products``' flat table holds the factor of
+    step k, the node's row (going right) or its row among the 1.0 - p rows (going left),
+    times E + 1, plus the level; int32 unless a position could pass it."""
+    n, width = len(paths.nodes), E + 1
+    step = np.empty((paths.node.shape[1], len(leaf)),
+                    dtype=np.int32 if 2 * (n + 1) * width <= 2 ** 31 else np.intp)
+    for s, (row, levels) in enumerate(zip(np.asarray(leaf).tolist(), np.asarray(level).tolist())):
+        for k, e in enumerate(levels):
+            node = int(paths.node[row, k])
+            step[k, s] = (node if paths.right[row, k] else n + 1 + node) * width + e
+    return step
 

@@ -254,6 +254,24 @@ def test_simulate_baseline_negative_eta_is_a_usage_error(tmp_path, capsys, etas)
     assert not (tmp_path / "sim.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("target_class", ["7", "3", "-1"])
+@pytest.mark.parametrize("command", ["probs", "simulate"])
+def test_target_class_other_than_0_or_1_is_a_usage_error(tmp_path, capsys, command,
+                                                         target_class):
+    # both used to run, on every row as off-target, and exit 0
+    forest_path, _, csv_path, schema_path = _firefighter_files(tmp_path)
+    out = tmp_path / "out"
+    extra = (["--individual", "all-off-target", "--n-samples", "10"] if command == "probs"
+             else ["--reps", "5", "--baseline"])
+    rc = main([command, "--forest", str(forest_path), "--data", str(csv_path),
+               "--schema", str(schema_path), "--target-class", target_class, *extra,
+               "-o", str(out)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --target-class must be 0 or 1, got {target_class}\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
 def test_rank_negative_eta_is_a_usage_error(tmp_path):
     forest_path, *_ = _firefighter_files(tmp_path)
     assert main(["rank", "--forest", str(forest_path), "--random", "--eta", "-1",

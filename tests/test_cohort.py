@@ -97,6 +97,15 @@ def test_baseline_nonpositive_reps_rejected(n_reps):
         feasible_baseline(forest, [(0.4,)], 0, _spec_for(forest), n_reps=n_reps)
 
 
+@pytest.mark.parametrize("target_class", [2, 3, -1])
+def test_simulate_and_baseline_reject_a_target_class_other_than_0_or_1(target_class):
+    forest = _boundary_forest()
+    with pytest.raises(ValueError, match=f"target_class must be 0 or 1, got {target_class}"):
+        simulate_cohort(forest, [(0.4,)], target_class, {0}, _spec_for(forest), n_reps=5)
+    with pytest.raises(ValueError, match=f"target_class must be 0 or 1, got {target_class}"):
+        feasible_baseline(forest, [(0.4,)], target_class, _spec_for(forest), n_reps=5)
+
+
 @pytest.mark.parametrize("feature", [2, 5, -1])
 def test_simulate_effort_feature_out_of_range_rejected(feature):
     tree = Tree(0, [Node(0, 0, 0.5, 1, 2)], [Leaf(1, 1), Leaf(2, 0)])

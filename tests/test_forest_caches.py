@@ -149,7 +149,7 @@ def test_scoring_plan_is_the_per_tree_keys():
                 got = forest.scoring_plan(target_class, E, eta)
                 want = reference_scoring_plan(mutable, paths, E, eta)
                 assert got.allocations == want.allocations
-                for name in ("pair", "tree", "leaf", "level", "slot"):
+                for name in ("pair", "tree", "leaf", "level", "slot", "step"):
                     _assert_arrays_equal(getattr(got, name), getattr(want, name))
                     assert not getattr(got, name).flags.writeable
 
@@ -160,7 +160,20 @@ def test_caches_stay_lazy():
     for forest in (make_random_instance(5).forest, trained):
         assert "_flat" not in vars(forest) and "_leaf_paths" not in vars(forest)
         assert not (forest._leaf_geometry or forest._split_gaps or forest._target_paths
-                    or forest._scoring_plans)
+                    or forest._target_masks or forest._scoring_plans)
+
+
+def test_target_masks_are_the_target_leaves_bits():
+    for forest in _forests():
+        for target_class in (0, 1):
+            for epsilon in (1e-6, 1e-9):
+                bit = forest.leaf_geometry(epsilon).bit
+                want = tuple(sum(bit[t][leaf_id] for leaf_id, leaf in tree.leaves.items()
+                                 if leaf.predicted_class == target_class)
+                             for t, tree in enumerate(forest.trees))
+                assert forest.target_masks(target_class, epsilon) == want
+                assert forest.target_masks(target_class, epsilon) is \
+                    forest.target_masks(target_class, epsilon)
 
 
 def test_unique_rows_marks_small_key_spaces_as_np_unique_sorts_them():

@@ -1,13 +1,13 @@
 """The path search's vectorised scoring is bit-for-bit the scalar definitions.
 
 ``_path_products`` evaluates target leaves' path probabilities, one row per (leaf,
-effort levels along its path), with one numpy gather and one product per path step.
-``Forest.scoring_plan`` groups the allocations per tree by the effort at the
-features on the tree's target paths (pairs) and the pairs' target leaves by the
-effort along each leaf's own path (leaf signatures); the path search computes each
-leaf signature's product once, values every pair from them by one batch rule
-(``_tree_values``, through ``_score_pairs``) and bounds every allocation in numpy
-(``_bounds``). These tests compare each value with ``==`` (no tolerance) against
+effort levels along its path), with one numpy gather and one product per path step,
+through a scoring plan's ``step`` index. ``Forest.scoring_plan`` groups the allocations
+per tree by the effort at the features on the tree's target paths (pairs) and the
+pairs' target leaves by the effort along each leaf's own path (leaf signatures); the
+path search computes each leaf signature's product once, values every pair from them by
+one batch rule (``_tree_values``, through ``_score_pairs``) and bounds every allocation
+in numpy (``_bounds``). These tests compare each value with ``==`` (no tolerance) against
 ``path_probability``, the one-tree-at-a-time reference ``reference_tree_value`` and
 ``_add_up``, allocation by allocation.
 """
@@ -31,7 +31,14 @@ from treeshift.solver import (_add_up, _bounds, _consecutive_slots, _log, _path_
                               _resolve_kappa, _score_pairs, _tree_values)
 
 from helpers import (assert_matches_oracle, ladder_rung, make_random_instance,
-                     reference_tree_value)
+                     reference_steps, reference_tree_value)
+
+
+def _products(table, paths, E):
+    """The path probabilities of leaf rows ``leaf`` of ``paths`` at effort levels ``level``
+    by ``_path_products``, through the steps a scoring plan at this E would hold."""
+    return lambda leaf, level: _path_products(table, paths, E,
+                                              reference_steps(paths, leaf, level, E))
 
 
 def _assert_exact(forest, table, target_class, E, eta):
@@ -40,7 +47,7 @@ def _assert_exact(forest, table, target_class, E, eta):
     assert leaves == tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
                                         if leaf.predicted_class == target_class))
                            for tree in forest.trees)
-    probs = _path_products(table, paths)
+    probs = _products(table, paths, E)
     mask = [m.mutable for m in forest.feature_metas]
     efforts = list(enumerate_effort_allocations(forest.num_features, E, eta, mask))
     assert efforts
@@ -105,15 +112,37 @@ def test_edge_cases_without_any_target_leaf():
     table = NodeProbabilityTable(0, 2, {(t, 0): table.probs[(2, 0)] for t in range(4)})
     paths = no_class_1.target_paths(1)
     assert paths.node.shape == (0, 1)
-    probs = _path_products(table, paths)
+    probs = _products(table, paths, 1)
     assert probs(np.arange(0), np.zeros((0, 1), dtype=np.int8)).tolist() == []
     plan = no_class_1.scoring_plan(1, 1, 1)
     assert plan.leaf.size == 0 and plan.level.shape == (0, 1) and (plan.slot == -1).all()
+    assert plan.step.shape == (1, 0)
     for objective in (MAX_PATH, MIN_PATH, KAPPA_PATH):
-        scores = _score_pairs(no_class_1, probs(plan.leaf, plan.level), plan.slot, plan.tree,
-                              SolverConfig(objective=objective), lambda: None)
+        scores = _score_pairs(no_class_1, paths.leaves, _path_products(table, paths, 1, plan.step),
+                              plan.slot, plan.tree, SolverConfig(objective=objective),
+                              lambda: None)
         value, eligible, log = (array.tolist() for array in scores)
         assert not any(eligible) and set(value) == {0.0} and set(log) == {-math.inf}
+
+
+@pytest.mark.parametrize("E", [0, 1])
+@pytest.mark.parametrize("target_class", [0, 1])
+def test_plan_products_read_a_table_that_covers_more_levels(E, target_class):
+    # the table covers levels 0..2, the plan 0..E: the plan's steps read the table's rows
+    # cut to E + 1 levels, whatever width the table has
+    forest, table = _edge_forest()
+    assert table.E == 2
+    paths = forest.target_paths(target_class)
+    plan = forest.scoring_plan(target_class, E, 2)
+    prob = _path_products(table, paths, E, plan.step).tolist()
+    seen = set()
+    for a, effort in enumerate(plan.allocations):
+        for t, ids in enumerate(paths.leaves):
+            slots = plan.slot[plan.pair[a, t], :len(ids)].tolist()
+            want = [path_probability(forest, t, leaf_id, table, effort) for leaf_id in ids]
+            assert [prob[s] for s in slots] == want, (effort, t)
+            seen.update(slots)
+    assert seen == set(range(len(plan.leaf)))   # every leaf signature's product
 
 
 @pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH, KAPPA_PATH])
@@ -180,7 +209,7 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
     _assert_plan_groups(forest, plan, target_class)
     m = majority_threshold(forest.num_trees)
     target = forest.target_paths(target_class).leaves
-    prob = _path_products(table, forest.target_paths(target_class))(plan.leaf, plan.level)
+    prob = _path_products(table, forest.target_paths(target_class), E, plan.step)
     want_values, want_bounds = [], []
     for a, effort in enumerate(plan.allocations):
         row, values = [], []
@@ -200,6 +229,7 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
             best = sorted(values, reverse=True)[:m]
             want_bounds.append((_add_up(0.0, map(_log, best)), a))
     want_bounds.sort(key=lambda s: (-s[0], s[1]))
+    lowest = min((b for b, _ in want_bounds if b > -math.inf), default=math.inf)
     indices = np.arange(len(plan.allocations))
     # a pair's scores do not depend on its block (one pair, two, the default, one block
     # for all the pairs) or on whether logs are taken per distinct value or per pair
@@ -208,12 +238,13 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_SCORE_BLOCK", block)
             patch.setattr(solver, "_FEW_PAIRS", few)
-            scores = _score_pairs(forest, prob, plan.slot, plan.tree, config, lambda: None)
+            scores = _score_pairs(forest, target, prob, plan.slot, plan.tree, config,
+                                  lambda: None)
         value, eligible, log = (array.tolist() for array in scores)
         for a, row in enumerate(want_values):
             got = [(value[p], eligible[p], log[p]) for p in plan.pair[a].tolist()]
             assert got == row, f"{config.objective} allocation {plan.allocations[a]}"
-        assert _bounds(plan.pair, indices, scores, m) == want_bounds
+        assert _bounds(plan.pair, indices, scores, m) == (want_bounds, lowest)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -370,11 +401,16 @@ def _rows_near_mu(rng, mu, n_rows):
 
 def _assert_batch_is_reference(rows, config):
     """_tree_values on (probabilities, leaf count, kappa) rows, all in one block, equals
-    reference_tree_value row by row."""
+    reference_tree_value row by row, whether it counts each row's target leaves or is
+    given the counts."""
     prob = np.array([p for probs, _, _ in rows for p in probs], dtype=float)
-    slot = _consecutive_slots([len(probs) for probs, _, _ in rows])
-    value, eligible = _tree_values(prob, slot, np.array([n for _, n, _ in rows]),
-                                   np.array([kappa for _, _, kappa in rows]), config)
+    counts = [len(probs) for probs, _, _ in rows]
+    slot = _consecutive_slots(counts)
+    args = (prob, slot, np.array([n for _, n, _ in rows]),
+            np.array([kappa for _, _, kappa in rows]), config)
+    value, eligible = _tree_values(*args)
+    given = _tree_values(*args, np.array(counts, dtype=np.intp))
+    assert value.tobytes() == given[0].tobytes() and (eligible == given[1]).all()
     for (probs, n_leaves, kappa), v, ok in zip(rows, value.tolist(), eligible.tolist()):
         got = (v if probs else None, ok)
         assert got == reference_tree_value(probs, n_leaves, kappa, config), (probs, n_leaves,
@@ -416,7 +452,8 @@ def test_near_mu_rows_with_different_kappas_score_alike_in_any_block(positive_le
     for block in (1, 2, 7, len(rows) + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_SCORE_BLOCK", block)
-            scores = _score_pairs(forest, prob, slot, np.arange(len(rows)), config, lambda: None)
+            scores = _score_pairs(forest, [range(len(probs)) for probs, _, _ in rows], prob,
+                                  slot, np.arange(len(rows)), config, lambda: None)
         value, eligible, log = (array.tolist() for array in scores)
         assert list(zip(value, eligible)) == want
         assert log == [_log(v) if ok else -math.inf for v, ok in want]
@@ -442,6 +479,27 @@ def test_a_time_limit_that_expires_while_scoring_returns_timeout(monkeypatch, ob
     sol = solve(forest, instance, table, SolverConfig(objective=objective, time_limit=1.0))
     assert sol.status == "timeout" and not sol.found and sol.nodes_explored == 0
     assert blocks == [1024]
+
+
+@pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH])
+def test_column_reduction_is_the_row_reduction(objective):
+    # rows of padding alone, of one leaf, of 0.0 products and of ties, against numpy's
+    # row max/min over the same padded matrix
+    rng = np.random.default_rng(5)
+    rows = [[], [0.0], [0.3], [1.0], [0.0, 0.0], [0.0, 0.25], [0.25, 0.0, 0.25], [],
+            [0.0] * 7, [1.0, 0.0, 1.0]]
+    rows += [rng.choice([0.0, 0.5, 1.0, 1e-300], int(rng.integers(0, 9))).tolist()
+             for _ in range(200)]
+    prob = np.array([p for probs in rows for p in probs], dtype=float)
+    slot = _consecutive_slots([len(probs) for probs in rows])
+    n = np.array([len(probs) + 1 for probs in rows])
+    value, eligible = _tree_values(prob, slot, n, n, SolverConfig(objective=objective))
+    least = objective == MIN_PATH
+    padded = np.append(prob, math.inf if least else -math.inf)[slot]
+    want = np.where(slot[:, 0] >= 0, padded.min(axis=1) if least else padded.max(axis=1), 0.0)
+    assert value.tobytes() == want.tobytes()
+    assert eligible.tolist() == [bool(probs) for probs in rows]
+    assert value.tolist() == [(min if least else max)(probs, default=0.0) for probs in rows]
 
 
 def test_batch_rule_decides_mu_as_fsum_does():
