@@ -126,7 +126,6 @@ def _cmd_probs(args) -> int:
     x0s = [dataset.X[row] for row in rows]
     if args.threads > 1 and len(rows) > 1:
         from concurrent.futures import ProcessPoolExecutor   # about 20 ms to import
-
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             tables = list(pool.map(estimate, x0s, rows))
     else:

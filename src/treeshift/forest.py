@@ -489,11 +489,9 @@ class ScoringPlan(NamedTuple):
     allocations: tuple[tuple[int, ...], ...]   # in lexicographic order
     pair: np.ndarray     # [a, t]: the pair of tree t and allocation a's signature there
     tree: np.ndarray     # [p]: pair p's tree
-    leaf: np.ndarray     # [s]: leaf signature s's row in the class's ``TargetPaths``
-    level: np.ndarray    # [s, k]: its effort level at step k of the path (0 past the end)
     slot: np.ndarray     # [p, k]: the leaf signature of pair p's k-th target leaf, -1 past the last
     step: np.ndarray     # [k, s]: signature s's factor at step k in ``_path_products``' table:
-                         # (node, plus len(nodes) + 1 going left) * (E + 1) + level
+                         # (node, plus len(nodes) + 1 going left) * (E + 1) + level (0 past the end)
 
 
 def _unique_rows(key, size, columns, width):
@@ -573,7 +571,7 @@ def _scoring_plan(mutable, paths: TargetPaths, E, eta) -> ScoringPlan:
     side = np.where(paths.right, paths.node, paths.node + len(paths.nodes) + 1)
     step = np.ascontiguousarray((side[leaf] * width + level).T, dtype=np.int32 if 2 * (
         len(paths.nodes) + 1) * width <= 1 << 31 else np.intp)   # int32 where it fits
-    plan = ScoringPlan(allocations, pair, tree_of, leaf, level, slot, step)
+    plan = ScoringPlan(allocations, pair, tree_of, slot, step)
     for array in plan[1:]:
         array.flags.writeable = False
     return plan

@@ -21,13 +21,13 @@ features on the tree's target paths, and a target leaf's path probability
 only on the effort along its own path, so the forest's scoring plan
 (``Forest.scoring_plan``) groups the allocations per tree into (tree,
 signature) pairs and the pairs' target leaves into distinct leaf signatures.
-A solve computes each leaf signature's product once (``_path_products``, a gather
-and a product per path step through the plan's ``step`` index) and values each
-pair once by one batch rule, shared with the verifier (``_tree_values``): a few
-large blocks of pairs each take a running max or min of their leaves' products
-a column at a time, or gather them into a padded matrix, sort the rows and
-select the order statistic, with ``math.fsum`` deciding mu wherever a float64
-sum is too near it to tell. Logs are taken with ``math.log``, as the DFS takes them, once per
+A solve computes each leaf signature's product once (``_path_products``: a
+gather and a product per path step, through the plan's ``step`` index) and
+values each pair once, from its target-leaf count and its leaves' products, by
+one batch rule shared with the verifier (``_tree_values``): a running max or min
+a column at a time, or a padded matrix whose sorted rows give the order
+statistic, with ``math.fsum`` deciding mu wherever a float64 sum is too near it
+to tell. Logs are taken with ``math.log``, as the DFS takes them, once per
 distinct value on large plans (``_score_pairs``).
 The bounds are computed in numpy (``_bounds``): each allocation's per-tree
 logs are sorted, and the m best are added best first, a column at a time,
@@ -252,17 +252,18 @@ def _consecutive_slots(counts) -> np.ndarray:
     return np.where(k < counts[:, None], (np.cumsum(counts) - counts)[:, None] + k, -1)
 
 
-def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig, count=None):
-    """Per row r of ``slot``, one tree's (value, can vote target) from its target leaves'
-    path probabilities ``prob[slot[r]]`` (-1s after the row's leaves: no leaf), where the
-    tree has ``n_leaves[r]`` leaves, ``count[r]`` of them target leaves (None: counted
-    here), and ``kappa[r]`` is its ``_resolve_kappa(config, n)``.
+def _tree_values(prob, slot, count, n_leaves, kappa, config: SolverConfig):
+    """Per row r of ``slot``, one tree's (value, can vote target) from its ``count[r]``
+    target leaves' path probabilities ``prob[slot[r]]`` (-1s after the row's leaves: no
+    leaf), where the tree has ``n_leaves[r]`` leaves and ``kappa[r]`` is its
+    ``_resolve_kappa(config, n)``.
 
     ``max_path`` takes the largest probability (an optimistic bound) and ``min_path``
     the smallest, a column at a time (exact in any order). ``kappa_path`` takes the
     kappa-th smallest entry of the theta vector, the probabilities plus a 1.0 cap per
     other leaf (the probabilities alone with ``positive_leaves_only``), and the tree can
-    vote target iff the entries below it sum to at least mu. A row without target leaves has value 0.0 and cannot vote target.
+    vote target iff the entries below it sum to at least mu. A row without target leaves
+    has value 0.0 and cannot vote target.
 
     Path probabilities never exceed 1, so padding a row with 1.0 caps and sorting it gives
     the sorted theta vector, whose first ``len(probabilities)`` entries are the sorted
@@ -279,8 +280,6 @@ def _tree_values(prob, slot, n_leaves, kappa, config: SolverConfig, count=None):
         for k in range(1, slot.shape[1]):
             pick(out, entry.take(slot[:, k]), out=out)
         return np.where(has, out, 0.0), has
-    if count is None:
-        count = (slot >= 0).sum(axis=1)
     size = count if config.positive_leaves_only else n_leaves   # of theta
     col = np.maximum(np.minimum(kappa, size) - 1, 0)
     missing = int(col.max(initial=0)) + 1 - slot.shape[1]
@@ -478,8 +477,8 @@ def _score_pairs(forest, target, prob, slot, tree, config, check):
         check()
         block = slice(a, a + _SCORE_BLOCK)
         trees = tree[block]
-        value[block], eligible[block] = _tree_values(prob, slot[block], n_leaves[trees],
-                                                     kappas[trees], config, n_target[trees])
+        value[block], eligible[block] = _tree_values(prob, slot[block], n_target[trees],
+                                                     n_leaves[trees], kappas[trees], config)
     keys, inverse = np.where(eligible, value, 0.0), None
     if len(keys) > _FEW_PAIRS:
         keys, inverse = np.unique(keys, return_inverse=True)
@@ -489,9 +488,8 @@ def _score_pairs(forest, target, prob, slot, tree, config, check):
 
 def _bounds(pair, indices, scores, m):
     """The (bound, index) pairs of the allocations at ``indices`` with at least m trees that
-    can vote target, best bound first, ties to the lower index, and the lowest finite bound
-    among them (inf if none); ``pair[a, t]`` is the pair of allocation a and tree t, and
-    ``scores`` are the pairs' from ``_score_pairs``.
+    can vote target, best bound first, ties to the lower index; ``pair[a, t]`` is the pair
+    of allocation a and tree t, and ``scores`` are the pairs' from ``_score_pairs``.
 
     A bound is the m best per-tree log values added best first, the allocation cut's
     bound: the logs are sorted per allocation and added a column at a time, elementwise
@@ -508,9 +506,7 @@ def _bounds(pair, indices, scores, m):
         bound += logs[:, -k]
     keep = np.flatnonzero(eligible.take(pair).sum(axis=1) >= m)
     keep = keep[np.lexsort((keep, -bound[keep]))]
-    bound = bound[keep]
-    lowest = bound[bound > _NEG_INF].min(initial=math.inf)
-    return list(zip(bound.tolist(), indices[keep].tolist())), float(lowest)
+    return list(zip(bound[keep].tolist(), indices[keep].tolist()))
 
 
 def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
@@ -628,10 +624,12 @@ def _solve_path(forest, instance, table, config, pinned=None) -> Solution:
 
     def search(run):
         scores = _score_pairs(forest, target, prob, slot, plan.tree, config, run.clock)
-        scored, lowest = _bounds(pair, indices, scores, m)   # no finite bound: one pass
+        scored = _bounds(pair, indices, scores, m)
         if not scored:
             return
         top = scored[0][0]
+        # the lowest finite bound; with none, the first pass is the last
+        lowest = min((b for b, _ in scored if b > _NEG_INF), default=math.inf)
         best_index = None   # the incumbent's allocation
         for k in itertools.count(1):
             threshold = top - k * STEP
@@ -1098,10 +1096,10 @@ def verify_solution(forest, instance, table, solution, config) -> Verdict:
                      for leaf_id, leaf in forest.trees[t].leaves.items()
                      if leaf.predicted_class == instance.target_class} for t in essential]
         n_leaves = [len(forest.trees[t].leaves) for t in essential]
+        counts = np.array([len(probs) for probs in positive], dtype=np.intp)
         values, eligible = _tree_values(
             np.array([p for probs in positive for p in probs.values()], dtype=float),
-            _consecutive_slots([len(probs) for probs in positive]),
-            np.array(n_leaves, dtype=np.intp),
+            _consecutive_slots(counts), counts, np.array(n_leaves, dtype=np.intp),
             np.array([_resolve_kappa(config, n) for n in n_leaves], dtype=np.intp), config)
         logs = []
         for t, probs, value, ok in zip(essential, positive, values.tolist(), eligible.tolist()):

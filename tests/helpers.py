@@ -485,8 +485,7 @@ def reference_scoring_plan(mutable, paths, E, eta):
         count += len(index)
         t0 = t1
     leaf, level = np.concatenate(leaf_parts).astype(np.int32), np.concatenate(level_parts)
-    plan = ScoringPlan(allocations, pair, tree_of, leaf, level, slot,
-                       reference_steps(paths, leaf, level, E))
+    plan = ScoringPlan(allocations, pair, tree_of, slot, reference_steps(paths, leaf, level, E))
     for array in plan[1:]:
         array.flags.writeable = False
     return plan

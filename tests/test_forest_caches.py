@@ -149,7 +149,7 @@ def test_scoring_plan_is_the_per_tree_keys():
                 got = forest.scoring_plan(target_class, E, eta)
                 want = reference_scoring_plan(mutable, paths, E, eta)
                 assert got.allocations == want.allocations
-                for name in ("pair", "tree", "leaf", "level", "slot", "step"):
+                for name in ("pair", "tree", "slot", "step"):
                     _assert_arrays_equal(getattr(got, name), getattr(want, name))
                     assert not getattr(got, name).flags.writeable
 

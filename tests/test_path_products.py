@@ -115,8 +115,7 @@ def test_edge_cases_without_any_target_leaf():
     probs = _products(table, paths, 1)
     assert probs(np.arange(0), np.zeros((0, 1), dtype=np.int8)).tolist() == []
     plan = no_class_1.scoring_plan(1, 1, 1)
-    assert plan.leaf.size == 0 and plan.level.shape == (0, 1) and (plan.slot == -1).all()
-    assert plan.step.shape == (1, 0)
+    assert plan.step.shape == (1, 0) and (plan.slot == -1).all()
     for objective in (MAX_PATH, MIN_PATH, KAPPA_PATH):
         scores = _score_pairs(no_class_1, paths.leaves, _path_products(table, paths, 1, plan.step),
                               plan.slot, plan.tree, SolverConfig(objective=objective),
@@ -142,7 +141,7 @@ def test_plan_products_read_a_table_that_covers_more_levels(E, target_class):
             want = [path_probability(forest, t, leaf_id, table, effort) for leaf_id in ids]
             assert [prob[s] for s in slots] == want, (effort, t)
             seen.update(slots)
-    assert seen == set(range(len(plan.leaf)))   # every leaf signature's product
+    assert seen == set(range(plan.step.shape[1]))   # every leaf signature's product
 
 
 @pytest.mark.parametrize("objective", [MAX_PATH, MIN_PATH, KAPPA_PATH])
@@ -165,11 +164,11 @@ def _configs(case):
                          positive_leaves_only=True)]
 
 
-def _assert_plan_groups(forest, plan, target_class):
+def _assert_plan_groups(forest, plan, target_class, E):
     """Two allocations share a tree's pair iff they agree at the features on the tree's
     paths to target leaves; pairs are numbered tree by tree. The k-th target leaf of a
     pair is a leaf signature (its row in the target paths, the effort levels along its
-    path), each signature once."""
+    path), each signature once, whose steps are ``reference_steps``'."""
     paths = forest.target_paths(target_class)
     depth = paths.node.shape[1]
     signatures = {}
@@ -184,9 +183,9 @@ def _assert_plan_groups(forest, plan, target_class):
                 key = (row + k, tuple(levels + [0] * (depth - len(path))))
                 assert signatures.setdefault(key, slot[k]) == slot[k]
             row += len(ids)
-    assert sorted(signatures.values()) == list(range(len(plan.leaf)))   # each one, once
+    assert sorted(signatures.values()) == list(range(plan.step.shape[1]))   # each one, once
     for (leaf, levels), s in signatures.items():
-        assert plan.leaf[s] == leaf and tuple(plan.level[s].tolist()) == levels
+        assert (plan.step[:, s] == reference_steps(paths, [leaf], [levels], E)[:, 0]).all()
     assert plan.tree.tolist() == sorted(plan.tree.tolist())
     for t, tree in enumerate(forest.trees):
         features = sorted({tree.nodes[node_id].feature
@@ -206,7 +205,7 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
     mask = [meta.mutable for meta in forest.feature_metas]
     assert plan.allocations == tuple(enumerate_effort_allocations(forest.num_features, E,
                                                                   eta, mask))
-    _assert_plan_groups(forest, plan, target_class)
+    _assert_plan_groups(forest, plan, target_class, E)
     m = majority_threshold(forest.num_trees)
     target = forest.target_paths(target_class).leaves
     prob = _path_products(table, forest.target_paths(target_class), E, plan.step)
@@ -229,7 +228,6 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
             best = sorted(values, reverse=True)[:m]
             want_bounds.append((_add_up(0.0, map(_log, best)), a))
     want_bounds.sort(key=lambda s: (-s[0], s[1]))
-    lowest = min((b for b, _ in want_bounds if b > -math.inf), default=math.inf)
     indices = np.arange(len(plan.allocations))
     # a pair's scores do not depend on its block (one pair, two, the default, one block
     # for all the pairs) or on whether logs are taken per distinct value or per pair
@@ -244,7 +242,7 @@ def _assert_scores_exact(forest, table, config, target_class, E, eta):
         for a, row in enumerate(want_values):
             got = [(value[p], eligible[p], log[p]) for p in plan.pair[a].tolist()]
             assert got == row, f"{config.objective} allocation {plan.allocations[a]}"
-        assert _bounds(plan.pair, indices, scores, m) == (want_bounds, lowest)
+        assert _bounds(plan.pair, indices, scores, m) == want_bounds
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -401,16 +399,12 @@ def _rows_near_mu(rng, mu, n_rows):
 
 def _assert_batch_is_reference(rows, config):
     """_tree_values on (probabilities, leaf count, kappa) rows, all in one block, equals
-    reference_tree_value row by row, whether it counts each row's target leaves or is
-    given the counts."""
+    reference_tree_value row by row."""
     prob = np.array([p for probs, _, _ in rows for p in probs], dtype=float)
-    counts = [len(probs) for probs, _, _ in rows]
-    slot = _consecutive_slots(counts)
-    args = (prob, slot, np.array([n for _, n, _ in rows]),
-            np.array([kappa for _, _, kappa in rows]), config)
-    value, eligible = _tree_values(*args)
-    given = _tree_values(*args, np.array(counts, dtype=np.intp))
-    assert value.tobytes() == given[0].tobytes() and (eligible == given[1]).all()
+    counts = np.array([len(probs) for probs, _, _ in rows], dtype=np.intp)
+    value, eligible = _tree_values(prob, _consecutive_slots(counts), counts,
+                                   np.array([n for _, n, _ in rows]),
+                                   np.array([kappa for _, _, kappa in rows]), config)
     for (probs, n_leaves, kappa), v, ok in zip(rows, value.tolist(), eligible.tolist()):
         got = (v if probs else None, ok)
         assert got == reference_tree_value(probs, n_leaves, kappa, config), (probs, n_leaves,
@@ -491,9 +485,10 @@ def test_column_reduction_is_the_row_reduction(objective):
     rows += [rng.choice([0.0, 0.5, 1.0, 1e-300], int(rng.integers(0, 9))).tolist()
              for _ in range(200)]
     prob = np.array([p for probs in rows for p in probs], dtype=float)
-    slot = _consecutive_slots([len(probs) for probs in rows])
-    n = np.array([len(probs) + 1 for probs in rows])
-    value, eligible = _tree_values(prob, slot, n, n, SolverConfig(objective=objective))
+    counts = np.array([len(probs) for probs in rows])
+    slot = _consecutive_slots(counts)
+    value, eligible = _tree_values(prob, slot, counts, counts + 1, counts + 1,
+                                   SolverConfig(objective=objective))
     least = objective == MIN_PATH
     padded = np.append(prob, math.inf if least else -math.inf)[slot]
     want = np.where(slot[:, 0] >= 0, padded.min(axis=1) if least else padded.max(axis=1), 0.0)

@@ -171,8 +171,8 @@ def _batch_tree_value(probs, n_leaves, kappa, config):
     a tree without target leaves is (None, False) in the reference's terms."""
     probs = list(probs)
     values, eligible = _tree_values(np.array(probs, dtype=float),
-                                    _consecutive_slots([len(probs)]), np.array([n_leaves]),
-                                    np.array([kappa]), config)
+                                    _consecutive_slots([len(probs)]), np.array([len(probs)]),
+                                    np.array([n_leaves]), np.array([kappa]), config)
     got = (values.tolist()[0] if probs else None, eligible.tolist()[0])
     assert got == reference_tree_value(probs, n_leaves, kappa, config)
     return got
