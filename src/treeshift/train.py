@@ -8,6 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .forest import Forest, Leaf, Node, Tree
+from .solver import _check_count
 
 
 class TrainingError(ValueError):
@@ -24,6 +25,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_trees", "max_depth", "min_samples_split"):
+            _check_count(name, getattr(self, name))
+        if self.features_per_split is not None:
+            _check_count("features_per_split", self.features_per_split)
+            if self.features_per_split < 1:
+                raise ValueError("features_per_split must be None or at least 1")
         if self.num_trees < 1 or self.max_depth < 1 or self.min_samples_split < 2:
             raise ValueError("num_trees >= 1, max_depth >= 1, min_samples_split >= 2 required")
 
@@ -52,46 +59,53 @@ def _best_split(X, y, rows, feature_pool, rng, k):
     forest depend on the column order when two features tie; it stays,
     because any other rule changes every trained forest.
 
-    Each feature costs a constant number of numpy calls (CART's sorted prefix
-    counts): one stable sort of the column, the rows left of every midpoint by
-    binary search, and their class-1 rows from a prefix sum of the sorted
-    labels. The binary search also covers a midpoint of adjacent doubles that
-    rounds down to the lower value and so sends no row of it left. Scores
+    All chosen features are scored at once, with a fixed number of numpy calls
+    per node (CART's sorted prefix counts): one stable sort of the node's
+    ``(n, f)`` matrix by column, a candidate wherever sorted rows ``i`` and
+    ``i + 1`` of a column differ, ``i + 1`` rows left of it, and their class-1
+    rows from a prefix sum of the sorted labels. A midpoint that is not above
+    the lower value and at most the upper one (it can round down to the lower
+    of two adjacent doubles, or overflow) sends a different number of rows
+    left; these rare candidates count their rows by binary search. Scores
     follow ``_gini``'s operation order, so each is the same IEEE double as the
-    per-threshold formula.
+    per-threshold formula, and the first minimum in feature-major order is the
+    tie rule's smallest key.
     """
-    chosen = rng.choice(feature_pool, size=min(k, len(feature_pool)), replace=False)
+    chosen = np.sort(rng.choice(feature_pool, size=min(k, len(feature_pool)), replace=False))
     n = len(rows)
-    y_here = y[rows]
-    best = None
-    for j in sorted(chosen):
-        col = X[rows, j]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        values = np.unique(sorted_col)
-        if len(values) < 2:
-            continue
-        mids = (values[:-1] + values[1:]) / 2.0
-        n_left = np.searchsorted(sorted_col, mids, side="left")
-        n_right = n - n_left
-        both = (n_left > 0) & (n_right > 0)
-        if not both.any():
-            continue
-        mids, n_left, n_right = mids[both], n_left[both], n_right[both]
-        ones_before = np.concatenate(([0], np.cumsum(y_here[order])))
-        left_ones = ones_before[n_left]
-        p_left = left_ones / n_left
-        p_right = (ones_before[-1] - left_ones) / n_right
-        scores = (n_left * (2.0 * p_left * (1.0 - p_left))
-                  + n_right * (2.0 * p_right * (1.0 - p_right))) / n
-        i = int(np.argmin(scores))
-        if best is None or scores[i] < best[0]:
-            best = (float(scores[i]), j, mids[i])
-    return best
+    if n < 2:
+        return None
+    f = np.arange(len(chosen))
+    cols = X[rows[:, None], chosen]
+    order = np.argsort(cols, axis=0, kind="stable")
+    values = cols[order, f]
+    lo, hi = values[:-1], values[1:]
+    mids = (lo + hi) / 2.0
+    candidate = lo != hi
+    n_left = np.repeat(np.arange(1, n)[:, None], len(chosen), axis=1)
+    for i, c in zip(*np.nonzero(candidate & ~((mids > lo) & (mids <= hi)))):
+        count = np.searchsorted(values[:, c], mids[i, c], side="left")
+        if 0 < count < n:
+            n_left[i, c] = count
+        else:   # every row on one side
+            candidate[i, c] = False
+    ones = np.cumsum(y[rows][order], axis=0)
+    left_ones = ones[n_left - 1, f]
+    n_right = n - n_left
+    p_left = left_ones / n_left
+    p_right = (ones[-1] - left_ones) / n_right
+    scores = (n_left * (2.0 * p_left * (1.0 - p_left))
+              + n_right * (2.0 * p_right * (1.0 - p_right))) / n
+    best = np.argmin(np.where(candidate, scores, np.inf).T)
+    c, i = divmod(int(best), n - 1)
+    if not candidate[i, c]:
+        return None
+    return (float(scores[i, c]), chosen[c], mids[i, c])
 
 
 def _grow(X, y, rows, depth, config, rng, ids, nodes, leaves):
-    counts = (int((y[rows] == 0).sum()), int((y[rows] == 1).sum()))
+    ones = int(y[rows].sum())   # train has checked that every label is 0 or 1
+    counts = (len(rows) - ones, ones)
     pure = counts[0] == 0 or counts[1] == 0
     if depth >= config.max_depth or len(rows) < config.min_samples_split or pure:
         return _emit_leaf(counts, ids, leaves)
@@ -121,6 +135,10 @@ def train(dataset: Dataset, config: TrainConfig) -> Forest:
     """Grow a bagged forest; deterministic for a fixed seed (per-tree RNG streams)."""
     if dataset.num_rows == 0:
         raise TrainingError("empty dataset")
+    bad = (dataset.y != 0) & (dataset.y != 1)
+    if bad.any():   # the split search sums labels, and a leaf counts only 0s and 1s
+        row = int(np.argmax(bad))
+        raise TrainingError(f"labels must be 0 or 1; row {row} has {dataset.y[row].item()!r}")
     if len(np.unique(dataset.y)) < 2:
         raise TrainingError("training needs both classes present")
     trees = []
