@@ -1,8 +1,7 @@
 """Cohort simulation: how often do perturbed individuals reach the target class?"""
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,24 +13,6 @@ from .probability import PerturbationSpec, _perturb_samples
 class SimulationResult:
     percent: float                 # mean % of (individual, replication) pairs reclassified
     per_individual: list[float]    # per-individual reclassification %, cohort order
-
-
-@dataclass
-class SimReport:
-    """Raw and baseline-normalized reclassification percentages per (method, eta)."""
-
-    raw: dict[tuple[str, int], float]
-    baseline: float
-    normalized: dict[tuple[str, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.baseline > 0:
-            self.normalized = {
-                key: value / self.baseline * 100.0 for key, value in self.raw.items()
-            }
-        else:
-            warnings.warn("baseline is 0%; normalized table omitted")
-            self.normalized = {}
 
 
 def _stream(seed: int, x0, *tag: int) -> np.random.Generator:

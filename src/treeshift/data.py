@@ -30,9 +30,11 @@ class ColumnSpec:
     drop_labels: tuple[str, ...] = ()            # target column: rows with these labels removed
 
     def __post_init__(self):
-        self.positive_labels = tuple(self.positive_labels)
-        self.drop_values = tuple(self.drop_values)
-        self.drop_labels = tuple(self.drop_labels)
+        for field in ("positive_labels", "drop_values", "drop_labels"):
+            values = getattr(self, field)
+            if isinstance(values, str):   # "10" would read as the labels "1" and "0"
+                raise ValueError(f"column {self.name}: {field} must be a list of strings, got {values!r}")
+            setattr(self, field, tuple(values))
         if not isinstance(self.mutable, bool):   # a string such as "no" would be truthy
             raise ValueError(f"column {self.name}: mutable must be true or false, got {self.mutable!r}")
 

@@ -2,7 +2,7 @@
 
 Routing semantics everywhere: an observation goes right at a node iff
 ``x[feature] >= threshold`` and left otherwise. Leaf regions therefore tile
-the feature space; the epsilon-closed boxes returned by :func:`leaf_box`
+the feature space; the epsilon-closed boxes of :meth:`Forest.leaf_geometry`
 realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 """
 from __future__ import annotations
@@ -48,6 +48,11 @@ class FeatureMeta:
     hi: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"feature {self.index}: name must be a string, got {self.name!r}")
+        for end, value in (("lo", self.lo), ("hi", self.hi)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):   # JSON true is no number
+                raise ValueError(f"feature {self.name}: {end} must be a number, got {value!r}")
         if self.kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"feature {self.name}: unknown kind {self.kind!r}")
         if self.beneficial not in DIRECTIONS:
@@ -98,8 +103,8 @@ class Leaf:
 class Tree:
     """One proper binary tree. Immutable after construction.
 
-    ``paths`` maps each leaf id to the root-to-leaf path as a tuple of
-    ``(node_id, went_right)`` pairs (the left/right ancestor sets).
+    ``depth`` is the most splits on any root-to-leaf path; the paths themselves are
+    read off :attr:`Forest._leaf_paths`.
     """
 
     def __init__(self, root: int, nodes: list[Node], leaves: list[Leaf], weight: float = 1.0):
@@ -113,34 +118,30 @@ class Tree:
             raise ForestFormatError("duplicate node or leaf id")
         if set(self.nodes) & set(self.leaves):
             raise ForestFormatError("node and leaf ids must be disjoint")
-        self.paths = self._trace_paths()
-        self.depth = max((len(p) for p in self.paths.values()), default=0)
-
-    def _trace_paths(self) -> dict[int, tuple[tuple[int, bool], ...]]:
         if not self.leaves:
             raise ForestFormatError("tree has no leaves")
         if self.root not in self.nodes and self.root not in self.leaves:
             raise ForestFormatError(f"root id {self.root} undefined")
-        paths: dict[int, tuple[tuple[int, bool], ...]] = {}
+        # one walk from the root: no id reached twice, no dangling child, none unreached
+        self.depth = 0
         seen: set[int] = set()
-        stack: list[tuple[int, tuple[tuple[int, bool], ...]]] = [(self.root, ())]
+        stack = [(root, 0)]
         while stack:
-            ident, path = stack.pop()
+            ident, level = stack.pop()
             if ident in seen:
                 raise ForestFormatError(f"id {ident} reached twice (not a tree)")
             seen.add(ident)
             if ident in self.leaves:
-                paths[ident] = path
+                self.depth = max(self.depth, level)
                 continue
             node = self.nodes.get(ident)
             if node is None:
                 raise ForestFormatError(f"dangling child id {ident}")
-            stack.append((node.left, path + ((node.id, False),)))
-            stack.append((node.right, path + ((node.id, True),)))
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
         unreachable = (set(self.nodes) | set(self.leaves)) - seen
         if unreachable:
             raise ForestFormatError(f"unreachable ids {sorted(unreachable)}")
-        return paths
 
 
 class Forest:
@@ -237,7 +238,10 @@ class Forest:
             right[flat.right[frontier], k] = True
             frontier = children
         leaves = np.flatnonzero(flat.left == np.arange(n))
-        return _LeafPaths(leaves, node[leaves], right[leaves])
+        ends = np.cumsum([len(tree.leaves) for tree in self.trees]).tolist()
+        row = tuple(dict(zip(tree.leaves, range(end - len(tree.leaves), end)))
+                    for tree, end in zip(self.trees, ends))
+        return _LeafPaths(leaves, node[leaves], right[leaves], row)
 
     def predict_batch(self, X) -> np.ndarray:
         """Classes of the rows of X, exactly as :meth:`predict` gives them one at a time.
@@ -331,8 +335,7 @@ class LeafGeometry(NamedTuple):
     boxes: tuple[dict[int, tuple], ...]   # per tree, {leaf_id: box} of the leaves read so far
 
     def box(self, t: int, leaf_id: int) -> tuple[tuple[float, float], ...]:
-        """The box of leaf ``leaf_id`` of tree t: the (lo, hi) pairs :func:`leaf_box`
-        gives, one per feature."""
+        """The box of leaf ``leaf_id`` of tree t: one (lo, hi) pair per feature."""
         box = self.boxes[t].get(leaf_id)
         if box is None:
             g = self.bit[t][leaf_id].bit_length() - 1   # leaf g owns bit g
@@ -341,11 +344,13 @@ class LeafGeometry(NamedTuple):
 
 
 def _leaf_geometry(forest, epsilon) -> LeafGeometry:
-    trees, domains, flat = forest.trees, forest.domains, forest._flat
-    leaves, node, right = forest._leaf_paths
+    if not epsilon > 0:   # also rejects NaN, which would drop every left-branch bound
+        raise ValueError("epsilon must be positive")
+    domains, flat = forest.domains, forest._flat
+    leaves, node, right, ids = forest._leaf_paths
     n, d = len(leaves), len(domains)
     # (features, leaves): each bound starts at the domain and is tightened by every real
-    # step of the leaf's path that splits on its feature, as leaf_box tightens it
+    # step of the leaf's path that splits on its feature, as _raise_empty_box tightens it
     lo, hi = (np.repeat(np.array([dom[end] for dom in domains], dtype=float)[:, None], n, axis=1)
               for end in (0, 1))
     g, k = np.nonzero(node < len(flat.feature))
@@ -354,10 +359,9 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
     np.maximum.at(lo, (split[went_right], g[went_right]), threshold[went_right])
     went_left = ~went_right
     np.minimum.at(hi, (split[went_left], g[went_left]), threshold[went_left] - epsilon)
-    if not epsilon > 0 or (lo > hi).any():
-        for tree in trees:   # raises leaf_box's error for the first bad leaf
-            for leaf_id in tree.leaves:
-                leaf_box(tree, leaf_id, domains, epsilon)
+    empty = (lo > hi).any(axis=0)
+    if empty.any():
+        _raise_empty_box(forest, int(empty.argmax()), epsilon)
     owner = flat.tree[leaves]
     rows = []
     # a block of rows at a time, so that no n x n temporary is made. Closed intervals meet
@@ -377,15 +381,25 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
                 meets &= np.greater_equal(hi[j, a:b, None], lo[j], out=test)
         packed = np.packbits(meets, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    # leaves are numbered tree by tree, in each tree's leaf order; leaf g owns bit g
-    bits = [1 << i for i in range(n)]
-    bit, compatible, start = [], [], 0
-    for tree in trees:
-        end = start + len(tree.leaves)
-        bit.append(dict(zip(tree.leaves, bits[start:end])))
-        compatible.append(dict(zip(tree.leaves, rows[start:end])))
-        start = end
-    return LeafGeometry(tuple(bit), tuple(compatible), lo.T, hi.T, tuple({} for _ in trees))
+    # leaf g owns bit g
+    bit = tuple({leaf_id: 1 << g for leaf_id, g in tree.items()} for tree in ids)
+    compatible = tuple({leaf_id: rows[g] for leaf_id, g in tree.items()} for tree in ids)
+    return LeafGeometry(bit, compatible, lo.T, hi.T, tuple({} for _ in ids))
+
+
+def _raise_empty_box(forest, g, epsilon):
+    """Raise the DegenerateBoxError of leaf g, whose box epsilon empties: its path walked
+    from the root, one bound at a time, to the step that empties an interval."""
+    flat, paths = forest._flat, forest._leaf_paths
+    box = [list(dom) for dom in forest.domains]
+    for at, went_right in zip(paths.node[g].tolist(), paths.right[g].tolist()):
+        feature, threshold = flat.feature[at].item(), flat.threshold[at].item()
+        lo, hi = box[feature]
+        lo, hi = (max(lo, threshold), hi) if went_right else (lo, min(hi, threshold - epsilon))
+        if lo > hi:
+            raise DegenerateBoxError(f"leaf {flat.ident[paths.leaves[g]]}: feature {feature} "
+                                     f"interval [{lo}, {hi}] is empty")
+        box[feature] = [lo, hi]
 
 
 class SplitGaps(NamedTuple):
@@ -432,7 +446,7 @@ class TargetPaths(NamedTuple):
 
 def _target_paths(forest, target_class) -> TargetPaths:
     flat = forest._flat
-    leaves, node, right = forest._leaf_paths
+    leaves, node, right, _ = forest._leaf_paths
     owner, ident = flat.tree[leaves], flat.ident[leaves]
     rows = np.flatnonzero(flat.leaf_class[leaves] == target_class)
     rows = rows[np.lexsort((ident[rows], owner[rows]))]
@@ -597,6 +611,7 @@ class _LeafPaths(NamedTuple):
     leaves: np.ndarray   # [g]: leaf g's flat entry
     node: np.ndarray     # [g, k]: the flat entry of step k's node; len(flat) past the path's end
     right: np.ndarray    # [g, k]: the path goes right there (False past the end)
+    row: tuple[dict[int, int], ...]   # per tree, {leaf_id: its row g}
 
 
 def _target_wins(w_target, w_other, target):
@@ -614,31 +629,6 @@ def leaf_of(tree: Tree, x) -> int:
         node = tree.nodes[ident]
         ident = node.right if x[node.feature] >= node.threshold else node.left
     return ident
-
-
-def leaf_box(tree: Tree, leaf_id: int, domains, epsilon: float = DEFAULT_EPSILON):
-    """Axis-aligned closed box implied by a leaf's ancestor splits.
-
-    Right ancestors impose ``x >= threshold``; left ancestors impose
-    ``x <= threshold - epsilon``. Features absent from the path keep their
-    full domain.
-    """
-    if not epsilon > 0:   # also rejects NaN, which would drop every left-branch bound
-        raise ValueError("epsilon must be positive")
-    box = [list(dom) for dom in domains]
-    for node_id, went_right in tree.paths[leaf_id]:
-        node = tree.nodes[node_id]
-        lo, hi = box[node.feature]
-        if went_right:
-            lo = max(lo, node.threshold)
-        else:
-            hi = min(hi, node.threshold - epsilon)
-        if lo > hi:
-            raise DegenerateBoxError(
-                f"leaf {leaf_id}: feature {node.feature} interval [{lo}, {hi}] is empty"
-            )
-        box[node.feature] = [lo, hi]
-    return [(lo, hi) for lo, hi in box]
 
 
 def _intersect(box, other):

@@ -91,7 +91,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .forest import (DEFAULT_EPSILON, Forest, TargetPaths, _intersect, _target_wins,
-                     boxes_intersect, enumerate_effort_allocations, leaf_box, leaf_of)
+                     boxes_intersect, leaf_of)
 from .probability import NodeProbabilityTable
 
 MAX_PATH = "max_path"
@@ -101,7 +101,6 @@ MIN_DISTANCE = "min_distance"
 OBJECTIVES = (MAX_PATH, MIN_PATH, KAPPA_PATH, MIN_DISTANCE)
 
 _NEG_INF = float("-inf")
-ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
 STEP = 1.0   # nats the path search's threshold falls per pass
 _SCORE_BLOCK = 4096   # (tree, signature) pairs valued together when scoring allocations
 _FEW_PAIRS = 256   # up to this many pairs, a log per pair costs less than np.unique
@@ -208,11 +207,13 @@ def majority_threshold(num_trees: int) -> int:
 def path_probability(forest: Forest, tree_index: int, leaf_id: int,
                      table: NodeProbabilityTable, effort) -> float:
     """Product of effort-adjusted branch probabilities along the leaf's path."""
-    tree = forest.trees[tree_index]
+    flat, paths = forest._flat, forest._leaf_paths
+    g = paths.row[tree_index][leaf_id]
     prob = 1.0
-    for node_id, went_right in tree.paths[leaf_id]:
-        node = tree.nodes[node_id]
-        p = table.right_prob(tree_index, node_id, effort[node.feature])
+    for at, went_right in zip(paths.node[g].tolist(), paths.right[g].tolist()):
+        if at == len(flat.feature):   # past the path's end
+            break
+        p = table.right_prob(tree_index, flat.ident.item(at), effort[flat.feature.item(at)])
         prob *= p if went_right else 1.0 - p
     return prob
 
@@ -366,12 +367,6 @@ def _check_problem(forest: Forest, instance: ProblemInstance, table, config: Sol
     if table.E < instance.E:
         raise ValueError(f"table covers effort levels 0..{table.E}, instance needs {instance.E}")
     table.validate_against(forest)
-
-
-def _allocations(forest: Forest, instance: ProblemInstance):
-    """The instance's effort allocations: sum <= eta, levels 0..E, none on immutables."""
-    mask = [m.mutable for m in forest.feature_metas]
-    return enumerate_effort_allocations(forest.num_features, instance.E, instance.eta, mask)
 
 
 def _add_up(cur_log: float, logs) -> float:
@@ -895,115 +890,6 @@ def solve_min_distance(forest, instance, config=None) -> Solution:
         lambda run: dfs(run, 0, root_res, -1, 0.0, 0.0, measure(root_res)))
     del dfs   # it refers to itself: drop the cycle so the residuals are freed now, not by a gc
     return solution
-
-
-# --- brute-force oracle -------------------------------------------------------
-
-
-def brute_force_oracle(forest, instance, table, config) -> Solution:
-    """Exhaustive reference: every allocation x every leaf combination.
-
-    Reuses only the shared input check, value definitions (allocation
-    enumeration, path products) and solve record; the search itself is a
-    plain enumeration of full leaf combinations with empty-box skipping,
-    recomputing objectives from their definitions at every complete
-    combination. It has no time limit.
-    """
-    _check_problem(forest, instance, table, config)
-    allocations = list(_allocations(forest, instance))
-    combos = 1
-    for tree in forest.trees:
-        combos *= len(tree.leaves)
-    if combos * len(allocations) > ORACLE_CAP:
-        raise ValueError(f"oracle cap exceeded: {combos} combos x {len(allocations)} allocations")
-
-    boxes = _oracle_boxes(forest, instance.epsilon)
-    if config.objective == MIN_DISTANCE:
-        walk = functools.partial(_oracle_min_distance, forest, instance, config, boxes)
-    else:
-        walk = functools.partial(_oracle_path, forest, instance, table, config, allocations, boxes)
-    return _Run(forest, instance, config, lambda t, leaf: boxes[t][leaf]).finish(walk)
-
-
-def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> None:
-    m = majority_threshold(forest.num_trees)
-    target = instance.target_class
-    for effort in allocations:
-        # per-tree leaf probabilities and per-tree robust values, from definitions
-        leafprob = [
-            {leaf_id: path_probability(forest, t, leaf_id, table, effort)
-             for leaf_id in tree.leaves}
-            for t, tree in enumerate(forest.trees)
-        ]
-        tree_value, tree_eligible = [], []
-        for t, tree in enumerate(forest.trees):
-            pos = {l: p for l, p in leafprob[t].items()
-                   if tree.leaves[l].predicted_class == target}
-            if not pos:
-                tree_value.append(None)
-                tree_eligible.append(False)
-                continue
-            if config.objective == MIN_PATH:
-                tree_value.append(min(pos.values()))
-                tree_eligible.append(True)
-            elif config.objective == KAPPA_PATH:
-                theta = sorted(p if tree.leaves[l].predicted_class == target else 1.0
-                               for l, p in leafprob[t].items())
-                values = sorted(pos.values()) if config.positive_leaves_only else theta
-                idx = min(_resolve_kappa(config, len(tree.leaves)), len(values))
-                cum = math.fsum(values[: idx - 1])
-                tree_value.append(values[idx - 1])
-                tree_eligible.append(cum >= config.mu)
-            else:
-                tree_value.append(None)  # max_path uses the chosen leaf's probability
-                tree_eligible.append(True)
-
-        for combo, _ in _oracle_combinations(forest, boxes):
-            positive = [t for t, leaf_id in enumerate(combo)
-                        if forest.trees[t].leaves[leaf_id].predicted_class == target]
-            if config.objective == MAX_PATH:
-                scored = [(leafprob[t][combo[t]], t) for t in positive]
-            else:
-                scored = [(tree_value[t], t) for t in positive if tree_eligible[t]]
-            if len(scored) < m:
-                continue
-            top = sorted(scored, key=lambda s: (-s[0], s[1]))[:m]
-            log_obj = math.fsum(_log(v) for v, _ in top)
-            if run.best is None or log_obj > run.score:
-                run.keep(log_obj, dict(enumerate(combo)), effort, {t: v for v, t in top})
-
-
-def _oracle_boxes(forest, epsilon):
-    """The oracle's own leaf-box table, built from the definition, not the forest's cache."""
-    return [
-        {leaf_id: leaf_box(tree, leaf_id, forest.domains, epsilon) for leaf_id in tree.leaves}
-        for tree in forest.trees
-    ]
-
-
-def _oracle_combinations(forest, boxes):
-    """Every one-leaf-per-tree combination (a fresh list) with a nonempty joint box, and that box."""
-    def walk(t, box, combo):
-        if t == forest.num_trees:
-            yield combo, box
-            return
-        for leaf_id in sorted(forest.trees[t].leaves):
-            nb = _intersect(box, boxes[t][leaf_id])
-            if nb is not None:
-                yield from walk(t + 1, nb, combo + [leaf_id])
-
-    return walk(0, [tuple(dom) for dom in forest.domains], [])
-
-
-def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
-    weights = _distance_weights(forest, config)
-    for combo, box in _oracle_combinations(forest, boxes):
-        votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
-        if forest.vote(votes) != instance.target_class:
-            continue
-        dist = _distance(instance.x0, choose_point(box, instance.x0), weights, config.distance)
-        if run.best is None or dist < run.score:
-            run.keep(dist, dict(enumerate(combo)))
 
 
 # --- verification ---------------------------------------------------------------

@@ -25,14 +25,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_trees", "max_depth", "min_samples_split"):
+        for name in ("num_trees", "max_depth", "min_samples_split", "seed"):
             _check_count(name, getattr(self, name))
+        if not isinstance(self.bootstrap, bool):   # a string such as "no" would be truthy
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         if self.features_per_split is not None:
             _check_count("features_per_split", self.features_per_split)
             if self.features_per_split < 1:
                 raise ValueError("features_per_split must be None or at least 1")
-        if self.num_trees < 1 or self.max_depth < 1 or self.min_samples_split < 2:
-            raise ValueError("num_trees >= 1, max_depth >= 1, min_samples_split >= 2 required")
+        if self.num_trees < 1 or self.max_depth < 1 or self.min_samples_split < 2 or self.seed < 0:
+            raise ValueError("num_trees >= 1, max_depth >= 1, min_samples_split >= 2, seed >= 0 required")
 
 
 def _gini(counts) -> float:

@@ -3,19 +3,23 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from treeshift import (Dataset, FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable,
-                       PerturbationSpec, ProblemInstance, TrainConfig, Tree,
+from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, Dataset, FeatureMeta,
+                       Forest, Leaf, Node, NodeProbabilityTable, PerturbationSpec,
+                       ProblemInstance, Solution, TrainConfig, Tree,
                        estimate_node_probabilities, split, synth_generate, train)
-from treeshift.forest import (_GEOMETRY_BLOCK, _SIGNATURE_CHUNK, BINARY, ScoringPlan, TargetPaths,
-                              _unique_rows, enumerate_effort_allocations, forest_to_dict,
-                              leaf_box)
+from treeshift.forest import (_GEOMETRY_BLOCK, _SIGNATURE_CHUNK, BINARY, DEFAULT_EPSILON,
+                              DegenerateBoxError, ScoringPlan, TargetPaths, _intersect,
+                              _unique_rows, enumerate_effort_allocations, forest_to_dict)
 from treeshift.fixtures import firefighter_forest
+from treeshift.solver import (_Run, _check_problem, _distance, _resolve_kappa, choose_point,
+                              majority_threshold, path_probability)
 
 TABLE_E = 2  # tables always cover effort levels 0..2 so E-monotonicity can be probed
 
@@ -120,7 +124,7 @@ def _random_prob(rng) -> float:
 
 def oracle_agreement(case, objective, **config_kw):
     """Solve and brute-force one instance; returns (solver, oracle, config)."""
-    from treeshift import SolverConfig, brute_force_oracle, solve
+    from treeshift import SolverConfig, solve
 
     config = SolverConfig(objective=objective, **config_kw)
     solver_sol = solve(case.forest, case.instance, case.table, config)
@@ -409,12 +413,13 @@ def reference_leaf_geometry(trees, domains, epsilon):
 
 
 def reference_target_paths(trees, target_class):
-    """``Forest.target_paths`` from each tree's traced ``paths``, the reference for the
+    """``Forest.target_paths`` from each tree's ``trace_paths``, the reference for the
     paths read off the level-by-level walk."""
     leaves = tuple(tuple(sorted(leaf_id for leaf_id, leaf in tree.leaves.items()
                                 if leaf.predicted_class == target_class)) for tree in trees)
-    depth = max([1] + [trees[t].depth for t, ids in enumerate(leaves) if ids])
-    paths = [[(t, node_id, went_right) for node_id, went_right in trees[t].paths[leaf_id]]
+    traced = [trace_paths(tree) for tree in trees]
+    depth = max([1] + [max(map(len, traced[t].values())) for t, ids in enumerate(leaves) if ids])
+    paths = [[(t, node_id, went_right) for node_id, went_right in traced[t][leaf_id]]
              for t, ids in enumerate(leaves) for leaf_id in ids]
     nodes = tuple(dict.fromkeys((t, node_id) for path in paths for t, node_id, _ in path))
     position = {key: i for i, key in enumerate(nodes)}
@@ -505,3 +510,170 @@ def reference_steps(paths, leaf, level, E):
             step[k, s] = (node if paths.right[row, k] else n + 1 + node) * width + e
     return step
 
+
+
+# --- paths, boxes and the brute-force oracle -------------------------------------
+
+
+def trace_paths(tree: Tree) -> dict[int, tuple[tuple[int, bool], ...]]:
+    """Each leaf's root-to-leaf path as ``(node_id, went_right)`` pairs, traced depth first
+    through the tree's node dicts: the reference for the paths ``Forest._leaf_paths``
+    reads off its level-by-level walk."""
+    paths = {}
+    stack = [(tree.root, ())]
+    while stack:
+        ident, path = stack.pop()
+        if ident in tree.leaves:
+            paths[ident] = path
+            continue
+        node = tree.nodes[ident]
+        stack.append((node.left, path + ((ident, False),)))
+        stack.append((node.right, path + ((ident, True),)))
+    return paths
+
+
+def leaf_box(tree: Tree, leaf_id: int, domains, epsilon: float = DEFAULT_EPSILON):
+    """Axis-aligned closed box implied by a leaf's ancestor splits, the oracle's own box
+    builder and the reference for ``Forest.leaf_geometry``.
+
+    Right ancestors impose ``x >= threshold``; left ancestors impose
+    ``x <= threshold - epsilon``. Features absent from the path keep their
+    full domain.
+    """
+    if not epsilon > 0:   # also rejects NaN, which would drop every left-branch bound
+        raise ValueError("epsilon must be positive")
+    box = [list(dom) for dom in domains]
+    for node_id, went_right in trace_paths(tree)[leaf_id]:
+        node = tree.nodes[node_id]
+        lo, hi = box[node.feature]
+        if went_right:
+            lo = max(lo, node.threshold)
+        else:
+            hi = min(hi, node.threshold - epsilon)
+        if lo > hi:
+            raise DegenerateBoxError(
+                f"leaf {leaf_id}: feature {node.feature} interval [{lo}, {hi}] is empty"
+            )
+        box[node.feature] = [lo, hi]
+    return [(lo, hi) for lo, hi in box]
+
+
+ORACLE_CAP = 2_000_000   # most allocations x leaf combinations the exhaustive oracle walks
+
+
+def brute_force_oracle(forest, instance, table, config) -> Solution:
+    """Exhaustive reference: every allocation x every leaf combination.
+
+    Shares with the solver only the input check, path products and solve record;
+    allocations, leaf boxes and the search are its own: a plain enumeration of full
+    leaf combinations with empty-box skipping, recomputing objectives from their
+    definitions at every complete combination. It has no time limit.
+    """
+    _check_problem(forest, instance, table, config)
+    allocations = _allocations(forest, instance)
+    combos = 1
+    for tree in forest.trees:
+        combos *= len(tree.leaves)
+    if combos * len(allocations) > ORACLE_CAP:
+        raise ValueError(f"oracle cap exceeded: {combos} combos x {len(allocations)} allocations")
+
+    boxes = _oracle_boxes(forest, instance.epsilon)
+    if config.objective == MIN_DISTANCE:
+        walk = functools.partial(_oracle_min_distance, forest, instance, config, boxes)
+    else:
+        walk = functools.partial(_oracle_path, forest, instance, table, config, allocations, boxes)
+    return _Run(forest, instance, config, lambda t, leaf: boxes[t][leaf]).finish(walk)
+
+
+def _allocations(forest, instance):
+    """The instance's effort allocations in lexicographic order: levels 0..E, none on
+    immutables, sum <= eta."""
+    levels = [range(instance.E + 1) if meta.mutable else (0,) for meta in forest.feature_metas]
+    return [effort for effort in itertools.product(*levels) if sum(effort) <= instance.eta]
+
+
+def _oracle_log(v: float) -> float:
+    return math.log(v) if v > 0.0 else float("-inf")
+
+
+def _oracle_path(forest, instance, table, config, allocations, boxes, run) -> None:
+    m = majority_threshold(forest.num_trees)
+    target = instance.target_class
+    for effort in allocations:
+        # per-tree leaf probabilities and per-tree robust values, from definitions
+        leafprob = [
+            {leaf_id: path_probability(forest, t, leaf_id, table, effort)
+             for leaf_id in tree.leaves}
+            for t, tree in enumerate(forest.trees)
+        ]
+        tree_value, tree_eligible = [], []
+        for t, tree in enumerate(forest.trees):
+            pos = {l: p for l, p in leafprob[t].items()
+                   if tree.leaves[l].predicted_class == target}
+            if not pos:
+                tree_value.append(None)
+                tree_eligible.append(False)
+                continue
+            if config.objective == MIN_PATH:
+                tree_value.append(min(pos.values()))
+                tree_eligible.append(True)
+            elif config.objective == KAPPA_PATH:
+                theta = sorted(p if tree.leaves[l].predicted_class == target else 1.0
+                               for l, p in leafprob[t].items())
+                values = sorted(pos.values()) if config.positive_leaves_only else theta
+                idx = min(_resolve_kappa(config, len(tree.leaves)), len(values))
+                cum = math.fsum(values[: idx - 1])
+                tree_value.append(values[idx - 1])
+                tree_eligible.append(cum >= config.mu)
+            else:
+                tree_value.append(None)  # max_path uses the chosen leaf's probability
+                tree_eligible.append(True)
+
+        for combo, _ in _oracle_combinations(forest, boxes):
+            positive = [t for t, leaf_id in enumerate(combo)
+                        if forest.trees[t].leaves[leaf_id].predicted_class == target]
+            if config.objective == MAX_PATH:
+                scored = [(leafprob[t][combo[t]], t) for t in positive]
+            else:
+                scored = [(tree_value[t], t) for t in positive if tree_eligible[t]]
+            if len(scored) < m:
+                continue
+            top = sorted(scored, key=lambda s: (-s[0], s[1]))[:m]
+            log_obj = math.fsum(_oracle_log(v) for v, _ in top)
+            if run.best is None or log_obj > run.score:
+                run.keep(log_obj, dict(enumerate(combo)), effort, {t: v for v, t in top})
+
+
+def _oracle_boxes(forest, epsilon):
+    """The oracle's own leaf-box table, built from the definition, not the forest's cache."""
+    return [
+        {leaf_id: leaf_box(tree, leaf_id, forest.domains, epsilon) for leaf_id in tree.leaves}
+        for tree in forest.trees
+    ]
+
+
+def _oracle_combinations(forest, boxes):
+    """Every one-leaf-per-tree combination (a fresh list) with a nonempty joint box, and that box."""
+    def walk(t, box, combo):
+        if t == forest.num_trees:
+            yield combo, box
+            return
+        for leaf_id in sorted(forest.trees[t].leaves):
+            nb = _intersect(box, boxes[t][leaf_id])
+            if nb is not None:
+                yield from walk(t + 1, nb, combo + [leaf_id])
+
+    return walk(0, [tuple(dom) for dom in forest.domains], [])
+
+
+def _oracle_min_distance(forest, instance, config, boxes, run) -> None:
+    weights = config.distance_weights
+    if weights is None:
+        weights = (1.0,) * forest.num_features
+    for combo, box in _oracle_combinations(forest, boxes):
+        votes = [forest.trees[i].leaves[l].predicted_class for i, l in enumerate(combo)]
+        if forest.vote(votes) != instance.target_class:
+            continue
+        dist = _distance(instance.x0, choose_point(box, instance.x0), weights, config.distance)
+        if run.best is None or dist < run.score:
+            run.keep(dist, dict(enumerate(combo)))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from treeshift import Solution
+from treeshift.fixtures import firefighter_forest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -22,6 +23,17 @@ def test_bench_modules_import_and_gate_self_test_passes(monkeypatch):
     import workloads  # noqa: F401  (imports every treeshift name the workloads call)
 
     assert gate.self_test() == []
+
+
+def test_bench_counts_the_forest_it_reads(monkeypatch):
+    # the workloads count nodes and used features through Tree.nodes, Tree.leaves and
+    # Node.feature; the firefighter forest has 3 nodes and 4 leaves over 2 features
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    forest = firefighter_forest()
+    assert (workloads.forest_size(forest), workloads.used_features(forest)) == (7, 2)
 
 
 def test_solution_document_has_the_keys_bench_reads():

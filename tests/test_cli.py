@@ -491,6 +491,33 @@ _BAD_FILES = {
         "forest.json",
         firefighter_forest_json(feature_0={"kind": "ordinal"}),
         "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest feature whose name is a number": (
+        "forest.json",
+        firefighter_forest_json(feature_0={"name": 5}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest feature whose domain is false to true": (
+        "forest.json",
+        firefighter_forest_json(feature_0={"lo": False, "hi": True}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "forest feature whose domain is strings": (
+        "forest.json",
+        firefighter_forest_json(feature_0={"lo": "0", "hi": "1"}),
+        "rank --forest {bad} --random --eta 1 -o {out}"),
+    "schema positive_labels that is a string": (
+        "schema.json", '{"columns": [{"name": "S", "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": "10"}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema drop_values that is a string": (
+        "schema.json", '{"columns": [{"name": "S", "beneficial": "increase", "drop_values": "0.5"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "schema drop_labels that is a string": (
+        "schema.json", '{"columns": [{"name": "S", "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"], "drop_labels": "2"}]}',
+        "train --data {data} --schema {bad} -o {out}"),
     "table probability of 1.5": (
         "table.json",
         json.dumps(firefighter_table().to_dict()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeshift import (MAX_PATH, FeatureMeta, FeaturePerturbation, Forest, Leaf, Node,
-                       PerturbationSpec, ProblemInstance, SimReport, SolverConfig, Tree,
+                       PerturbationSpec, ProblemInstance, SolverConfig, Tree,
                        TrainConfig, estimate_node_probabilities, feasible_baseline,
                        simulate_cohort, solve, split, synth_generate, train)
 
@@ -163,23 +163,3 @@ def test_effort_beats_no_effort_directionally():
         rates_none.append(simulate_cohort(forest, cohort, 0, set(), spec,
                                           n_reps=30, seed=seed).percent)
     assert np.mean(rates_all) >= np.mean(rates_none)
-
-
-# --- report arithmetic -----------------------------------------------------------
-
-
-def test_report_reproduces_published_pair():
-    report = SimReport(raw={("50%-path", 4): 31.81}, baseline=34.53)
-    assert report.normalized[("50%-path", 4)] == pytest.approx(92.12, abs=0.05)
-
-
-def test_report_zero_raw_normalizes_to_zero():
-    report = SimReport(raw={("m", 1): 0.0}, baseline=34.53)
-    assert report.normalized[("m", 1)] == 0.0
-
-
-def test_report_zero_baseline_omits_normalized():
-    with pytest.warns(UserWarning):
-        report = SimReport(raw={("m", 1): 10.0}, baseline=0.0)
-    assert report.normalized == {}
-

@@ -9,13 +9,13 @@ import pytest
 
 from treeshift import (MAX_PATH, MIN_DISTANCE, DegenerateBoxError, FeatureMeta, Forest,
                        ForestFormatError, Leaf, Node, ProblemInstance, SolverConfig, Tree,
-                       boxes_intersect, forest_from_dict, forest_to_dict, leaf_box,
+                       boxes_intersect, forest_from_dict, forest_to_dict,
                        leaf_of, load_forest, solve)
 from treeshift.forest import _intersect
 from treeshift.fixtures import (LEAF_NO_LEFT, LEAF_YES_LEFT, LEAF_YES_RIGHT,
                                 firefighter_forest)
 
-from helpers import (_grow_random_tree, firefighter_forest_json, make_random_instance,
+from helpers import (_grow_random_tree, firefighter_forest_json, leaf_box, make_random_instance,
                      make_weighted_distance_case)
 
 UNIT = [(0.0, 1.0), (0.0, 1.0)]
@@ -317,6 +317,14 @@ def _without_threshold(doc):
     return json.dumps(doc)
 
 
+def _with_detached_cycle(doc):
+    """Node 7 is its own right child and leaf 8 its left; neither hangs below the root."""
+    tree = doc["trees"][0]
+    tree["nodes"].append({"id": 7, "feature": 0, "threshold": 0.5, "left": 8, "right": 7})
+    tree["leaves"].append({"id": 8, "class": 0})
+    return json.dumps(doc)
+
+
 _S = "feature S: "
 
 
@@ -362,6 +370,14 @@ _S = "feature S: "
     (firefighter_forest_json(node_0={"right": False}),
      "tree 0: node 0: right must be an integer, got False"),
     (firefighter_forest_json(leaf_1={"id": 4.0}), "tree 0: leaf 4.0: id must be an integer, got 4.0"),
+    (firefighter_forest_json(node_2={"right": 0}), "tree 0: id 0 reached twice (not a tree)"),
+    (_with_detached_cycle(forest_to_dict(firefighter_forest())), "tree 0: unreachable ids [7, 8]"),
+    (firefighter_forest_json(node_2={"left": 6}), "tree 0: id 6 reached twice (not a tree)"),
+    (firefighter_forest_json(feature_0={"name": 5}), "feature 0: name must be a string, got 5"),
+    (firefighter_forest_json(feature_0={"lo": False, "hi": True}),
+     _S + "lo must be a number, got False"),
+    (firefighter_forest_json(feature_0={"lo": "0", "hi": "1"}), _S + "lo must be a number, got '0'"),
+    (firefighter_forest_json(feature_0={"hi": None}), _S + "hi must be a number, got None"),
 ], ids=["not JSON", "no num_features", "not an object", "node without threshold",
         "unknown kind", "unknown direction", "binary domain", "empty domain",
         "mutable without direction", "binary direction", "continuous direction",
@@ -369,7 +385,9 @@ _S = "feature S: "
         "no trees", "features out of order", "feature out of range",
         "threshold outside the domain", "num_features mismatch", "unknown field",
         "class true", "class 1.0", "threshold string", "weight string", "weight true",
-        "feature true", "root 0.0", "node id 0.0", "left 3.0", "right false", "leaf id 4.0"])
+        "feature true", "root 0.0", "node id 0.0", "left 3.0", "right false", "leaf id 4.0",
+        "cycle through the root", "cycle detached from the root", "child of both sides",
+        "name a number", "domain false to true", "domain strings", "hi null"])
 def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "f.json"
     path.write_text(text)

@@ -3,7 +3,7 @@
 ``Forest.leaf_geometry`` and ``Forest.target_paths`` read every leaf's path off one
 numpy walk down the flat node arrays, and ``Forest.scoring_plan`` keys the
 signatures of all trees at once. ``helpers`` keeps the builders they replaced: one
-``leaf_box`` call per leaf, each tree's traced ``paths`` and one ``np.unique`` key
+``leaf_box`` call per leaf, each tree's ``trace_paths`` and one ``np.unique`` key
 per tree. These tests hold the caches to them with ``==`` on every box, bitset,
 array and dtype, and to the same error text where an epsilon empties a box.
 """
@@ -15,7 +15,7 @@ from treeshift import (DegenerateBoxError, FeatureMeta, Forest, Leaf, Node, Trai
 from treeshift.forest import _DENSE_KEYS, _unique_rows
 
 from helpers import (_grow_random_tree, make_random_instance, reference_leaf_geometry,
-                     reference_scoring_plan, reference_target_paths)
+                     reference_scoring_plan, reference_target_paths, trace_paths)
 
 
 def _shuffled(forest, seed):
@@ -127,6 +127,12 @@ def test_an_emptied_box_keeps_leaf_box_error():
     with pytest.raises(DegenerateBoxError) as err:
         forest.leaf_geometry(0.02)
     assert str(err.value) == f"leaf 3: feature 0 interval [0.5, {0.51 - 0.02}] is empty"
+
+
+def test_tree_depth_is_the_longest_traced_path():
+    for forest in _forests():
+        for tree in forest.trees:
+            assert tree.depth == max(map(len, trace_paths(tree).values()))
 
 
 def test_target_paths_are_the_traced_paths():

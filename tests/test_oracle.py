@@ -10,11 +10,11 @@ import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, DegenerateBoxError,
                        FeatureMeta, Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
-                       SolverConfig, Tree, brute_force_oracle, leaf_of, objectives_close, solve,
+                       SolverConfig, Tree, leaf_of, objectives_close, solve,
                        solve_min_distance, solver, verify_solution)
 
-from helpers import (DECIMAL_TREE_WEIGHTS, assert_matches_oracle, make_random_instance,
-                     make_weighted_distance_case, per_tree_value_chain)
+from helpers import (DECIMAL_TREE_WEIGHTS, assert_matches_oracle, brute_force_oracle,
+                     make_random_instance, make_weighted_distance_case, per_tree_value_chain)
 
 SEEDS = range(25)
 

@@ -31,7 +31,7 @@ from treeshift.solver import (_add_up, _bounds, _consecutive_slots, _log, _path_
                               _resolve_kappa, _score_pairs, _tree_values)
 
 from helpers import (assert_matches_oracle, ladder_rung, make_random_instance,
-                     reference_steps, reference_tree_value)
+                     reference_steps, reference_tree_value, trace_paths)
 
 
 def _products(table, paths, E):
@@ -171,6 +171,7 @@ def _assert_plan_groups(forest, plan, target_class, E):
     path), each signature once, whose steps are ``reference_steps``'."""
     paths = forest.target_paths(target_class)
     depth = paths.node.shape[1]
+    traced = [trace_paths(tree) for tree in forest.trees]
     signatures = {}
     for a, effort in enumerate(plan.allocations):
         row = 0
@@ -178,7 +179,7 @@ def _assert_plan_groups(forest, plan, target_class, E):
             slot = plan.slot[plan.pair[a, t]].tolist()
             assert all(s == -1 for s in slot[len(ids):])
             for k, leaf_id in enumerate(ids):
-                path = forest.trees[t].paths[leaf_id]
+                path = traced[t][leaf_id]
                 levels = [effort[forest.trees[t].nodes[node_id].feature] for node_id, _ in path]
                 key = (row + k, tuple(levels + [0] * (depth - len(path))))
                 assert signatures.setdefault(key, slot[k]) == slot[k]
@@ -191,7 +192,7 @@ def _assert_plan_groups(forest, plan, target_class, E):
         features = sorted({tree.nodes[node_id].feature
                            for leaf_id, leaf in tree.leaves.items()
                            if leaf.predicted_class == target_class
-                           for node_id, _ in tree.paths[leaf_id]})
+                           for node_id, _ in traced[t][leaf_id]})
         groups = {}
         for effort, p in zip(plan.allocations, plan.pair[:, t].tolist()):
             assert plan.tree[p] == t

@@ -8,7 +8,7 @@ import pytest
 
 from treeshift import (KAPPA_PATH, MAX_PATH, MIN_DISTANCE, MIN_PATH, FeatureMeta,
                        Forest, Leaf, Node, NodeProbabilityTable, ProblemInstance,
-                       SolverConfig, Tree, boxes_intersect, brute_force_oracle,
+                       SolverConfig, Tree, boxes_intersect,
                        choose_point, enumerate_effort_allocations, evaluate_allocation,
                        objectives_close, path_probability, solve, solve_kappa_path,
                        solve_max_path, solve_min_distance, solve_min_path, verify_solution)
@@ -17,8 +17,8 @@ from treeshift.solver import (_MEASURES, _UPPER_BOUNDS, STEP, _add_up, _consecut
                               _distance, _leaf_residuals, _resolve_kappa, _sure_below,
                               _swapped_at_most, _tree_values, majority_threshold)
 
-from helpers import (assert_matches_oracle, make_random_instance, reference_tree_value,
-                     with_a_fixed)
+from helpers import (assert_matches_oracle, brute_force_oracle, make_random_instance,
+                     reference_tree_value, with_a_fixed)
 
 TOL = 1e-9
 
@@ -321,7 +321,7 @@ def test_oracle_firefighter_max_path(firefighter, firefighter_instance):
 
 def test_oracle_refuses_above_cap(firefighter, firefighter_instance, monkeypatch):
     forest, table = firefighter
-    monkeypatch.setattr("treeshift.solver.ORACLE_CAP", 2)
+    monkeypatch.setattr("helpers.ORACLE_CAP", 2)
     with pytest.raises(ValueError):
         brute_force_oracle(forest, firefighter_instance, table, _cfg(MAX_PATH))
 

@@ -48,6 +48,10 @@ def test_labels_outside_zero_one_rejected(label):
     ("num_trees", 2.0, "num_trees must be an integer"),
     ("max_depth", 3.5, "max_depth must be an integer"),
     ("min_samples_split", "2", "min_samples_split must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed >= 0 required"),
+    ("bootstrap", "no", "bootstrap must be true or false"),
+    ("bootstrap", 0, "bootstrap must be true or false"),
 ])
 def test_train_config_rejects_bad_counts(field, value, message):
     with pytest.raises(ValueError, match=message):
