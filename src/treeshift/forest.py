@@ -101,11 +101,8 @@ class Leaf:
 
 
 class Tree:
-    """One proper binary tree. Immutable after construction.
-
-    ``depth`` is the most splits on any root-to-leaf path; the paths themselves are
-    read off :attr:`Forest._leaf_paths`.
-    """
+    """One proper binary tree, immutable after construction; its leaves' paths are read
+    off ``Forest._leaf_paths``, and ``depth`` is the longest one's number of splits."""
 
     def __init__(self, root: int, nodes: list[Node], leaves: list[Leaf], weight: float = 1.0):
         if not 0 <= weight < math.inf:
@@ -243,6 +240,13 @@ class Forest:
                     for tree, end in zip(self.trees, ends))
         return _LeafPaths(leaves, node[leaves], right[leaves], row)
 
+    @cached_property
+    def _path_lists(self) -> tuple[list, list, list, list]:
+        """``_leaf_paths.node`` and ``.right`` and the flat entries' node ids and features as
+        Python lists, for reads one step at a time."""
+        flat, paths = self._flat, self._leaf_paths
+        return paths.node.tolist(), paths.right.tolist(), flat.ident.tolist(), flat.feature.tolist()
+
     def predict_batch(self, X) -> np.ndarray:
         """Classes of the rows of X, exactly as :meth:`predict` gives them one at a time.
 
@@ -350,7 +354,7 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
     leaves, node, right, ids = forest._leaf_paths
     n, d = len(leaves), len(domains)
     # (features, leaves): each bound starts at the domain and is tightened by every real
-    # step of the leaf's path that splits on its feature, as _raise_empty_box tightens it
+    # step of the leaf's path that splits on its feature
     lo, hi = (np.repeat(np.array([dom[end] for dom in domains], dtype=float)[:, None], n, axis=1)
               for end in (0, 1))
     g, k = np.nonzero(node < len(flat.feature))
@@ -360,8 +364,15 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
     went_left = ~went_right
     np.minimum.at(hi, (split[went_left], g[went_left]), threshold[went_left] - epsilon)
     empty = (lo > hi).any(axis=0)
-    if empty.any():
-        _raise_empty_box(forest, int(empty.argmax()), epsilon)
+    if empty.any():   # walk the first emptied leaf's path again, one bound at a time
+        first, box = int(empty.argmax()), [list(dom) for dom in domains]
+        for at, went_right in zip(node[first].tolist(), right[first].tolist()):
+            j, cut = flat.feature[at].item(), flat.threshold[at].item()
+            low, high = box[j]
+            box[j] = low, high = (max(low, cut), high) if went_right else (low, min(high, cut - epsilon))
+            if low > high:
+                raise DegenerateBoxError(f"leaf {flat.ident[leaves[first]]}: feature {j} "
+                                         f"interval [{low}, {high}] is empty")
     owner = flat.tree[leaves]
     rows = []
     # a block of rows at a time, so that no n x n temporary is made. Closed intervals meet
@@ -385,21 +396,6 @@ def _leaf_geometry(forest, epsilon) -> LeafGeometry:
     bit = tuple({leaf_id: 1 << g for leaf_id, g in tree.items()} for tree in ids)
     compatible = tuple({leaf_id: rows[g] for leaf_id, g in tree.items()} for tree in ids)
     return LeafGeometry(bit, compatible, lo.T, hi.T, tuple({} for _ in ids))
-
-
-def _raise_empty_box(forest, g, epsilon):
-    """Raise the DegenerateBoxError of leaf g, whose box epsilon empties: its path walked
-    from the root, one bound at a time, to the step that empties an interval."""
-    flat, paths = forest._flat, forest._leaf_paths
-    box = [list(dom) for dom in forest.domains]
-    for at, went_right in zip(paths.node[g].tolist(), paths.right[g].tolist()):
-        feature, threshold = flat.feature[at].item(), flat.threshold[at].item()
-        lo, hi = box[feature]
-        lo, hi = (max(lo, threshold), hi) if went_right else (lo, min(hi, threshold - epsilon))
-        if lo > hi:
-            raise DegenerateBoxError(f"leaf {flat.ident[paths.leaves[g]]}: feature {feature} "
-                                     f"interval [{lo}, {hi}] is empty")
-        box[feature] = [lo, hi]
 
 
 class SplitGaps(NamedTuple):

@@ -207,13 +207,13 @@ def majority_threshold(num_trees: int) -> int:
 def path_probability(forest: Forest, tree_index: int, leaf_id: int,
                      table: NodeProbabilityTable, effort) -> float:
     """Product of effort-adjusted branch probabilities along the leaf's path."""
-    flat, paths = forest._flat, forest._leaf_paths
-    g = paths.row[tree_index][leaf_id]
+    node, right, ident, feature = forest._path_lists
+    g = forest._leaf_paths.row[tree_index][leaf_id]
     prob = 1.0
-    for at, went_right in zip(paths.node[g].tolist(), paths.right[g].tolist()):
-        if at == len(flat.feature):   # past the path's end
+    for at, went_right in zip(node[g], right[g]):
+        if at == len(ident):   # past the path's end
             break
-        p = table.right_prob(tree_index, flat.ident.item(at), effort[flat.feature.item(at)])
+        p = table.right_prob(tree_index, ident[at], effort[feature[at]])
         prob *= p if went_right else 1.0 - p
     return prob
 

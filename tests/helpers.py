@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random instances sized for exhaustive oracles."""
+"""Shared test utilities: seeded random instances sized for exhaustive oracles, the
+brute-force oracle itself and the reference builders the forest caches are held to."""
 from __future__ import annotations
 
 import csv
@@ -509,7 +510,6 @@ def reference_steps(paths, leaf, level, E):
             node = int(paths.node[row, k])
             step[k, s] = (node if paths.right[row, k] else n + 1 + node) * width + e
     return step
-
 
 
 # --- paths, boxes and the brute-force oracle -------------------------------------

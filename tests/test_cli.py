@@ -499,10 +499,6 @@ _BAD_FILES = {
         "forest.json",
         firefighter_forest_json(feature_0={"lo": False, "hi": True}),
         "rank --forest {bad} --random --eta 1 -o {out}"),
-    "forest feature whose domain is strings": (
-        "forest.json",
-        firefighter_forest_json(feature_0={"lo": "0", "hi": "1"}),
-        "rank --forest {bad} --random --eta 1 -o {out}"),
     "schema positive_labels that is a string": (
         "schema.json", '{"columns": [{"name": "S", "beneficial": "increase"}, '
         '{"name": "A", "beneficial": "increase"}, '
