@@ -8,6 +8,7 @@ realize the strict left-branch inequality as ``x <= threshold - epsilon``.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -235,9 +236,8 @@ class Forest:
             right[flat.right[frontier], k] = True
             frontier = children
         leaves = np.flatnonzero(flat.left == np.arange(n))
-        ends = np.cumsum([len(tree.leaves) for tree in self.trees]).tolist()
-        row = tuple(dict(zip(tree.leaves, range(end - len(tree.leaves), end)))
-                    for tree, end in zip(self.trees, ends))
+        count = itertools.count()   # zip stops at a tree's last leaf without drawing from it
+        row = tuple(dict(zip(tree.leaves, count)) for tree in self.trees)
         return _LeafPaths(leaves, node[leaves], right[leaves], row)
 
     @cached_property
