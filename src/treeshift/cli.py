@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .cohort import feasible_baseline, simulate_cohort
 from .data import DatasetSchema, load_csv
-from .documents import read_json, write_csv, write_json
+from .documents import read_json, typed_fields, write_csv, write_json
 from .forest import load_forest, save_forest
 from .probability import (PerturbationSpec, estimate_node_probabilities,
                           load_table, save_table)
@@ -51,7 +51,7 @@ def _sha256(path) -> str:
 _INPUTS = ("forest", "data", "schema", "probs", "solutions", "importances", "ranking")
 
 
-def _write_manifest(args, argv, started) -> None:
+def _write_manifest(args, argv: tuple[str, ...], started) -> None:
     """Write ``<output>.manifest.json`` for a command's ``args``: its argv, seed, and the
     digest of each input it names that is a file."""
     inputs = [getattr(args, name, None) for name in _INPUTS]
@@ -180,10 +180,9 @@ def _cmd_shift(args) -> int:
 
 def _ranked_solution(doc) -> Solution:
     """A solution document's status and effort, as ``effort_ranking`` reads them."""
-    status, effort = doc["status"], doc.get("effort")
-    if effort is not None and not (isinstance(effort, list) and all(
-            type(e) is int and e >= 0 for e in effort)):
-        raise ValueError("bad field 'effort': not null or a list of nonnegative integers")
+    (status,), (effort,) = typed_fields(Solution, [doc], "", ("status", "effort")).values()
+    if effort and min(effort) < 0:
+        raise ValueError(f"effort must be nonnegative, got {effort!r}")
     return Solution(status, effort=tuple(effort) if effort else None)
 
 
@@ -274,14 +273,9 @@ def _cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _manifest_argv(manifest) -> list[str]:
-    if isinstance(argv := manifest["argv"], list) and all(isinstance(a, str) for a in argv):
-        return argv
-    raise TypeError("'argv' is not a list of strings")
-
-
 def _cmd_replay(args) -> int:
-    replayed = read_json(args.manifest, _manifest_argv)
+    replayed = read_json(args.manifest, lambda manifest: typed_fields(
+        _write_manifest, [manifest], "", ("argv",))["argv"][0])
     print(f"replaying: treeshift {' '.join(replayed)}")
     return main(replayed)
 

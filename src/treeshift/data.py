@@ -13,7 +13,7 @@ from itertools import compress
 
 import numpy as np
 
-from .documents import read_csv, read_json
+from .documents import read_csv, read_json, typed_fields
 from .forest import BINARY, CONTINUOUS, FeatureMeta
 
 
@@ -30,13 +30,10 @@ class ColumnSpec:
     drop_labels: tuple[str, ...] = ()            # target column: rows with these labels removed
 
     def __post_init__(self):
-        for field in ("positive_labels", "drop_values", "drop_labels"):
-            values = getattr(self, field)
-            if isinstance(values, str):   # "10" would read as the labels "1" and "0"
-                raise ValueError(f"column {self.name}: {field} must be a list of strings, got {values!r}")
-            setattr(self, field, tuple(values))
-        if not isinstance(self.mutable, bool):   # a string such as "no" would be truthy
-            raise ValueError(f"column {self.name}: mutable must be true or false, got {self.mutable!r}")
+        for field, (value,) in typed_fields(ColumnSpec, [vars(self)], "column {name}: ").items():
+            setattr(self, field, value)
+        if self.role not in ("feature", "target", "drop"):   # the column would be dropped
+            raise ValueError(f"column {self.name}: unknown role {self.role!r}")
 
 
 @dataclass
@@ -83,16 +80,11 @@ def _float_recode(c: ColumnSpec) -> dict[str, float] | None:
     recode = {"0": 0, "1": 1} if c.recode is None and c.kind == BINARY else c.recode
     if recode is None:
         return None
-    if not isinstance(recode, dict):
-        raise ValueError(f"column {c.name}: recode must be an object of numbers or null, got {recode!r}")
-    numbers = {}
+    numbers = {key: float(value) for key, value in recode.items() if key != ""}
     for key, value in recode.items():
-        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)   # JSON true is no number
-        numbers[key] = number = float(value) if is_number else math.nan
-        if not math.isfinite(number):   # a NaN would spoil the column's normalization
+        if not math.isfinite(value):   # a NaN would spoil the column's normalization
             raise ValueError(f"column {c.name}: recode value {value!r} for {key!r} "
                              "is not a finite number")
-    numbers.pop("", None)
     if c.kind == BINARY and not set(numbers.values()) <= {0.0, 1.0}:
         raise ValueError(f"binary column {c.name} recodes outside {{0, 1}}")
     return numbers

@@ -5,12 +5,59 @@ equal documents are equal bytes. A reader hands the decoded document to its
 ``parse`` step and names the file in every rejection: ``read_json`` raises its
 ``error`` for a ValueError, KeyError or TypeError from decoding or ``parse``
 (a KeyError or TypeError being a missing or bad field), ``read_csv`` a
-ValueError for a ValueError or ``csv.Error``.
+ValueError for a ValueError or ``csv.Error``; ``typed_fields`` types each field.
 """
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+from functools import cache
+from itertools import chain
+from operator import itemgetter, methodcaller
+
+
+_KINDS = {   # annotation: what a rejection calls it, the types of a value and of its items (list
+             # elements, object values), and what a value becomes (None: itself) without and with an int seen
+    int: ("an integer", {int}, None, (None, None)),
+    float: ("a number", {int, float}, None, (None, float)),
+    str: ("a string", {str}, None, (None, None)),
+    bool: ("true or false", {bool}, None, (None, None)),
+    tuple[str, ...]: ("a list of strings", {list, tuple}, {str}, (tuple, tuple)),
+    tuple[int, ...] | None: ("a list of integers, or null", {list, type(None)}, {int}, (None, None)),
+    tuple[float, ...]: ("a list of numbers", {list, tuple}, {int, float},
+                        (tuple, lambda value: tuple(map(float, value)))),
+    dict[str, float] | None: ("an object of numbers, or null", {dict, type(None)}, {int, float}, (None, None)),
+}
+
+
+@cache
+def _fields(cls, names) -> list[tuple]:
+    """(name, getter from a record, *_KINDS entry) of each named parameter of ``cls``, all for None."""
+    params = inspect.signature(cls, eval_str=True).parameters
+    return [(n, itemgetter(n) if params[n].default is params[n].empty else methodcaller(
+        "get", n, params[n].default), *_KINDS[params[n].annotation]) for n in names or params]
+
+
+def typed_fields(cls, records, where: str, names=None) -> dict[str, list]:
+    """{name: its value, or default, in each record} of the named parameters of ``cls`` (all for
+    None), checked field by field against their annotations; the first bad record is the ``record``
+    of ``ValueError("<where><name> must be <kind>, got <repr>")``, ``where`` formatted by it."""
+    out = {}
+    for name, get, kind, types, item_types, held in _fields(cls, names):
+        values = list(map(get, records))
+        seen = {*map(type, values)}
+        if item_types and seen <= types:   # then the types of their items (a null has none)
+            items = map(dict.values, filter(None, values)) if dict in types else filter(None, values)
+            seen, types = {*map(type, chain.from_iterable(items))}, item_types
+        if not seen <= types:
+            for record in records if len(records) > 1 else ():   # name the first that fails alone
+                typed_fields(cls, [record], where, (name,))
+            error = ValueError(f"{where.format_map(records[0])}{name} must be {kind}, got {values[0]!r}")
+            error.record = records[0]
+            raise error
+        out[name] = list(map(hold, values)) if (hold := held[int in seen]) else values
+    return out
 
 
 def write_json(path, doc) -> None:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .documents import read_json, write_json
+from .documents import read_json, typed_fields, write_json
 
 DEFAULT_EPSILON = 1e-6
 _GEOMETRY_BLOCK = 1 << 16   # elements of one block of the leaf-compatibility build
@@ -49,17 +49,11 @@ class FeatureMeta:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"feature {self.index}: name must be a string, got {self.name!r}")
-        for end, value in (("lo", self.lo), ("hi", self.hi)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):   # JSON true is no number
-                raise ValueError(f"feature {self.name}: {end} must be a number, got {value!r}")
+        typed_fields(FeatureMeta, [vars(self)], "feature {index!r}: ")
         if self.kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"feature {self.name}: unknown kind {self.kind!r}")
         if self.beneficial not in DIRECTIONS:
             raise ValueError(f"feature {self.name}: unknown direction {self.beneficial!r}")
-        if not isinstance(self.mutable, bool):   # a string such as "no" would be truthy
-            raise ValueError(f"feature {self.name}: mutable must be true or false, got {self.mutable!r}")
         if self.kind == BINARY and (self.lo, self.hi) != (0.0, 1.0):
             raise ValueError(f"feature {self.name}: binary features use the [0, 1] domain")
         if self.lo >= self.hi:
@@ -670,45 +664,24 @@ def forest_to_dict(forest: Forest) -> dict:
     }
 
 
-def _number(value, field: str, node=None) -> float:
-    """value as a float if JSON holds a number there: ``float`` alone takes "0.5" and true too."""
-    if type(value) is float or type(value) is int:
-        return float(value)
-    where = "" if node is None else f"node {node}: "
-    raise ForestFormatError(f"{where}{field} must be a number, got {value!r}")
-
-
-def _integers(doc: dict, fields, label: str = "") -> None:
-    """Reject a field of doc that holds no JSON integer (Python takes true and 0.0 for ints)."""
-    for field in fields:
-        if type(doc[field]) is not int:
-            where = f"{label} {doc['id']!r}: " if label else ""
-            raise ForestFormatError(f"{where}{field} must be an integer, got {doc[field]!r}")
-
-
 def forest_from_dict(doc: dict) -> Forest:
     """The forest of a :func:`forest_to_dict` document; a bad field raises KeyError or TypeError."""
     metas = [FeatureMeta(**feature) for feature in doc["features"]]
     if doc["num_features"] != len(metas):
         raise ForestFormatError("num_features does not match the features list")
-    trees = []
-    for t, tdoc in enumerate(doc["trees"]):
-        try:
-            _integers(tdoc, ("root",))
-            for n in tdoc["nodes"]:   # the test inlined first: a forest is loaded per shift
-                if not type(n["id"]) is type(n["feature"]) is type(n["left"]) is type(n["right"]) is int:
-                    _integers(n, ("id", "feature", "left", "right"), "node")
-            for l in tdoc["leaves"]:
-                _integers(l, ("id",), "leaf")
-            nodes = [
-                Node(n["id"], n["feature"], _number(n["threshold"], "threshold", n["id"]),
-                     n["left"], n["right"])
-                for n in tdoc["nodes"]
-            ]
-            leaves = [Leaf(l["id"], l["class"]) for l in tdoc["leaves"]]
-            trees.append(Tree(tdoc["root"], nodes, leaves, _number(tdoc.get("weight", 1.0), "weight")))
-        except ForestFormatError as exc:
-            raise ForestFormatError(f"tree {t}: {exc}") from exc
+    tdocs, trees = doc["trees"], []
+    try:   # each field is checked in all trees at once, as a forest is loaded per shift
+        roots, weights = typed_fields(Tree, tdocs, "", ("root", "weight")).values()
+        nodes = iter(map(Node, *typed_fields(
+            Node, [n for d in tdocs for n in d["nodes"]], "node {id!r}: ").values()))
+        ids = iter(typed_fields(Leaf, [l for d in tdocs for l in d["leaves"]], "leaf {id!r}: ", ("id",))["id"])
+        for tdoc, root, weight in zip(tdocs, roots, weights):
+            leaves = [Leaf(next(ids), l["class"]) for l in tdoc["leaves"]]
+            trees.append(Tree(root, list(itertools.islice(nodes, len(tdoc["nodes"]))), leaves, weight))
+    except ValueError as exc:   # name the tree of a mistyped record, or else the tree being built
+        t = next((t for t, d in enumerate(tdocs) for r in (d, *d["nodes"], *d["leaves"])
+                  if r is getattr(exc, "record", None)), len(trees))
+        raise ForestFormatError(f"tree {t}: {exc}") from exc
     return Forest(trees, metas)
 
 

@@ -9,12 +9,12 @@ threshold and cuts variance.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .documents import read_json, write_json
+from .documents import read_json, typed_fields, write_json
 from .forest import BINARY, CONTINUOUS, FeatureMeta, Forest
 
 EFFORT_SCALE = 1.5   # effort draws are U[0, (1 + (EFFORT_SCALE - 1) * e) * sigma]
@@ -122,6 +122,7 @@ class NodeProbabilityTable:
     probs: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
     _valid_for: weakref.WeakSet = field(default_factory=weakref.WeakSet, init=False,
                                         repr=False, compare=False)
+    Entry = make_dataclass("Entry", [("tree", int), ("node", int), ("right", tuple[float, ...])])
 
     def __post_init__(self):
         if self.E < 0:
@@ -174,17 +175,12 @@ class NodeProbabilityTable:
             ],
         }
 
-    @staticmethod
-    def from_dict(doc: dict, forest: Forest | None = None) -> "NodeProbabilityTable":
+    @classmethod
+    def from_dict(cls, doc: dict, forest: Forest | None = None) -> "NodeProbabilityTable":
         """The table of a :meth:`to_dict` document; a bad field raises KeyError or TypeError."""
-        table = NodeProbabilityTable(
-            individual=doc["individual"],
-            E=doc["E"],
-            probs={
-                (e["tree"], e["node"]): tuple(float(p) for p in e["right"])
-                for e in doc["entries"]
-            },
-        )
+        (individual,), (E,) = typed_fields(cls, [doc], "", ("individual", "E")).values()
+        tree, node, right = typed_fields(cls.Entry, doc["entries"], "tree {tree!r} node {node!r}: ").values()
+        table = cls(individual, E, dict(zip(zip(tree, node), right)))
         if len(table.probs) != len(doc["entries"]):
             raise TableFormatError("duplicate (tree, node) entry")
         if forest is not None:

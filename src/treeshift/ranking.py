@@ -22,6 +22,8 @@ class Ranking:
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if self.eta > len(self.entries):   # top() would name fewer than eta features
+            raise ValueError(f"eta {self.eta} exceeds the {len(self.entries)} ranked features")
         scores = [s for _, _, s in self.entries]
         if any(b > a for a, b in zip(scores, scores[1:])):
             raise ValueError("ranking scores must be non-increasing")
@@ -107,17 +109,21 @@ def rsr_ranking(metas: list[FeatureMeta], eta: int, seed: int) -> Ranking:
     return Ranking("rsr", eta, entries)
 
 
-def _scores(cells, column) -> list[float]:
-    """The cells as numbers; the first missing, non-numeric or non-finite one is rejected."""
-    for _, message in cell_errors(cells, column):
+def _scores(columns, column) -> dict[str, float]:
+    """{feature: its number in ``column``} of a CSV's columns; a feature named twice and a
+    missing, non-numeric or non-finite number are rejected."""
+    names = columns["feature"]
+    for name in names:
+        if names.count(name) > 1:   # one of its numbers would be dropped
+            raise ValueError(f"feature {name!r} is named twice")
+    for _, message in cell_errors(columns[column], column):
         raise ValueError(message)
-    return list(map(float, cells))
+    return dict(zip(names, map(float, columns[column])))
 
 
 def load_importances_csv(path, metas: list[FeatureMeta]) -> list[float]:
     """Per feature, its importance in the CSV ``train`` writes; 0 for a feature it omits."""
-    by_name = read_csv(path, ("feature", "importance"), lambda columns: dict(
-        zip(columns["feature"], _scores(columns["importance"], "importance"))))
+    by_name = read_csv(path, ("feature", "importance"), lambda columns: _scores(columns, "importance"))
     return [by_name.get(m.name, 0.0) for m in metas]
 
 
@@ -126,13 +132,11 @@ def load_ranking_csv(path, metas: list[FeatureMeta], eta: int, method: str = "cs
 
     def parse(columns):
         entries = []
-        for name, score in zip(columns["feature"], _scores(columns["score"], "score")):
+        for name, score in _scores(columns, "score").items():
             meta = by_name.get(name)
             if meta is None:
                 raise ValueError(f"unknown feature {name!r} in ranking file")
             entries.append((meta.index, meta.name, score))
-        return entries
+        return Ranking(method, eta, sorted(entries, key=lambda e: (-e[2], e[0])))
 
-    entries = read_csv(path, ("feature", "score"), parse)
-    entries.sort(key=lambda e: (-e[2], e[0]))
-    return Ranking(method, eta, entries)
+    return read_csv(path, ("feature", "score"), parse)

@@ -368,6 +368,18 @@ def test_manifest_replay_reproduces_output(tmp_path):
     _assert_replays(tmp_path / "report.csv.manifest.json", [report_path])
 
 
+def _table_json(entry_0=(), **fields) -> str:
+    """The firefighter table's JSON text with ``fields`` set, and ``entry_0`` in its first entry."""
+    doc = firefighter_table().to_dict() | fields
+    doc["entries"][0].update(entry_0)
+    return json.dumps(doc)
+
+
+_SHIFT = ("shift --forest {forest} --probs {bad} --data {data} --schema {schema} "
+          "--individual 0 --target-class 1 -o {out}")
+_SIMULATE = ("simulate --forest {forest} --data {data} --schema {schema} --ranking {bad} "
+             "--etas 1,2 --target-class 1 --reps 5 -o {out}")
+
 # a file the pipeline reads, its text, and the command that reads it; {bad} is that file
 _BAD_FILES = {
     "schema without columns": (
@@ -523,6 +535,22 @@ _BAD_FILES = {
     "solution effort that is not a list of integers": (
         "sols/s.json", '{"status": "optimal", "effort": "ab"}',
         "rank --forest {forest} --solutions {dir}/sols --eta 1 -o {out}"),
+    "table probability that is a string": (
+        "table.json", _table_json(entry_0={"right": ["0.4", 0.5]}), _SHIFT),
+    "table probability that is true": ("table.json", _table_json(entry_0={"right": [0.4, True]}), _SHIFT),
+    "table individual that is false": ("table.json", _table_json(individual=False), _SHIFT),
+    "table E that is true": ("table.json", _table_json(E=True), _SHIFT),
+    "table node that is false": ("table.json", _table_json(entry_0={"node": False}), _SHIFT),
+    "schema column of an unknown role": (
+        "schema.json", '{"columns": [{"name": "S", "role": "feture", "beneficial": "increase"}, '
+        '{"name": "A", "beneficial": "increase"}, '
+        '{"name": "label", "role": "target", "positive_labels": ["1"]}]}',
+        "train --data {data} --schema {bad} -o {out}"),
+    "ranking CSV that names a feature twice": ("r.csv", "feature,score,rank\nA,1,1\nA,0.5,2\n", _SIMULATE),
+    "ranking CSV shorter than the largest eta": ("r.csv", "feature,score,rank\nA,1,1\n", _SIMULATE),
+    "importances CSV that names a feature twice": (
+        "imp.csv", "feature,importance\nS,0.5\nS,0.25\n",
+        "rank --forest {forest} --importances {bad} --eta 1 -o {out}"),
 }
 
 

@@ -293,14 +293,50 @@ def test_drop_values_filters_rows(tmp_path):
     assert list(ds.y) == [0, 1, 1]
 
 
-@pytest.mark.parametrize("value", [None, "abc", float("nan"), float("inf")])
-def test_schema_rejects_a_recode_value_that_is_not_a_finite_number(value):
+_NOT_NUMBERS = "^column grade: recode must be an object of numbers, or null, got "
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, _NOT_NUMBERS + r"\{'low': 0, 'mid': None\}$"),
+    ("abc", _NOT_NUMBERS + r"\{'low': 0, 'mid': 'abc'\}$"),
+    (float("nan"), "^column grade: recode value nan for 'mid' is not a finite number$"),
+    (float("inf"), "^column grade: recode value inf for 'mid' is not a finite number$"),
+], ids=["None", "abc", "nan", "inf"])
+def test_schema_rejects_a_recode_value_that_is_not_a_finite_number(value, message):
     # a null recode value once loaded its column as NaN
-    with pytest.raises(ValueError, match="^column grade: recode value .* for 'mid' is not a finite"):
+    with pytest.raises(ValueError, match=message):
         DatasetSchema([
             ColumnSpec("grade", beneficial="increase", recode={"low": 0, "mid": value}),
             ColumnSpec("label", role="target", positive_labels=("1",)),
         ])
+
+
+@pytest.mark.parametrize("role, message", [
+    ("feture", "^column a: unknown role 'feture'$"),
+    (3, "^column a: role must be a string, got 3$"),
+    (None, "^column a: role must be a string, got None$"),
+])
+def test_schema_rejects_a_column_of_no_role(role, message):
+    # each once loaded, and the column was dropped
+    with pytest.raises(ValueError, match=message):
+        ColumnSpec("a", role=role, beneficial="increase")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mutable", "no", "mutable must be true or false, got 'no'"),
+    ("positive_labels", "10", "positive_labels must be a list of strings, got '10'"),
+    ("drop_values", [1], r"drop_values must be a list of strings, got \[1\]"),
+    ("recode", ["a"], r"recode must be an object of numbers, or null, got \['a'\]"),
+    ("name", 5, "name must be a string, got 5"),
+])
+def test_column_spec_rejects_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ColumnSpec(**{"name": "a", "beneficial": "increase", field: value})
+
+
+def test_column_spec_holds_label_lists_as_tuples():
+    spec = ColumnSpec("a", role="target", positive_labels=["1"], drop_labels=["?", "x"])
+    assert (spec.positive_labels, spec.drop_labels, spec.drop_values) == (("1",), ("?", "x"), ())
 
 
 def test_schema_rejects_a_column_named_twice():

@@ -375,9 +375,9 @@ _S = "feature S: "
     (firefighter_forest_json(node_2={"left": 6}), "tree 0: id 6 reached twice (not a tree)"),
     (firefighter_forest_json(feature_0={"name": 5}), "feature 0: name must be a string, got 5"),
     (firefighter_forest_json(feature_0={"lo": False, "hi": True}),
-     _S + "lo must be a number, got False"),
-    (firefighter_forest_json(feature_0={"lo": "0", "hi": "1"}), _S + "lo must be a number, got '0'"),
-    (firefighter_forest_json(feature_0={"hi": None}), _S + "hi must be a number, got None"),
+     "feature 0: lo must be a number, got False"),
+    (firefighter_forest_json(feature_0={"lo": "0", "hi": "1"}), "feature 0: lo must be a number, got '0'"),
+    (firefighter_forest_json(feature_0={"hi": None}), "feature 0: hi must be a number, got None"),
 ], ids=["not JSON", "no num_features", "not an object", "node without threshold",
         "unknown kind", "unknown direction", "binary domain", "empty domain",
         "mutable without direction", "binary direction", "continuous direction",
@@ -393,6 +393,34 @@ def test_load_forest_names_the_file_it_rejects(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ForestFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_forest(path)
+
+
+@pytest.mark.parametrize("part, fields, message", [
+    ("tree", {"root": 0.0}, "tree 2: root must be an integer, got 0.0"),
+    ("node_0", {"threshold": "0.5"}, "tree 2: node 0: threshold must be a number, got '0.5'"),
+    ("leaf_1", {"id": 4.0}, "tree 2: leaf 4.0: id must be an integer, got 4.0"),
+    ("leaf_0", {"class": True}, "tree 2: leaf 3: class must be 0 or 1, got True"),
+    ("node_2", {"left": 3}, "tree 2: id 3 reached twice (not a tree)"),
+])
+def test_forest_rejection_names_the_tree_that_holds_it(part, fields, message):
+    # a field is checked in the records of all trees at once, so its tree is found afterwards
+    doc = json.loads(firefighter_forest_json())
+    doc["trees"] = [json.loads(json.dumps(doc["trees"][0])) for _ in range(3)]
+    tree = doc["trees"][2]
+    parts = {"tree": tree, "node_0": tree["nodes"][0], "node_2": tree["nodes"][2],
+             "leaf_0": tree["leaves"][0], "leaf_1": tree["leaves"][1]}
+    parts[part].update(fields)
+    with pytest.raises(ForestFormatError, match=f"^{re.escape(message)}$"):
+        forest_from_dict(doc)
+
+
+def test_forest_holds_integer_numbers_as_floats():
+    doc = json.loads(firefighter_forest_json(feature_0={"hi": 2}, node_0={"threshold": 1},
+                                             tree={"weight": 2}))
+    forest = forest_from_dict(doc)
+    tree = forest.trees[0]
+    assert (tree.weight, tree.nodes[0].threshold) == (2.0, 1.0)
+    assert type(tree.weight) is type(tree.nodes[0].threshold) is float
 
 
 def test_tree_rejects_unreachable_leaf():

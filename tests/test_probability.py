@@ -302,13 +302,32 @@ def _firefighter_table_with(*entries):
     # the firefighter table itself: effort moves the probabilities of nodes 1 and 2, on A
     (_firefighter_table_with(), "tree 0 node 1: effort changes an immutable feature's probabilities"),
     (_firefighter_table_with((0, 1, [0.5, 0.5])), "duplicate (tree, node) entry"),
+    # each of these once loaded: as (0.4, 0.5), (0.4, 1.0), row 0's table, E = 1 and node 0
+    ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": 0, "right": ["0.4", 0.5]}]}',
+     "tree 0 node 0: right must be a list of numbers, got ['0.4', 0.5]"),
+    ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": 0, "right": [0.4, true]}]}',
+     "tree 0 node 0: right must be a list of numbers, got [0.4, True]"),
+    ('{"individual": false, "E": 1, "entries": []}', "individual must be an integer, got False"),
+    ('{"individual": 0, "E": true, "entries": []}', "E must be an integer, got True"),
+    ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": false, "right": [0.4, 0.5]}]}',
+     "tree 0 node False: node must be an integer, got False"),
+    ('{"individual": 0, "E": 1, "entries": [{"tree": 0, "node": 0, "right": 0.4}]}',
+     "tree 0 node 0: right must be a list of numbers, got 0.4"),
 ], ids=["not JSON", "no E", "entry without right", "not an object", "unknown node",
-        "immutable feature moved", "duplicate entry"])
+        "immutable feature moved", "duplicate entry", "probability string", "probability true",
+        "individual false", "E true", "node false", "right a number"])
 def test_load_table_names_the_file_it_rejects(tmp_path, text, message):
     path = tmp_path / "t.json"
     path.write_text(text)
     with pytest.raises(TableFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_table(path, with_a_fixed(firefighter_forest()))
+
+
+def test_table_holds_integer_probabilities_as_floats():
+    doc = firefighter_table().to_dict()
+    doc["entries"][0]["right"] = [0, 1]
+    row = NodeProbabilityTable.from_dict(doc, firefighter_forest()).probs[(0, 0)]
+    assert row == (0.0, 1.0) and all(type(p) is float for p in row)
 
 
 def test_table_missing_node_rejected():

@@ -4,6 +4,7 @@ import pytest
 from treeshift import (FeatureMeta, Ranking, Solution, effort_ranking,
                        load_ranking_csv, rfr_ranking, rsr_ranking, solve_max_path)
 from treeshift.fixtures import firefighter_forest, firefighter_table
+from treeshift.ranking import load_importances_csv
 
 METAS = [
     FeatureMeta(0, "age", mutable=False, beneficial="none"),
@@ -132,6 +133,35 @@ def test_effort_ranking_rejects_more_features_than_are_mutable():
     assert effort_ranking(sols, METAS, eta=3).top() == [1, 2, 3]
     with pytest.raises(ValueError, match="eta must be in 0..3, the mutable features, got 4"):
         effort_ranking(sols, METAS, eta=4)
+
+
+def test_ranking_rejects_an_eta_beyond_its_entries():
+    # a 1-entry ranking once reported eta=4 equal to eta=1
+    with pytest.raises(ValueError, match="^eta 2 exceeds the 1 ranked features$"):
+        Ranking("m", 2, [(1, "a", 0.5)])
+
+
+def test_ranking_csv_rejects_a_feature_named_twice(tmp_path):
+    # the eta=2 column was once computed with effort on one feature
+    path = tmp_path / "r.csv"
+    path.write_text("feature,score,rank\nfcvc,1,1\nch2o,0.5,2\nfcvc,0.25,3\n")
+    with pytest.raises(ValueError, match="r.csv: feature 'fcvc' is named twice$"):
+        load_ranking_csv(path, METAS, eta=1)
+
+
+def test_ranking_csv_shorter_than_eta_names_the_file(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("feature,score,rank\nfcvc,1,1\n")
+    with pytest.raises(ValueError, match="r.csv: eta 2 exceeds the 1 ranked features$"):
+        load_ranking_csv(path, METAS, eta=2)
+
+
+def test_importances_csv_rejects_a_feature_named_twice(tmp_path):
+    # the last row once won
+    path = tmp_path / "imp.csv"
+    path.write_text("feature,importance\nch2o,0.5\nch2o,0.25\n")
+    with pytest.raises(ValueError, match="imp.csv: feature 'ch2o' is named twice$"):
+        load_importances_csv(path, METAS)
 
 
 def test_top_rejects_a_negative_count():
